@@ -23,17 +23,13 @@ from .bloch import (
 )
 from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
 from .ensemble import EnsembleResult, run_ensemble
-from .feedback import DelayLine, apply_delay, optimal_control, phase_locked_control
+from .feedback import DelayLine
 from .oracle import LindbladSolution, closed_two_point_sample, ensemble_vs_oracle, lindblad_evolve
 from .sme import (
-    HomodyneSample,
     NumericalBlowupError,
-    StepLedger,
     TrajectoryRecord,
     ito_step,
-    renormalize,
     rng_for_trajectory,
-    sample_homodyne,
     simulate_trajectory,
     split_step,
 )
@@ -43,7 +39,6 @@ from .stats import (
     WorkDistribution,
     accumulate,
     efficacy_from_trajectories,
-    first_law_residual,
     jarzynski_average,
     pearson_r,
     rabi_contrast,
@@ -63,39 +58,31 @@ __all__ = [
     "EnsembleResult",
     "FeedbackConfig",
     "GROUND",
-    "HomodyneSample",
     "LindbladSolution",
     "NO_FEEDBACK",
     "NumericalBlowupError",
     "SimConfig",
-    "StepLedger",
     "TrajectoryRecord",
     "TransitionLedger",
     "WorkDistribution",
     "accumulate",
-    "apply_delay",
     "closed_rabi_probabilities",
     "closed_two_point_sample",
     "efficacy_from_trajectories",
     "ensemble_vs_oracle",
     "excited_population",
-    "first_law_residual",
     "ground_population",
     "ito_step",
     "jarzynski_average",
     "lindblad_evolve",
-    "optimal_control",
     "pearson_r",
     "phase",
-    "phase_locked_control",
     "purity",
     "rabi_contrast",
-    "renormalize",
     "rng_for_trajectory",
     "rotate_y",
     "run_efficacy_protocol",
     "run_ensemble",
-    "sample_homodyne",
     "simulate_trajectory",
     "split_step",
     "sweep_gain_offset",

@@ -64,15 +64,6 @@ GROUND = BlochState(0.0, 1.0)
 EXCITED = BlochState(0.0, -1.0)
 
 
-def state_for_label(n: int) -> BlochState:
-    """Energy eigenstate for label ``n`` (0 = ground, 1 = excited)."""
-    if n == 0:
-        return GROUND
-    if n == 1:
-        return EXCITED
-    raise ValueError(f"eigenstate label must be 0 or 1, got {n!r}")
-
-
 def ground_population(s: BlochState) -> float:
     """rho00 = (1 + z) / 2, the probability of finding the ground state."""
     return 0.5 * (1.0 + s.z)

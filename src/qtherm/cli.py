@@ -54,7 +54,7 @@ from .io import (
     write_trajectory_sidecar,
 )
 from .oracle import ensemble_vs_oracle, lindblad_evolve
-from .sme import rng_for_trajectory, simulate_trajectory
+from .sme import NumericalBlowupError, rng_for_trajectory, simulate_trajectory
 from .stats import (
     InsufficientSpanError,
     pooled_pearson_r,
@@ -156,7 +156,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+#: Flag and config-file keys handed to SimConfig as they are, by field name.
+_SIM_KEYS = {"gamma_per_us": "gamma", "eta": "eta", "tau_us": "tau", "phi": "phi",
+             "seed": "seed", "beta": "beta", "scheme": "scheme",
+             "sample_final": "sample_final"}
+
+
 def _assemble(args) -> tuple[SimConfig, FeedbackConfig, dict]:
+    """Configs from the config file and flags; unset fields keep their defaults."""
     values = _parse_config_file(args.config) if args.config else {}
     overrides = {
         "seed": args.seed, "n_traj": args.n_traj, "eta": args.eta,
@@ -171,34 +178,22 @@ def _assemble(args) -> tuple[SimConfig, FeedbackConfig, dict]:
         if val is not None:
             values[key] = val
 
-    initial = values.get("initial_state", 0)
-    if isinstance(initial, str):
-        initial = initial.strip()
-        initial = int(initial) if initial in ("0", "1") else initial
-    dt_us = values.get("dt_ns", 20.0) * 1e-3
+    sim_args = {field: values[key] for key, field in _SIM_KEYS.items() if key in values}
+    if "omega_mhz" in values:
+        sim_args["omega_r"] = 2.0 * math.pi * values["omega_mhz"]
+    if "dt_ns" in values:
+        sim_args["dt"] = values["dt_ns"] * 1e-3
+    if "initial_state" in values:
+        initial = values["initial_state"].strip()
+        sim_args["initial_state"] = int(initial) if initial in ("0", "1") else initial
+    fb_args = {key: values[key] for key in ("gain", "offset") if key in values}
     try:
-        sim = SimConfig(
-            gamma=values.get("gamma_per_us", 1.7),
-            omega_r=2.0 * math.pi * values.get("omega_mhz", 1.0),
-            eta=values.get("eta", 0.35),
-            dt=dt_us,
-            tau=values.get("tau_us", 8.0),
-            phi=values.get("phi"),
-            seed=values.get("seed", 1),
-            initial_state=initial,
-            beta=values.get("beta", 3.5),
-            scheme=values.get("scheme", "ito-euler"),
-            sample_final=values.get("sample_final", False),
-        )
-        mode = _FEEDBACK_ALIASES[values.get("mode", "none")]
-        fb = FeedbackConfig(
-            mode=mode,
-            gain=values.get("gain", 34.0),
-            offset=values.get("offset", -1.0),
-            delay_steps=delay_steps_for(values.get("delay_ns", 0.0), dt_us)
-            if mode != "none"
-            else 0,
-        )
+        sim = SimConfig(**sim_args)
+        if "mode" in values:
+            fb_args["mode"] = _FEEDBACK_ALIASES[values["mode"]]
+        fb = FeedbackConfig(**fb_args)
+        if fb.mode != "none" and "delay_ns" in values:
+            fb = fb.with_(delay_steps=delay_steps_for(values["delay_ns"], sim.dt))
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -210,6 +205,21 @@ def _assemble(args) -> tuple[SimConfig, FeedbackConfig, dict]:
     return sim, fb, run
 
 
+def _write_manifest(out: Path, command: str, sim: SimConfig, fb: FeedbackConfig,
+                    outputs: list[str], n_traj: int, seconds: float, **ran_over) -> None:
+    """Write manifest.json for the configuration ``command`` integrated.
+
+    ``sim`` and ``fb`` are the configs handed to the engine.  ``ran_over``
+    replaces a field with the list of values the command integrated one after
+    another (jarzynski's eta list, sweep's gain and offset grids).
+    """
+    config = config_snapshot(sim, fb)
+    for name, values in ran_over.items():
+        config["sim" if name in config["sim"] else "feedback"][name] = values
+    RunManifest(command=command, config=config, seed=sim.seed, outputs=outputs,
+                n_steps=sim.n_steps, n_traj=n_traj, wall_seconds=seconds).write(out)
+
+
 def _float_list(text: str, flag: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -219,22 +229,15 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def cmd_trajectory(args) -> int:
     sim, fb, run = _assemble(args)
+    sim = sim.with_(sample_final=True)
     out = run["out_dir"]
     out.mkdir(parents=True, exist_ok=True)
     with timer() as t:
-        record = simulate_trajectory(sim.with_(sample_final=True), fb)
+        record = simulate_trajectory(sim, fb)
         write_trajectory_csv(record, out / "trajectory.csv")
         write_trajectory_sidecar(record, out / "trajectory_config.json")
-    manifest = RunManifest(
-        command="trajectory",
-        config=config_snapshot(sim, fb),
-        seed=sim.seed,
-        outputs=["trajectory.csv", "trajectory_config.json"],
-        n_steps=sim.n_steps,
-        n_traj=1,
-        wall_seconds=t.seconds,
-    )
-    manifest.write(out)
+    _write_manifest(out, "trajectory", sim, fb,
+                    ["trajectory.csv", "trajectory_config.json"], 1, t.seconds)
     w, wf, q = record.work_heat_totals()
     print(
         f"trajectory: {sim.n_steps} steps, W={w:+.4f} WF={wf:+.4f} Q={q:+.4f} "
@@ -245,6 +248,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_ensemble(args) -> int:
     sim, fb, run = _assemble(args)
+    sim = sim.with_(sample_final=True)
     out = run["out_dir"]
     out.mkdir(parents=True, exist_ok=True)
     n = run["n_traj"]
@@ -252,10 +256,7 @@ def cmd_ensemble(args) -> int:
     if fb.mode != "none" and n * sim.n_steps <= MAX_SERIES_VALUES:
         record_series.append("ledger")
     with timer() as t:
-        res = run_ensemble(
-            sim.with_(sample_final=True), fb, n,
-            record=record_series, workers=run["workers"],
-        )
+        res = run_ensemble(sim, fb, n, record=record_series, workers=run["workers"])
         write_csv(
             out / "timeseries.csv",
             ("t", "p00_mean", "p00_sem", "dW_mean", "dWF_mean", "dQ_mean"),
@@ -310,16 +311,8 @@ def cmd_ensemble(args) -> int:
                     res.series["dwf"], res.series["dq"], lag=fb.delay_steps
                 )
         write_json(out / "summary.json", summary)
-    manifest = RunManifest(
-        command="ensemble",
-        config=config_snapshot(sim, fb),
-        seed=sim.seed,
-        outputs=["timeseries.csv", "trajectories.csv", "summary.json"],
-        n_steps=sim.n_steps,
-        n_traj=n,
-        wall_seconds=t.seconds,
-    )
-    manifest.write(out)
+    _write_manifest(out, "ensemble", sim, fb,
+                    ["timeseries.csv", "trajectories.csv", "summary.json"], n, t.seconds)
     print(f"ensemble: {n} trajectories, P00(tau)={summary['p00_final']:.4f} -> {out}")
     return 0
 
@@ -329,20 +322,17 @@ def cmd_jarzynski(args) -> int:
     if sim.beta <= 0:
         raise ConfigError("jarzynski requires beta > 0")
     etas = _float_list(args.eta_list, "--eta-list")
+    # The kraus dissipator keeps eta = 1 exact and the eta family comparable;
+    # an explicit --scheme still wins.
+    sim = sim.with_(scheme=args.scheme or "kraus")
     out = run["out_dir"]
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     summary: dict = {"etas": etas, "per_eta": {}, "manifest": "manifest.json"}
     with timer() as t:
         for eta in etas:
-            # The kraus dissipator keeps eta = 1 exact and the eta family
-            # comparable; an explicit --scheme still wins.
-            scheme = args.scheme or "kraus"
             prot = run_efficacy_protocol(
-                sim.with_(eta=eta, scheme=scheme),
-                fb,
-                n_traj=run["n_traj"],
-                workers=run["workers"],
+                sim.with_(eta=eta), fb, n_traj=run["n_traj"], workers=run["workers"]
             )
             tr = prot.trajectory_route
             name = f"efficacy_eta{eta:g}.csv"
@@ -370,16 +360,9 @@ def cmd_jarzynski(args) -> int:
             }
         write_json(out / "summary.json", summary)
         outputs.append("summary.json")
-    manifest = RunManifest(
-        command="jarzynski",
-        config=config_snapshot(sim, fb),
-        seed=sim.seed,
-        outputs=outputs,
-        n_steps=sim.n_steps,
-        n_traj=run["n_traj"],
-        wall_seconds=t.seconds,
-    )
-    manifest.write(out)
+    # Each eta runs a ground-prepared ensemble and an excited-prepared one.
+    _write_manifest(out, "jarzynski", sim, fb, outputs, run["n_traj"], t.seconds,
+                    eta=etas, initial_state=[0, 1])
     print(f"jarzynski: eta={etas} -> {out}")
     return 0
 
@@ -388,6 +371,7 @@ def cmd_sweep(args) -> int:
     sim, fb, run = _assemble(args)
     gains = _float_list(args.gain_grid, "--gain-grid")
     offsets = _float_list(args.offset_grid, "--offset-grid")
+    fb = fb.with_(mode="phase_locked")
     out = run["out_dir"]
     out.mkdir(parents=True, exist_ok=True)
     with timer() as t:
@@ -404,16 +388,8 @@ def cmd_sweep(args) -> int:
                 "manifest": "manifest.json",
             },
         )
-    manifest = RunManifest(
-        command="sweep",
-        config=config_snapshot(sim, fb),
-        seed=sim.seed,
-        outputs=["sweep.csv", "summary.json"],
-        n_steps=sim.n_steps,
-        n_traj=run["n_traj"],
-        wall_seconds=t.seconds,
-    )
-    manifest.write(out)
+    _write_manifest(out, "sweep", sim, fb, ["sweep.csv", "summary.json"],
+                    run["n_traj"], t.seconds, gain=gains, offset=offsets)
     print(
         f"sweep: argmax (A={result.best_gain:g}, B={result.best_offset:g}) -> {out}"
     )
@@ -507,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, NumericalBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

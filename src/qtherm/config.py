@@ -3,9 +3,10 @@
 Defaults mirror the experiment the simulator models: decay rate
 gamma = 1.7 /us, Rabi drive Omega_R/2pi = 1 MHz (Bloch angular rate
 2*pi rad/us), homodyne quantum efficiency eta = 0.35, 20 ns integration
-steps, 8 us protocols, 100 ns feedback loop delay, reference gain A = 34
-with offset B = -1, and inverse temperature beta = 3.5 for the two-point
-work statistics.
+steps, 8 us protocols, reference gain A = 34 with offset B = -1, and inverse
+temperature beta = 3.5 for the two-point work statistics.  The feedback loop
+delay defaults to zero; the experiment's 100 ns loop is ``delay_steps = 5``
+at the default step.
 
 Time is in microseconds throughout; rates in 1/us; angles in radians;
 energies in units of hbar*omega_q.
@@ -30,6 +31,14 @@ SCHEMES = ("ito-euler", "kraus")
 #: reference oscillator; "optimal" rotates the state back onto the
 #: closed-evolution phase at every step.
 FEEDBACK_MODES = ("none", "phase_locked", "optimal")
+
+
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first field of ``obj`` that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,7 @@ class SimConfig:
     sample_final: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("gamma", "omega_r", "eta", "dt", "tau", "phi", "beta"))
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if not 0.0 <= self.eta <= 1.0:
@@ -143,6 +153,7 @@ class FeedbackConfig:
     delay_steps: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("gain", "offset", "phi", "delay_steps"))
         if self.mode not in FEEDBACK_MODES:
             raise ValueError(
                 f"mode must be one of {FEEDBACK_MODES}, got {self.mode!r}"

@@ -28,9 +28,6 @@ from collections import deque
 
 import numpy as np
 
-from .bloch import BlochState, phase
-from .config import FeedbackConfig, SimConfig
-
 
 def _wrap_angle(a):
     """Wrap angle(s) to (-pi, pi]."""
@@ -40,27 +37,6 @@ def _wrap_angle(a):
 def pll_drive(dv, t: float, omega_r: float, gain: float, offset: float, phi):
     """Phase-locked feedback drive (rad/us); array-friendly in dv and phi."""
     return gain * (np.cos(omega_r * t + phi) + offset) * dv
-
-
-def phase_locked_control(
-    sample, t: float, fb: FeedbackConfig, sim: SimConfig, *, phi: float = 0.0
-) -> float:
-    """Omega_F from one homodyne sample at time ``t``.
-
-    ``sample`` may be a HomodyneSample or a bare dV value.  ``phi`` is the
-    resolved reference phase for this trajectory (see config.resolve_phi).
-    """
-    dv = getattr(sample, "dV", sample)
-    return float(pll_drive(dv, t, sim.omega_r, fb.gain, fb.offset, phi))
-
-
-def optimal_control(s_actual: BlochState, s_target_phase: float) -> float:
-    """Rotation angle that puts ``s_actual`` on the target oscillation phase.
-
-    Applying ``rotate_y(s_actual, theta_f)`` leaves purity untouched and makes
-    the state's phase equal ``s_target_phase`` (mod 2*pi).
-    """
-    return float(_wrap_angle(s_target_phase - phase(s_actual)))
 
 
 def optimal_drive(x, z, t: float, omega_r: float, phi, dt: float):
@@ -89,15 +65,3 @@ class DelayLine:
             return omega_f_now
         self._buf.append(omega_f_now)
         return self._buf.popleft()
-
-
-def apply_delay(line: DelayLine, omega_f_now):
-    """Functional alias for :meth:`DelayLine.push`."""
-    return line.push(omega_f_now)
-
-
-def controller_phi(sim: SimConfig, fb: FeedbackConfig, initial_label: int) -> float:
-    """Resolved reference phase (kept here for discoverability)."""
-    from .config import resolve_phi
-
-    return resolve_phi(sim, fb, initial_label)

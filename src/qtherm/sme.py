@@ -21,6 +21,9 @@ drive + feedback) or heat (nonunitary, decay + measurement back-action):
    sqrt(gamma)*dX`` with dX ~ N(0, dt).  The excited-population change of this
    sub-step (including the renormalization below) is recorded as heat.
 
+:func:`split_step` is the one implementation of this step: an array kernel
+that :func:`run_batch` calls once per step on every lane of a batch.
+
 The Euler update can leave the unit disk by O(dt); when it does, the Bloch
 vector is rescaled to unit length (states never become unphysical, and the
 first law dU = dW + dWF + dQ holds exactly by construction, renormalization
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,41 +62,6 @@ BLOWUP_LIMIT = 1.5
 
 class NumericalBlowupError(RuntimeError):
     """Ito-Euler update left the Bloch disk by more than BLOWUP_LIMIT."""
-
-
-@dataclass(frozen=True)
-class HomodyneSample:
-    """One homodyne increment: dV = sqrt(eta)*gamma*<sigma_x>*dt + sqrt(gamma)*dX."""
-
-    dV: float
-    dX: float
-
-
-@dataclass(frozen=True)
-class StepLedger:
-    """Energy bookkeeping of one step, in units of hbar*omega_q.
-
-    dU = dW + dWF + dQ holds exactly (dU is *defined* as that sum).  The
-    transition-probability increments of the m=1 projector equal these
-    energies numerically (hbar*omega_q = 1); for m=0 flip the sign.
-    """
-
-    dW: float
-    dWF: float
-    dQ: float
-    dU: float
-
-    @property
-    def dp_w(self) -> float:
-        return self.dW
-
-    @property
-    def dp_f(self) -> float:
-        return self.dWF
-
-    @property
-    def dp_q(self) -> float:
-        return self.dQ
 
 
 @dataclass(frozen=True)
@@ -125,17 +93,6 @@ class TrajectoryRecord:
     def state(self, i: int) -> BlochState:
         return BlochState(x=float(self.x[i]), z=float(self.z[i]))
 
-    def sample(self, i: int) -> HomodyneSample:
-        return HomodyneSample(dV=float(self.dv[i]), dX=float(self.dx[i]))
-
-    def step_ledger(self, i: int) -> StepLedger:
-        return StepLedger(
-            dW=float(self.dw[i]),
-            dWF=float(self.dwf[i]),
-            dQ=float(self.dq[i]),
-            dU=float(self.du[i]),
-        )
-
     def work_heat_totals(self) -> tuple[float, float, float]:
         """(W, WF, Q) integrated over the trajectory."""
         return float(self.dw.sum()), float(self.dwf.sum()), float(self.dq.sum())
@@ -159,13 +116,9 @@ def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def sample_homodyne(
-    s: BlochState, cfg: SimConfig, rng: np.random.Generator
-) -> HomodyneSample:
-    """Draw one homodyne increment conditioned on the current state."""
-    dx = rng.normal(0.0, math.sqrt(cfg.dt))
-    dv = math.sqrt(cfg.eta) * cfg.gamma * s.x * cfg.dt + math.sqrt(cfg.gamma) * dx
-    return HomodyneSample(dV=dv, dX=dx)
+def homodyne_increment(x, dX, cfg: SimConfig):
+    """Homodyne increments dV = sqrt(eta)*gamma*x*dt + sqrt(gamma)*dX, per lane."""
+    return math.sqrt(cfg.eta) * cfg.gamma * x * cfg.dt + math.sqrt(cfg.gamma) * dX
 
 
 def _renormalize(x, z):
@@ -175,19 +128,13 @@ def _renormalize(x, z):
     return x * scale, z * scale
 
 
-def renormalize(s: BlochState) -> BlochState:
-    """Bloch vector rescaled to unit length if it left the disk; else unchanged."""
-    x, z = _renormalize(np.float64(s.x), np.float64(s.z))
-    return BlochState(x=float(x), z=float(z))
-
-
 def _dissipative_euler(x, z, dv, gamma: float, eta: float, dt: float):
     """gamma and sqrt(eta) terms of the Ito-Euler update (drive off)."""
     sqrt_eta = math.sqrt(eta)
     innovation = dv - gamma * sqrt_eta * x * dt
     z2 = z + gamma * (1.0 - z) * dt + sqrt_eta * x * (1.0 - z) * innovation
     x2 = x - 0.5 * gamma * x * dt + sqrt_eta * (1.0 - z - x * x) * innovation
-    if max(np.max(np.abs(np.atleast_1d(x2))), np.max(np.abs(np.atleast_1d(z2)))) > BLOWUP_LIMIT:
+    if max(np.abs(x2).max(), np.abs(z2).max()) > BLOWUP_LIMIT:
         raise NumericalBlowupError(
             "Bloch components exceeded |1.5| before renormalization; dt too coarse"
         )
@@ -215,17 +162,16 @@ def _dissipative_kraus(x, z, dv, gamma: float, eta: float, dt: float):
 _DISSIPATORS = {"ito-euler": _dissipative_euler, "kraus": _dissipative_kraus}
 
 
-def ito_step(
-    s: BlochState, smp: HomodyneSample, omega_total: float, cfg: SimConfig
-) -> BlochState:
+def ito_step(s: BlochState, dv: float, omega_total: float, cfg: SimConfig) -> BlochState:
     """One full (unsplit) Ito-Euler step with drive rate ``omega_total``.
 
     This is the discretized SME exactly as written, drive and dissipative
     terms in a single first-order update, followed by renormalization.  The
     production integrator uses :func:`split_step` instead so that work and
-    heat can be told apart; the two agree to O(dt^2) per step.
+    heat can be told apart; the two agree to O(dt^2) per step.  Tests use it
+    as the independent reference for that kernel.
     """
-    innovation = smp.dV - cfg.gamma * math.sqrt(cfg.eta) * s.x * cfg.dt
+    innovation = dv - cfg.gamma * math.sqrt(cfg.eta) * s.x * cfg.dt
     sqrt_eta = math.sqrt(cfg.eta)
     x, z = s.x, s.z
     z2 = (
@@ -266,24 +212,32 @@ def _rotation_work(x, z, theta_d, theta_f):
     return x1, z1, dw, dwf
 
 
-def split_step(
-    s: BlochState,
-    smp: HomodyneSample,
-    omega_drive: float,
-    omega_fb: float,
-    cfg: SimConfig,
-) -> tuple[BlochState, StepLedger]:
-    """One two-sub-step update returning the new state and its energy ledger."""
+class SplitStep(NamedTuple):
+    """Per-lane result of :func:`split_step`, energies in units of hbar*omega_q."""
+
+    x: np.ndarray
+    z: np.ndarray
+    dw: np.ndarray      # work done by the drive
+    dwf: np.ndarray     # work done by the feedback
+    dq: np.ndarray      # heat
+    x_mid: np.ndarray   # state between the unitary and the dissipative sub-step
+    z_mid: np.ndarray
+
+
+def split_step(x, z, dv, omega_drive: float, omega_fb, cfg: SimConfig) -> SplitStep:
+    """One two-sub-step update of every lane of (x, z).
+
+    ``dv`` is the homodyne increment of each lane and ``omega_fb`` its
+    feedback drive rate (a scalar or one value per lane).  The rotation is
+    booked as work, split between drive and feedback; the ``cfg.scheme``
+    dissipative sub-step is booked as heat, so dW + dWF + dQ is the change of
+    the excited population.
+    """
     x1, z1, dw, dwf = _rotation_work(
-        np.float64(s.x), np.float64(s.z), omega_drive * cfg.dt, omega_fb * cfg.dt
+        x, z, omega_drive * cfg.dt, np.asarray(omega_fb) * cfg.dt
     )
-    x2, z2 = _DISSIPATORS[cfg.scheme](x1, z1, smp.dV, cfg.gamma, cfg.eta, cfg.dt)
-    dq = 0.5 * (z1 - z2)
-    dw = float(dw)
-    dwf = float(dwf)
-    dq = float(dq)
-    ledger = StepLedger(dW=dw, dWF=dwf, dQ=dq, dU=dw + dwf + dq)
-    return BlochState(x=float(x2), z=float(z2)), ledger
+    x2, z2 = _DISSIPATORS[cfg.scheme](x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
+    return SplitStep(x2, z2, dw, dwf, 0.5 * (z1 - z2), x1, z1)
 
 
 @dataclass
@@ -323,12 +277,8 @@ def run_batch(
     n = len(rngs)
     steps = cfg.n_steps
     dt = cfg.dt
-    gamma, eta, omega_r = cfg.gamma, cfg.eta, cfg.omega_r
-    sqrt_eta = math.sqrt(eta)
-    sqrt_gamma = math.sqrt(gamma)
+    omega_r = cfg.omega_r
     sqrt_dt = math.sqrt(dt)
-    dissipate = _DISSIPATORS[cfg.scheme]
-    theta_d = omega_r * dt
 
     # Per-trajectory draws, in the fixed stream order.
     labels = np.empty(n, dtype=np.int8)
@@ -398,7 +348,7 @@ def run_batch(
     for i in range(steps):
         t = i * dt
         dxi = noise[i]
-        dv = sqrt_eta * gamma * x * dt + sqrt_gamma * dxi
+        dv = homodyne_increment(x, dxi, cfg)
 
         if fb.mode == "none":
             om_f = 0.0
@@ -409,15 +359,11 @@ def run_batch(
         else:  # optimal, zero delay: rotate onto the target phase
             om_f = optimal_drive(x, z, t, omega_r, phi0, dt)
 
-        x1, z1, dw, dwf = _rotation_work(x, z, theta_d, np.asarray(om_f) * dt)
-        x2, z2 = dissipate(x1, z1, dv, gamma, eta, dt)
-        dq = 0.5 * (z1 - z2)
+        x, z, dw, dwf, dq, x_mid, z_mid = split_step(x, z, dv, omega_r, om_f, cfg)
         if incremental:
-            theta_q = _wrap_angle(np.arctan2(-x2, z2) - np.arctan2(-x1, z1))
+            theta_q = _wrap_angle(np.arctan2(-x, z) - np.arctan2(-x_mid, z_mid))
             om_pending = -theta_q / dt
 
-        dw = np.broadcast_to(dw, (n,))
-        dwf = np.broadcast_to(dwf, (n,))
         w_tot += dw
         wf_tot += dwf
         q_tot += dq
@@ -431,8 +377,6 @@ def run_batch(
         if "dv" in record:
             series["dv"][:, i] = dv
             series["dx"][:, i] = dxi
-
-        x, z = x2, z2
         snapshot(i + 1)
 
     pe_final = 0.5 * (1.0 - z)
@@ -454,8 +398,8 @@ def run_batch(
         w=w_tot,
         wf=wf_tot,
         q=q_tot,
-        final_x=x if isinstance(x, np.ndarray) else np.full(n, x),
-        final_z=z if isinstance(z, np.ndarray) else np.full(n, z),
+        final_x=x,
+        final_z=z,
         residuals=residuals,
         outcomes=outcomes,
         series=series,

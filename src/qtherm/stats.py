@@ -83,11 +83,6 @@ def accumulate(record: TrajectoryRecord, m: int) -> TransitionLedger:
     )
 
 
-def first_law_residual(record: TrajectoryRecord) -> float:
-    """|Delta U (from states) - integrated (dW + dWF + dQ)| in hbar*omega_q."""
-    return record.first_law_residual()
-
-
 def transition_probabilities(
     ensemble: EnsembleResult, m: int, n: int, *, sampled: bool = False
 ) -> tuple[float, float]:

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -rA`` to see every line.
 
-Three criteria (5-damping, 5-persistence, 6-contrast, 8) encode reference
+Four checks (5-damping, 5-persistence, 6-contrast, 8) encode reference
 values that the simulated equations of motion do not reproduce; they are
 asserted as stated and fail honestly.  The measured values, and the evidence
 that the discrepancy is not a discretization or estimator artifact, are in

@@ -14,7 +14,6 @@ from qtherm.bloch import (
     phase,
     purity,
     rotate_y,
-    state_for_label,
 )
 
 
@@ -103,13 +102,6 @@ def test_transition_matrix_rows_sum_to_one():
     t = closed_rabi_probabilities(0.7, 1.3).as_matrix()
     assert t[0][0] + t[0][1] == pytest.approx(1.0)
     assert t[1][0] + t[1][1] == pytest.approx(1.0)
-
-
-def test_state_for_label():
-    assert state_for_label(0) == GROUND
-    assert state_for_label(1) == EXCITED
-    with pytest.raises(ValueError):
-        state_for_label(2)
 
 
 def test_energy_scale_gibbs_weights():

@@ -1,10 +1,14 @@
 import csv
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from qtherm import cli
 from qtherm.cli import main
+from qtherm.config import FeedbackConfig, SimConfig
 
 
 def read_csv(path: Path):
@@ -149,3 +153,53 @@ def test_config_errors(tmp_path, capsys):
 
 def test_verify_passes_quickly(tmp_path):
     assert main(["verify", "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["trajectory", "--tau-us", "0.2"], {"sim": {"sample_final": True}}),
+        (["ensemble", "--n-traj", "8", "--tau-us", "0.2"], {"sim": {"sample_final": True}}),
+        (
+            ["jarzynski", "--n-traj", "8", "--tau-us", "0.2", "--eta-list", "0.5"],
+            {"sim": {"eta": [0.5], "scheme": "kraus", "initial_state": [0, 1]}},
+        ),
+        (
+            ["sweep", "--n-traj", "8", "--tau-us", "5", "--gain-grid", "20,35",
+             "--offset-grid=-1"],
+            {"feedback": {"mode": "phase_locked", "gain": [20.0, 35.0], "offset": [-1.0]}},
+        ),
+    ],
+    ids=["trajectory", "ensemble", "jarzynski", "sweep"],
+)
+def test_manifest_records_integrated_config(argv, want, tmp_path):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    for block, fields in want.items():
+        assert {key: config[block][key] for key in fields} == fields
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ensemble", "--n-traj", "0"],           # ValueError
+        ["sweep", "--tau-us", "1"],              # InsufficientSpanError
+        ["ensemble", "--gamma-per-us", "500"],   # NumericalBlowupError
+        ["ensemble", "--gamma-per-us", "nan"],   # non-finite config value
+    ],
+    ids=["n-traj-0", "short-window", "blowup", "nan-gamma"],
+)
+def test_runtime_errors_end_in_one_error_line(argv, tmp_path, capsys):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_assemble_defaults_come_from_the_dataclasses(monkeypatch):
+    args = cli._build_parser().parse_args(["ensemble"])
+    assert cli._assemble(args)[:2] == (SimConfig(), FeedbackConfig())
+    # A changed dataclass default reaches the CLI without a second edit.
+    monkeypatch.setattr(cli, "SimConfig", functools.partial(SimConfig, gamma=2.5, dt=0.01))
+    monkeypatch.setattr(cli, "FeedbackConfig", functools.partial(FeedbackConfig, gain=20.0))
+    sim, fb, _ = cli._assemble(args)
+    assert (sim.gamma, sim.dt, fb.gain) == (2.5, 0.01, 20.0)

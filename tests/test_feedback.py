@@ -6,19 +6,18 @@ import pytest
 from qtherm.bloch import GROUND, BlochState, phase, purity, rotate_y
 from qtherm.config import FeedbackConfig
 from qtherm.ensemble import run_ensemble
-from qtherm.feedback import (
-    DelayLine,
-    apply_delay,
-    optimal_control,
-    phase_locked_control,
-)
-from qtherm.sme import HomodyneSample, simulate_trajectory
+from qtherm.feedback import DelayLine, optimal_drive, pll_drive
+from qtherm.sme import simulate_trajectory
+
+# optimal_drive(x, z, 0.0, omega_r, phi, DT) * DT is the rotation angle that
+# puts the state on the target phase phi.
+DT = 0.02
 
 
 def test_phase_locked_zero_signal(paper_cfg):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0)
     cfg = paper_cfg()
-    assert phase_locked_control(HomodyneSample(0.0, 0.0), 1.3, fb, cfg) == 0.0
+    assert pll_drive(0.0, 1.3, cfg.omega_r, fb.gain, fb.offset, 0.0) == 0.0
 
 
 def test_phase_locked_reference_zero_crossing(paper_cfg):
@@ -26,7 +25,7 @@ def test_phase_locked_reference_zero_crossing(paper_cfg):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0)
     cfg = paper_cfg()
     t = 2.0 * math.pi / cfg.omega_r  # full reference period
-    om = phase_locked_control(HomodyneSample(0.73, 0.1), t, fb, cfg, phi=0.0)
+    om = pll_drive(0.73, t, cfg.omega_r, fb.gain, fb.offset, 0.0)
     assert om == pytest.approx(0.0, abs=1e-12)
 
 
@@ -40,19 +39,20 @@ def test_phase_locked_matches_derived_law(paper_cfg):
     for _ in range(50):
         t = rng.uniform(0, 8)
         dv = rng.normal(0, 0.2)
-        got = phase_locked_control(HomodyneSample(dv, 0.0), t, fb, cfg, phi=0.0)
+        got = pll_drive(dv, t, cfg.omega_r, fb.gain, fb.offset, 0.0)
         want = math.sqrt(cfg.eta) * (math.cos(cfg.omega_r * t) - 1.0) * dv / cfg.dt
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_optimal_control_on_target():
     s = rotate_y(GROUND, 0.8)
-    assert optimal_control(s, 0.8) == pytest.approx(0.0, abs=1e-12)
+    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 0.8, DT) * DT
+    assert theta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_optimal_control_corrects_lag():
     s = rotate_y(GROUND, 0.7)
-    theta = optimal_control(s, 0.8)
+    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 0.8, DT) * DT
     assert theta == pytest.approx(0.1, abs=1e-12)
     corrected = rotate_y(s, theta)
     assert phase(corrected) == pytest.approx(0.8, abs=1e-12)
@@ -60,13 +60,13 @@ def test_optimal_control_corrects_lag():
 
 def test_optimal_control_is_pure_rotation():
     s = BlochState(0.21, -0.4)
-    theta = optimal_control(s, 2.0)
+    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 2.0, DT) * DT
     assert purity(rotate_y(s, theta)) == pytest.approx(purity(s), abs=1e-15)
 
 
 def test_optimal_control_wraps_angle():
     s = rotate_y(GROUND, 0.1)
-    theta = optimal_control(s, 0.1 + 2.0 * math.pi)
+    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 0.1 + 2.0 * math.pi, DT) * DT
     assert theta == pytest.approx(0.0, abs=1e-12)
 
 
@@ -76,7 +76,6 @@ def test_delay_line_passthrough_and_latency():
     line = DelayLine(5)
     out = [line.push(1.0) for _ in range(8)]
     assert out == [0.0] * 5 + [1.0] * 3
-    assert apply_delay(DelayLine(0), 2.0) == 2.0
     with pytest.raises(ValueError):
         DelayLine(-1)
 

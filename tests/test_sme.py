@@ -8,25 +8,27 @@ from qtherm.config import FeedbackConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
-    HomodyneSample,
     NumericalBlowupError,
+    _renormalize,
+    homodyne_increment,
     ito_step,
-    renormalize,
     rng_for_trajectory,
     run_batch,
-    sample_homodyne,
     simulate_trajectory,
     split_step,
 )
+
+
+def one(v):
+    """A 1-lane state component for the array kernel."""
+    return np.array([v], dtype=float)
 
 
 def test_sample_homodyne_zero_efficiency_stats(paper_cfg):
     cfg = paper_cfg(eta=0.0)
     rng = np.random.default_rng(1)
     n = 200_000
-    dv = np.array(
-        [sample_homodyne(BlochState(0.8, 0.1), cfg, rng).dV for _ in range(n)]
-    )
+    dv = homodyne_increment(np.full(n, 0.8), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
     var = cfg.gamma * cfg.dt
     assert abs(dv.mean()) < 5.0 * math.sqrt(var / n)
     assert abs(dv.var() - var) < 5.0 * var * math.sqrt(2.0 / n)
@@ -37,8 +39,7 @@ def test_sample_homodyne_signal_mean(paper_cfg):
     cfg = paper_cfg(eta=1.0)
     rng = np.random.default_rng(2)
     n = 1_000_000
-    s = BlochState(1.0, 0.0)
-    dv = np.array([sample_homodyne(s, cfg, rng).dV for _ in range(n)])
+    dv = homodyne_increment(np.ones(n), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
     sem = math.sqrt(cfg.gamma * cfg.dt / n)
     assert abs(dv.mean() - 0.034) < 5.0 * sem
 
@@ -46,21 +47,21 @@ def test_sample_homodyne_signal_mean(paper_cfg):
 def test_sample_homodyne_dead_detector(paper_cfg):
     cfg = paper_cfg(gamma=0.0)
     rng = np.random.default_rng(3)
-    smp = sample_homodyne(BlochState(0.5, 0.5), cfg, rng)
-    assert smp.dV == 0.0
+    dv = homodyne_increment(one(0.5), rng.normal(0.0, math.sqrt(cfg.dt), 1), cfg)
+    assert dv[0] == 0.0
 
 
 def test_ito_step_unitary_limit(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0, dt=0.001)
     theta = cfg.omega_r * cfg.dt
-    s = ito_step(GROUND, HomodyneSample(0.0, 0.0), cfg.omega_r, cfg)
+    s = ito_step(GROUND, 0.0, cfg.omega_r, cfg)
     assert s.x == pytest.approx(-theta, abs=theta**2)
     assert s.z == pytest.approx(1.0, abs=theta**2)
 
 
 def test_ito_step_decay_limit(paper_cfg):
     cfg = paper_cfg(omega_r=0.0, eta=0.0)
-    s = ito_step(EXCITED, HomodyneSample(0.0, 0.0), 0.0, cfg)
+    s = ito_step(EXCITED, 0.0, 0.0, cfg)
     assert s.z == pytest.approx(-1.0 + 2.0 * cfg.gamma * cfg.dt, abs=1e-12)
     assert s.x == 0.0
 
@@ -72,11 +73,11 @@ def test_ito_step_mean_matches_drift(paper_cfg):
     rng = np.random.default_rng(4)
     s0 = BlochState(0.5, 0.2)
     n = 100_000
+    dvs = homodyne_increment(np.full(n, s0.x), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
     zs = np.empty(n)
     xs = np.empty(n)
     for k in range(n):
-        smp = sample_homodyne(s0, cfg, rng)
-        s = ito_step(s0, smp, cfg.omega_r, cfg)
+        s = ito_step(s0, float(dvs[k]), cfg.omega_r, cfg)
         zs[k], xs[k] = s.z, s.x
     dt = cfg.dt
     z_drift = s0.z + cfg.omega_r * s0.x * dt + cfg.gamma * (1 - s0.z) * dt
@@ -93,79 +94,75 @@ def test_ito_step_mean_matches_lindblad_at_fine_dt(paper_cfg):
     s0 = BlochState(0.5, 0.2)
     sol = lindblad_evolve(s0, cfg, t_grid=np.array([0.0, cfg.dt]))
     n = 100_000
-    zs = np.empty(n)
-    for k in range(n):
-        smp = sample_homodyne(s0, cfg, rng)
-        zs[k] = ito_step(s0, smp, cfg.omega_r, cfg).z
+    dvs = homodyne_increment(np.full(n, s0.x), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
+    zs = np.array([ito_step(s0, float(dv), cfg.omega_r, cfg).z for dv in dvs])
     assert abs(zs.mean() - sol.z[1]) < 5.0 * zs.std() / math.sqrt(n)
 
 
 def test_ito_step_blowup(paper_cfg):
     cfg = paper_cfg(gamma=200.0)
     with pytest.raises(NumericalBlowupError):
-        ito_step(EXCITED, HomodyneSample(0.0, 0.0), 0.0, cfg)
+        ito_step(EXCITED, 0.0, 0.0, cfg)
 
 
 def test_renormalize():
-    s = renormalize(BlochState(0.0, 1.0000001))
-    assert s.z == 1.0 and s.x == 0.0
-    assert renormalize(BlochState(0.3, 0.4)) == BlochState(0.3, 0.4)
-    s = renormalize(BlochState(0.8, 0.8))
+    x, z = _renormalize(np.array([0.0, 0.3, 0.8]), np.array([1.0000001, 0.4, 0.8]))
+    assert z[0] == 1.0 and x[0] == 0.0
+    assert (x[1], z[1]) == (0.3, 0.4)
     w = 0.8 / math.sqrt(1.28)
-    assert s.x == pytest.approx(w, abs=1e-15)
-    assert s.z == pytest.approx(w, abs=1e-15)
+    assert x[2] == pytest.approx(w, abs=1e-15)
+    assert z[2] == pytest.approx(w, abs=1e-15)
 
 
 def test_split_step_unitary_limit(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0)
-    s, ledger = split_step(GROUND, HomodyneSample(0.0, 0.0), cfg.omega_r, 0.0, cfg)
-    assert ledger.dQ == 0.0
-    assert ledger.dU == ledger.dW
-    assert ledger.dWF == 0.0
-    assert excited_population(s) > 0
+    step = split_step(one(GROUND.x), one(GROUND.z), one(0.0), cfg.omega_r, 0.0, cfg)
+    assert step.dq[0] == 0.0
+    assert (step.dw + step.dwf + step.dq)[0] == step.dw[0]
+    assert step.dwf[0] == 0.0
+    assert excited_population(BlochState(step.x[0], step.z[0])) > 0
 
 
 def test_split_step_pure_relaxation(paper_cfg):
     cfg = paper_cfg()
     rng = np.random.default_rng(6)
-    s0 = BlochState(0.4, -0.3)
-    smp = sample_homodyne(s0, cfg, rng)
-    _, ledger = split_step(s0, smp, 0.0, 0.0, cfg)
-    assert ledger.dW == 0.0 and ledger.dWF == 0.0
-    assert ledger.dU == ledger.dQ
+    x0, z0 = one(0.4), one(-0.3)
+    dv = homodyne_increment(x0, rng.normal(0.0, math.sqrt(cfg.dt), 1), cfg)
+    step = split_step(x0, z0, dv, 0.0, 0.0, cfg)
+    assert step.dw[0] == 0.0 and step.dwf[0] == 0.0
+    assert (step.dw + step.dwf + step.dq)[0] == step.dq[0]
 
 
 def test_split_step_ledger_identity_random(paper_cfg):
+    # 200 random states as the lanes of one step.
     cfg = paper_cfg()
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        r = math.sqrt(rng.uniform())
-        a = rng.uniform(0, 2 * math.pi)
-        s = BlochState(r * math.sin(a), r * math.cos(a))
-        smp = sample_homodyne(s, cfg, rng)
-        om_f = rng.normal(0.0, 5.0)
-        s2, ledger = split_step(s, smp, cfg.omega_r, om_f, cfg)
-        assert ledger.dU == ledger.dW + ledger.dWF + ledger.dQ  # bitwise
-        du_states = excited_population(s2) - excited_population(s)
-        assert ledger.dU == pytest.approx(du_states, abs=1e-14)
+    n = 200
+    r = np.sqrt(rng.uniform(size=n))
+    a = rng.uniform(0, 2 * math.pi, n)
+    x, z = r * np.sin(a), r * np.cos(a)
+    dv = homodyne_increment(x, rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
+    om_f = rng.normal(0.0, 5.0, n)
+    step = split_step(x, z, dv, cfg.omega_r, om_f, cfg)
+    du = step.dw + step.dwf + step.dq
+    du_states = 0.5 * (1.0 - step.z) - 0.5 * (1.0 - z)
+    assert du == pytest.approx(du_states, abs=1e-14)
 
 
 def test_split_step_equal_drives_split_work_equally(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0)
-    s0 = BlochState(0.3, 0.6)
-    _, ledger = split_step(s0, HomodyneSample(0.0, 0.0), 2.0, 2.0, cfg)
-    assert ledger.dW == ledger.dWF
+    step = split_step(one(0.3), one(0.6), one(0.0), 2.0, 2.0, cfg)
+    assert step.dw[0] == step.dwf[0]
 
 
 def test_split_step_cancelling_drives(paper_cfg):
     # theta_total == 0 exactly: attribution falls back to the commutator
     # rates, which are equal and opposite.
     cfg = paper_cfg(gamma=0.0, eta=0.0)
-    s0 = BlochState(0.3, 0.6)
-    s2, ledger = split_step(s0, HomodyneSample(0.0, 0.0), 4.0, -4.0, cfg)
-    assert (s2.x, s2.z) == (s0.x, s0.z)
-    assert ledger.dW == -ledger.dWF != 0.0
-    assert ledger.dU == 0.0
+    step = split_step(one(0.3), one(0.6), one(0.0), 4.0, -4.0, cfg)
+    assert (step.x[0], step.z[0]) == (0.3, 0.6)
+    assert step.dw[0] == -step.dwf[0] != 0.0
+    assert (step.dw + step.dwf + step.dq)[0] == 0.0
 
 
 def test_simulate_trajectory_zero_duration(paper_cfg):
@@ -207,8 +204,8 @@ def test_simulate_trajectory_record_shape(paper_cfg):
     assert len(rec.times) == len(rec.x) == len(rec.z) == n + 1
     assert len(rec.dv) == len(rec.dw) == len(rec.dq) == n
     assert rec.state(0) == GROUND
-    assert rec.step_ledger(0).dU == rec.du[0]
-    assert rec.sample(3).dV == rec.dv[3]
+    assert rec.du[0] == rec.dw[0] + rec.dwf[0] + rec.dq[0]
+    assert rec.dv[3] == homodyne_increment(rec.x[3], rec.dx[3], cfg)
 
 
 def test_batch_matches_scalar_path(paper_cfg):

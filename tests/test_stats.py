@@ -15,7 +15,6 @@ from qtherm.stats import (
     accumulate,
     binned_first_law_check,
     efficacy_from_trajectories,
-    first_law_residual,
     jarzynski_average,
     jarzynski_from_transitions,
     pearson_r,
@@ -57,7 +56,7 @@ def test_accumulate_decomposition_identity(paper_cfg):
 
 def test_first_law_residual(paper_cfg):
     rec = simulate_trajectory(paper_cfg(tau=2.0, seed=3))
-    assert first_law_residual(rec) < 1e-9
+    assert rec.first_law_residual() < 1e-9
 
 
 def test_transition_probabilities_zero_duration(paper_cfg):
