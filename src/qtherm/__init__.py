@@ -23,7 +23,6 @@ from .bloch import (
 )
 from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
 from .ensemble import EnsembleResult, run_ensemble
-from .feedback import DelayLine
 from .oracle import LindbladSolution, closed_two_point_sample, ensemble_vs_oracle, lindblad_evolve
 from .sme import (
     NumericalBlowupError,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochState",
-    "DelayLine",
     "EXCITED",
     "EfficacyResult",
     "EnergyScale",

@@ -5,30 +5,9 @@ from an INI-style config file (key = value sections, units in the key names)
 overridden by flags.  All physical quantities carry unit suffixes
 (gamma_per_us, dt_ns, ...) to keep the us/ns bookkeeping explicit.
 
-Example config:
-
-    [physics]
-    gamma_per_us = 1.7
-    omega_mhz = 1.0
-    eta = 0.35
-    beta = 3.5
-
-    [numerics]
-    dt_ns = 20
-    tau_us = 8.0
-    seed = 1
-    scheme = ito-euler
-
-    [feedback]
-    mode = none
-    gain = 34.0
-    offset = -1.0
-    delay_ns = 100
-
-    [run]
-    n_traj = 10000
-    workers = 1
-    out_dir = runs
+``PARAMS`` declares every parameter once: its INI section and key, its
+type, the config field it sets and its flag (the key with dashes, e.g.
+``[numerics] dt_ns`` is ``--dt-ns``); README.md shows a full config file.
 """
 
 from __future__ import annotations
@@ -38,10 +17,11 @@ import configparser
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import FeedbackConfig, SimConfig, delay_steps_for
+from .config import SCHEMES, FeedbackConfig, SimConfig, delay_steps_for
 from .ensemble import run_ensemble
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 from .io import (
@@ -75,34 +55,74 @@ class ConfigError(Exception):
     """Bad config file or flag combination, with field diagnostics."""
 
 
+class _Param(NamedTuple):
+    """One user parameter.  ``convert`` maps its value onto the target field;
+    the flag is ``--key-with-dashes`` unless named, and None means INI only."""
+
+    section: str
+    type: Callable
+    target: str  # "sim.<field>", "fb.<field>" or "run.<field>"
+    convert: Callable | None = None
+    flag: str | None = ""
+    choices: Sequence[str] | None = None
+
+
+def _initial_state(text: str):
+    text = text.strip()
+    return int(text) if text in ("0", "1") else text
+
+
+#: Every user parameter, once.  Flags, the INI reader and ``_assemble``
+#: derive from this table.  ``delay_ns`` becomes whole steps of the
+#: integrated dt, and only when feedback is on.
+PARAMS = {
+    "gamma_per_us": _Param("physics", float, "sim.gamma"),
+    "omega_mhz": _Param("physics", float, "sim.omega_r", lambda v: 2.0 * math.pi * v),
+    "eta": _Param("physics", float, "sim.eta"),
+    "beta": _Param("physics", float, "sim.beta"),
+    "dt_ns": _Param("numerics", float, "sim.dt", lambda v: v * 1e-3),
+    "tau_us": _Param("numerics", float, "sim.tau"),
+    "seed": _Param("numerics", int, "sim.seed"),
+    "scheme": _Param("numerics", str, "sim.scheme", choices=SCHEMES),
+    "initial_state": _Param("numerics", str, "sim.initial_state", _initial_state),
+    "mode": _Param("feedback", str, "fb.mode", _FEEDBACK_ALIASES.__getitem__,
+                   flag="--feedback", choices=sorted(_FEEDBACK_ALIASES)),
+    "gain": _Param("feedback", float, "fb.gain"),
+    "offset": _Param("feedback", float, "fb.offset"),
+    "delay_ns": _Param("feedback", float, "fb.delay_steps"),
+    "phi": _Param("feedback", float, "sim.phi", flag=None),
+    "n_traj": _Param("run", int, "run.n_traj"),
+    "workers": _Param("run", int, "run.workers"),
+    "out_dir": _Param("run", Path, "run.out_dir"),
+}
+
+
+class _Run(NamedTuple):
+    """Run options that are not part of the integrated configuration."""
+
+    n_traj: int = 1000
+    workers: int = 1
+    out_dir: Path = Path("runs")
+
+
 def _parse_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    known = {
-        "physics": {"gamma_per_us": float, "omega_mhz": float, "eta": float,
-                    "beta": float},
-        "numerics": {"dt_ns": float, "tau_us": float, "seed": int,
-                     "scheme": str, "initial_state": str},
-        "feedback": {"mode": str, "gain": float, "offset": float,
-                     "delay_ns": float, "phi": float},
-        "run": {"n_traj": int, "workers": int, "out_dir": str,
-                "sample_final": bool},
-    }
+    sections = {p.section for p in PARAMS.values()}
     values: dict = {}
     for section in parser.sections():
-        if section not in known:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in known[section]:
+            if key not in PARAMS or PARAMS[key].section != section:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
-            caster = known[section][key]
+            param = PARAMS[key]
             try:
-                if caster is bool:
-                    values[key] = parser.getboolean(section, key)
-                else:
-                    values[key] = caster(raw)
+                values[key] = param.type(raw)
+                if param.choices and values[key] not in param.choices:
+                    raise ValueError(f"must be one of {', '.join(param.choices)}")
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: [{section}] {key} = {raw!r}: {exc}"
@@ -119,25 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-traj", type=int, dest="n_traj")
-        p.add_argument("--eta", type=float)
-        p.add_argument("--gamma-per-us", type=float, dest="gamma_per_us")
-        p.add_argument("--omega-mhz", type=float, dest="omega_mhz")
-        p.add_argument("--dt-ns", type=float, dest="dt_ns")
-        p.add_argument("--tau-us", type=float, dest="tau_us")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--feedback", choices=sorted(_FEEDBACK_ALIASES))
-        p.add_argument("--delay-ns", type=float, dest="delay_ns")
-        p.add_argument("--gain", type=float)
-        p.add_argument("--offset", type=float)
-        p.add_argument("--scheme", choices=("ito-euler", "kraus"))
-        p.add_argument("--initial-state", dest="initial_state",
-                       help="0, 1 or thermal")
-        p.add_argument("--sample-final", action="store_true", default=None,
-                       dest="sample_final")
-        p.add_argument("--out-dir", default=None, dest="out_dir")
-        p.add_argument("--workers", type=int)
+        for key, param in PARAMS.items():
+            if param.flag is not None:
+                p.add_argument(param.flag or "--" + key.replace("_", "-"), dest=key,
+                               type=param.type, choices=param.choices,
+                               help=f"[{param.section}] {key} in the config file")
 
     p = sub.add_parser("trajectory", help="one trajectory -> CSV + sidecar")
     common(p)
@@ -156,53 +162,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-#: Flag and config-file keys handed to SimConfig as they are, by field name.
-_SIM_KEYS = {"gamma_per_us": "gamma", "eta": "eta", "tau_us": "tau", "phi": "phi",
-             "seed": "seed", "beta": "beta", "scheme": "scheme",
-             "sample_final": "sample_final"}
-
-
-def _assemble(args) -> tuple[SimConfig, FeedbackConfig, dict]:
+def _assemble(args) -> tuple[SimConfig, FeedbackConfig, _Run]:
     """Configs from the config file and flags; unset fields keep their defaults."""
     values = _parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "seed": args.seed, "n_traj": args.n_traj, "eta": args.eta,
-        "gamma_per_us": args.gamma_per_us, "omega_mhz": args.omega_mhz,
-        "dt_ns": args.dt_ns, "tau_us": args.tau_us, "beta": args.beta,
-        "mode": args.feedback, "delay_ns": args.delay_ns, "gain": args.gain,
-        "offset": args.offset, "scheme": args.scheme,
-        "initial_state": args.initial_state, "sample_final": args.sample_final,
-        "out_dir": args.out_dir, "workers": args.workers,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-
-    sim_args = {field: values[key] for key, field in _SIM_KEYS.items() if key in values}
-    if "omega_mhz" in values:
-        sim_args["omega_r"] = 2.0 * math.pi * values["omega_mhz"]
-    if "dt_ns" in values:
-        sim_args["dt"] = values["dt_ns"] * 1e-3
-    if "initial_state" in values:
-        initial = values["initial_state"].strip()
-        sim_args["initial_state"] = int(initial) if initial in ("0", "1") else initial
-    fb_args = {key: values[key] for key in ("gain", "offset") if key in values}
+    values.update({key: getattr(args, key) for key in PARAMS
+                   if getattr(args, key, None) is not None})
     try:
-        sim = SimConfig(**sim_args)
-        if "mode" in values:
-            fb_args["mode"] = _FEEDBACK_ALIASES[values["mode"]]
-        fb = FeedbackConfig(**fb_args)
-        if fb.mode != "none" and "delay_ns" in values:
-            fb = fb.with_(delay_steps=delay_steps_for(values["delay_ns"], sim.dt))
+        targets: dict[str, dict] = {"sim": {}, "fb": {}, "run": {}}
+        for key, value in values.items():
+            param = PARAMS[key]
+            group, name = param.target.split(".")
+            targets[group][name] = param.convert(value) if param.convert else value
+        delay_ns = targets["fb"].pop("delay_steps", None)
+        sim = SimConfig(**targets["sim"])
+        fb = FeedbackConfig(**targets["fb"])
+        if fb.mode != "none" and delay_ns is not None:
+            fb = fb.with_(delay_steps=delay_steps_for(delay_ns, sim.dt))
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    run = {
-        "n_traj": int(values.get("n_traj", 1000)),
-        "workers": int(values.get("workers", 1)),
-        "out_dir": Path(values.get("out_dir", "runs")),
-    }
-    return sim, fb, run
+    return sim, fb, _Run(**targets["run"])
 
 
 def _write_manifest(out: Path, command: str, sim: SimConfig, fb: FeedbackConfig,
@@ -230,7 +208,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 def cmd_trajectory(args) -> int:
     sim, fb, run = _assemble(args)
     sim = sim.with_(sample_final=True)
-    out = run["out_dir"]
+    out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     with timer() as t:
         record = simulate_trajectory(sim, fb)
@@ -249,14 +227,13 @@ def cmd_trajectory(args) -> int:
 def cmd_ensemble(args) -> int:
     sim, fb, run = _assemble(args)
     sim = sim.with_(sample_final=True)
-    out = run["out_dir"]
+    out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    n = run["n_traj"]
-    record_series = []
-    if fb.mode != "none" and n * sim.n_steps <= MAX_SERIES_VALUES:
-        record_series.append("ledger")
+    n = run.n_traj
+    correlate = fb.mode != "none" and n * sim.n_steps <= MAX_SERIES_VALUES
     with timer() as t:
-        res = run_ensemble(sim, fb, n, record=record_series, workers=run["workers"])
+        res = run_ensemble(sim, fb, n, record=("dwf", "dq") if correlate else (),
+                           workers=run.workers)
         write_csv(
             out / "timeseries.csv",
             ("t", "p00_mean", "p00_sem", "dW_mean", "dWF_mean", "dQ_mean"),
@@ -302,7 +279,7 @@ def cmd_ensemble(args) -> int:
                                                 window=(2.0, sim.tau))
         except InsufficientSpanError:
             summary["contrast"] = None
-        if "ledger" in record_series:
+        if correlate:
             summary["r_wf_q_lag0"] = pooled_pearson_r(
                 res.series["dwf"], res.series["dq"], lag=0
             )
@@ -325,14 +302,14 @@ def cmd_jarzynski(args) -> int:
     # The kraus dissipator keeps eta = 1 exact and the eta family comparable;
     # an explicit --scheme still wins.
     sim = sim.with_(scheme=args.scheme or "kraus")
-    out = run["out_dir"]
+    out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     summary: dict = {"etas": etas, "per_eta": {}, "manifest": "manifest.json"}
     with timer() as t:
         for eta in etas:
             prot = run_efficacy_protocol(
-                sim.with_(eta=eta), fb, n_traj=run["n_traj"], workers=run["workers"]
+                sim.with_(eta=eta), fb, n_traj=run.n_traj, workers=run.workers
             )
             tr = prot.trajectory_route
             name = f"efficacy_eta{eta:g}.csv"
@@ -361,7 +338,7 @@ def cmd_jarzynski(args) -> int:
         write_json(out / "summary.json", summary)
         outputs.append("summary.json")
     # Each eta runs a ground-prepared ensemble and an excited-prepared one.
-    _write_manifest(out, "jarzynski", sim, fb, outputs, run["n_traj"], t.seconds,
+    _write_manifest(out, "jarzynski", sim, fb, outputs, run.n_traj, t.seconds,
                     eta=etas, initial_state=[0, 1])
     print(f"jarzynski: eta={etas} -> {out}")
     return 0
@@ -372,11 +349,11 @@ def cmd_sweep(args) -> int:
     gains = _float_list(args.gain_grid, "--gain-grid")
     offsets = _float_list(args.offset_grid, "--offset-grid")
     fb = fb.with_(mode="phase_locked")
-    out = run["out_dir"]
+    out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     with timer() as t:
         result = sweep_gain_offset(
-            gains, offsets, sim, fb, n_traj=run["n_traj"], workers=run["workers"]
+            gains, offsets, sim, fb, n_traj=run.n_traj, workers=run.workers
         )
         write_csv(out / "sweep.csv", ("gain", "offset", "contrast"), result.rows())
         write_json(
@@ -389,7 +366,7 @@ def cmd_sweep(args) -> int:
             },
         )
     _write_manifest(out, "sweep", sim, fb, ["sweep.csv", "summary.json"],
-                    run["n_traj"], t.seconds, gain=gains, offset=offsets)
+                    run.n_traj, t.seconds, gain=gains, offset=offsets)
     print(
         f"sweep: argmax (A={result.best_gain:g}, B={result.best_offset:g}) -> {out}"
     )
@@ -433,7 +410,7 @@ def cmd_verify(args) -> int:
     # Conditional ensemble mean vs the Lindblad oracle: projective sampling
     # on a 0.1 us comb, binomial errors under the oracle null.
     cfg_o = sim.with_(dt=0.005, tau=4.0)
-    res_o = run_ensemble(cfg_o, n_traj=2000, record=("pop",), workers=run["workers"])
+    res_o = run_ensemble(cfg_o, n_traj=2000, record=("p00",), workers=run.workers)
     comb = np.arange(0, cfg_o.n_steps + 1, int(round(0.1 / cfg_o.dt)))
     rng = rng_for_trajectory(sim.seed, 0x0FF5E7)
     p00 = res_o.series["p00"][:, comb]

@@ -2,63 +2,26 @@
 
 Trajectory k always draws from the RNG stream (seed, k) and batches are always
 cut at the same fixed chunk size, so the result is bit-identical no matter how
-many workers execute the chunks.  Reductions (population means, ledger means,
-per-trajectory totals) are combined in chunk order.
+many workers execute the chunks.  Each chunk is one ``sme.run_batch`` call and
+returns an :class:`EnsembleResult` (defined in ``sme``, re-exported here);
+``_merge`` adds their per-step sums in chunk order and concatenates their
+per-trajectory arrays and series.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
-from .sme import BatchResult, rng_for_trajectory, run_batch
+from .sme import EnsembleResult, rng_for_trajectory, run_batch
 
 #: Trajectories per batch.  Fixed (not worker-dependent) so that float
 #: reduction order, and therefore output bytes, never depend on parallelism.
 CHUNK_SIZE = 2048
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Aggregated statistics of an ensemble of trajectories.
-
-    Per-trajectory arrays are indexed by trajectory index (0..n_traj-1);
-    `w`, `wf`, `q` are the integrated work/feedback-work/heat in the m=1
-    (excited projector) convention, i.e. also the transition-probability
-    contributions P~W/P~F/P~Q for m=1; negate for m=0.
-    """
-
-    sim: SimConfig
-    fb: FeedbackConfig
-    n_traj: int
-    times: np.ndarray          # (steps+1,)
-    p00_mean: np.ndarray       # ground-population ensemble mean vs time
-    p00_sem: np.ndarray        # standard error of that mean
-    dw_mean: np.ndarray        # (steps,) mean per-step work increments
-    dwf_mean: np.ndarray
-    dq_mean: np.ndarray
-    initial_labels: np.ndarray
-    w: np.ndarray
-    wf: np.ndarray
-    q: np.ndarray
-    final_x: np.ndarray
-    final_z: np.ndarray
-    residuals: np.ndarray
-    outcomes: np.ndarray | None
-    series: dict[str, np.ndarray]
-
-    @property
-    def final_p00(self) -> np.ndarray:
-        """Per-trajectory ground population of the final state."""
-        return 0.5 * (1.0 + self.final_z)
-
-    def p_sum_00(self) -> np.ndarray:
-        """Per-trajectory path-dependent P~W + P~Q + P~F for m = n = 0."""
-        return -(self.w + self.wf + self.q)
 
 
 def _chunk_bounds(n_traj: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -71,7 +34,7 @@ def _run_chunk(
     start: int,
     count: int,
     record: tuple[str, ...],
-) -> BatchResult:
+) -> EnsembleResult:
     rngs = [rng_for_trajectory(sim.seed, start + k) for k in range(count)]
     return run_batch(sim, fb, rngs, record=record)
 
@@ -87,8 +50,8 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Simulate ``n_traj`` independent trajectories and reduce the results.
 
-    ``record`` requests per-trajectory series (see sme.run_batch); mind the
-    memory (n_traj * n_steps doubles per requested series).  ``workers`` > 1
+    ``record`` names the per-trajectory series to keep (see sme.run_batch);
+    mind the memory (n_traj * n_steps doubles per series).  ``workers`` > 1
     distributes whole chunks over a process pool; results are identical to a
     single-worker run.
     """
@@ -110,56 +73,22 @@ def run_ensemble(
 
 
 def _merge(
-    sim: SimConfig, fb: FeedbackConfig, n_traj: int, batches: Sequence[BatchResult]
+    sim: SimConfig, fb: FeedbackConfig, n_traj: int, batches: Sequence[EnsembleResult]
 ) -> EnsembleResult:
-    steps = sim.n_steps
-    p00_sum = np.zeros(steps + 1)
-    p00_sqsum = np.zeros(steps + 1)
-    dw_sum = np.zeros(steps)
-    dwf_sum = np.zeros(steps)
-    dq_sum = np.zeros(steps)
-    for b in batches:
-        p00_sum += b.p00_sum
-        p00_sqsum += b.p00_sqsum
-        dw_sum += b.dw_sum
-        dwf_sum += b.dwf_sum
-        dq_sum += b.dq_sum
+    """One result from the chunk results, one rule per field group.
 
-    n = float(n_traj)
-    p00_mean = p00_sum / n
-    if n_traj > 1:
-        var = np.maximum(p00_sqsum - n * p00_mean * p00_mean, 0.0) / (n - 1.0)
-        p00_sem = np.sqrt(var / n)
-    else:
-        p00_sem = np.zeros(steps + 1)
-
-    def cat(attr: str) -> np.ndarray:
-        return np.concatenate([getattr(b, attr) for b in batches])
-
-    outcomes = None
-    if batches[0].outcomes is not None:
-        outcomes = cat("outcomes")
-    series: dict[str, np.ndarray] = {}
-    for key in batches[0].series:
-        series[key] = np.concatenate([b.series[key] for b in batches], axis=0)
-
-    return EnsembleResult(
-        sim=sim,
-        fb=fb,
-        n_traj=n_traj,
-        times=sim.dt * np.arange(steps + 1),
-        p00_mean=p00_mean,
-        p00_sem=p00_sem,
-        dw_mean=dw_sum / n,
-        dwf_mean=dwf_sum / n,
-        dq_mean=dq_sum / n,
-        initial_labels=cat("initial_labels"),
-        w=cat("w"),
-        wf=cat("wf"),
-        q=cat("q"),
-        final_x=cat("final_x"),
-        final_z=cat("final_z"),
-        residuals=cat("residuals"),
-        outcomes=outcomes,
-        series=series,
-    )
+    Per-step sums are added in chunk order starting from zeros; every other
+    array, ``outcomes`` and each series are concatenated in chunk order.
+    """
+    merged: dict = {}
+    for f in fields(EnsembleResult)[3:]:  # after sim, fb, n_traj
+        parts = [getattr(b, f.name) for b in batches]
+        if f.metadata.get("merge") == "sum":
+            merged[f.name] = sum(parts, np.zeros_like(parts[0]))
+        elif f.name == "series":
+            merged[f.name] = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        elif parts[0] is not None:
+            merged[f.name] = np.concatenate(parts)
+        else:
+            merged[f.name] = None
+    return EnsembleResult(sim=sim, fb=fb, n_traj=n_traj, **merged)

@@ -105,13 +105,13 @@ def run_efficacy_protocol(
     protocol.
     """
     ground = run_ensemble(
-        sim.with_(initial_state=0), fb, n_traj, record=("pop",), workers=workers
+        sim.with_(initial_state=0), fb, n_traj, record=("p00",), workers=workers
     )
     excited = run_ensemble(
         sim.with_(initial_state=1, seed=sim.seed + 1),
         fb,
         n_traj,
-        record=("pop",),
+        record=("p00",),
         workers=workers,
     )
     p00_g = ground.series["p00"]

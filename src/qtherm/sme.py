@@ -31,6 +31,9 @@ as the optimal law is) joins the drive in sub-step 1.
 
 :func:`split_step` is the one implementation of this step: an array kernel
 that :func:`run_batch` calls once per step on every lane of a batch.
+:func:`run_batch` returns an :class:`EnsembleResult`, the one result type of
+a batch and of a merged ensemble: per-step sums (the means derive from them),
+per-trajectory ledger totals, and the series named in ``record``.
 
 The Euler update can leave the unit disk by O(dt); when it does, the Bloch
 vector is rescaled to unit length (states never become unphysical, and the
@@ -54,7 +57,8 @@ regardless of how they are chunked across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -259,25 +263,86 @@ def split_step(
     return SplitStep(x2, z2, dw, dwf, dq, x1, z1)
 
 
-@dataclass
-class BatchResult:
-    """Raw output of one batch of trajectories (see ``run_batch``)."""
+#: Names ``record`` accepts: state series have n_steps + 1 columns, per-step
+#: series (homodyne increment dV, its noise dX and the ledger) have n_steps.
+STATE_SERIES = ("p00", "x", "z")
+STEP_SERIES = ("dw", "dwf", "dq", "dv", "dx")
+SERIES = STATE_SERIES + STEP_SERIES
 
-    n: int
-    initial_labels: np.ndarray  # (n,) int8
-    p00_sum: np.ndarray         # (steps+1,) sum over batch of ground population
-    p00_sqsum: np.ndarray       # (steps+1,)
-    dw_sum: np.ndarray          # (steps,)
-    dwf_sum: np.ndarray
-    dq_sum: np.ndarray
-    w: np.ndarray               # (n,) per-trajectory totals (m=1 convention)
+#: ``EnsembleResult`` fields that ``ensemble._merge`` adds in chunk order;
+#: every other array field holds one entry per trajectory and is concatenated.
+_SUM = {"merge": "sum"}
+
+
+@dataclass
+class EnsembleResult:
+    """Work, feedback-work and heat ledgers of a batch or ensemble of trajectories.
+
+    ``run_batch`` returns one per batch and ``ensemble._merge`` combines them.
+    The five per-step sums are stored; the means derive from them.
+    Per-trajectory arrays are indexed by trajectory index (0..n_traj-1);
+    `w`, `wf`, `q` are the integrated work/feedback-work/heat in the m=1
+    (excited projector) convention, i.e. also the transition-probability
+    contributions P~W/P~F/P~Q for m=1; negate for m=0.
+    """
+
+    sim: SimConfig
+    fb: FeedbackConfig
+    n_traj: int
+    p00_sum: np.ndarray = field(metadata=_SUM)    # (steps+1,) ground population
+    p00_sqsum: np.ndarray = field(metadata=_SUM)  # (steps+1,)
+    dw_sum: np.ndarray = field(metadata=_SUM)     # (steps,) per-step work
+    dwf_sum: np.ndarray = field(metadata=_SUM)
+    dq_sum: np.ndarray = field(metadata=_SUM)
+    initial_labels: np.ndarray                    # (n_traj,) int8
+    w: np.ndarray
     wf: np.ndarray
     q: np.ndarray
     final_x: np.ndarray
     final_z: np.ndarray
-    residuals: np.ndarray       # (n,) first-law residuals
-    outcomes: np.ndarray | None
-    series: dict[str, np.ndarray]
+    residuals: np.ndarray                         # first-law residuals
+    outcomes: np.ndarray | None                   # None unless sim.sample_final
+    series: dict[str, np.ndarray]                 # requested per-trajectory series
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self.sim.dt * np.arange(self.sim.n_steps + 1)
+
+    @cached_property
+    def p00_mean(self) -> np.ndarray:
+        """Ground-population ensemble mean vs time."""
+        return self.p00_sum / float(self.n_traj)
+
+    @cached_property
+    def p00_sem(self) -> np.ndarray:
+        """Standard error of ``p00_mean``."""
+        if self.n_traj < 2:
+            return np.zeros(self.sim.n_steps + 1)
+        n = float(self.n_traj)
+        var = np.maximum(self.p00_sqsum - n * self.p00_mean * self.p00_mean, 0.0) / (n - 1.0)
+        return np.sqrt(var / n)
+
+    @cached_property
+    def dw_mean(self) -> np.ndarray:
+        """Mean per-step work increments, (steps,)."""
+        return self.dw_sum / float(self.n_traj)
+
+    @cached_property
+    def dwf_mean(self) -> np.ndarray:
+        return self.dwf_sum / float(self.n_traj)
+
+    @cached_property
+    def dq_mean(self) -> np.ndarray:
+        return self.dq_sum / float(self.n_traj)
+
+    @cached_property
+    def final_p00(self) -> np.ndarray:
+        """Per-trajectory ground population of the final state."""
+        return 0.5 * (1.0 + self.final_z)
+
+    def p_sum_00(self) -> np.ndarray:
+        """Per-trajectory path-dependent P~W + P~Q + P~F for m = n = 0."""
+        return -(self.w + self.wf + self.q)
 
 
 def run_batch(
@@ -285,14 +350,19 @@ def run_batch(
     fb: FeedbackConfig,
     rngs: list[np.random.Generator],
     record: Iterable[str] = (),
-) -> BatchResult:
+) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
 
-    ``record`` may contain "pop" (per-trajectory ground-population series),
-    "ledger" (per-step dW/dWF/dQ series), "state" (x and z series) and "dv"
-    (homodyne increments); unrequested series are not allocated.
+    ``record`` names the per-trajectory series to keep, from ``SERIES``;
+    unrequested series are not allocated.
     """
     record = frozenset(record)
+    unknown = record.difference(SERIES)
+    if unknown:
+        raise ValueError(
+            f"unknown record name(s) {sorted(unknown)}; valid names are "
+            + ", ".join(SERIES)
+        )
     n = len(rngs)
     steps = cfg.n_steps
     dt = cfg.dt
@@ -327,29 +397,16 @@ def run_batch(
     wf_tot = np.zeros(n)
     q_tot = np.zeros(n)
 
-    series: dict[str, np.ndarray] = {}
-    if "pop" in record:
-        series["p00"] = np.empty((n, steps + 1))
-    if "state" in record:
-        series["x"] = np.empty((n, steps + 1))
-        series["z"] = np.empty((n, steps + 1))
-    if "ledger" in record:
-        series["dw"] = np.empty((n, steps))
-        series["dwf"] = np.empty((n, steps))
-        series["dq"] = np.empty((n, steps))
-    if "dv" in record:
-        series["dv"] = np.empty((n, steps))
-        series["dx"] = np.empty((n, steps))
+    state_series = {k: np.empty((n, steps + 1)) for k in STATE_SERIES if k in record}
+    step_series = {k: np.empty((n, steps)) for k in STEP_SERIES if k in record}
 
     def snapshot(i: int) -> None:
         p00 = 0.5 * (1.0 + z)
         p00_sum[i] += p00.sum()
         p00_sqsum[i] += (p00 * p00).sum()
-        if "pop" in record:
-            series["p00"][:, i] = p00
-        if "state" in record:
-            series["x"][:, i] = x
-            series["z"][:, i] = z
+        now = {"p00": p00, "x": x, "z": z}
+        for name, arr in state_series.items():
+            arr[:, i] = now[name]
 
     snapshot(0)
     pe_init = 0.5 * (1.0 - z)
@@ -393,13 +450,9 @@ def run_batch(
         dw_sum[i] = dw.sum()
         dwf_sum[i] = dwf.sum()
         dq_sum[i] = dq.sum()
-        if "ledger" in record:
-            series["dw"][:, i] = dw
-            series["dwf"][:, i] = dwf
-            series["dq"][:, i] = dq
-        if "dv" in record:
-            series["dv"][:, i] = dv
-            series["dx"][:, i] = dxi
+        now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
+        for name, arr in step_series.items():
+            arr[:, i] = now[name]
         snapshot(i + 1)
 
     pe_final = 0.5 * (1.0 - z)
@@ -410,14 +463,16 @@ def run_batch(
         u = np.array([rng.random() for rng in rngs])
         outcomes = (u < pe_final).astype(np.int8)
 
-    return BatchResult(
-        n=n,
-        initial_labels=labels,
+    return EnsembleResult(
+        sim=cfg,
+        fb=fb,
+        n_traj=n,
         p00_sum=p00_sum,
         p00_sqsum=p00_sqsum,
         dw_sum=dw_sum,
         dwf_sum=dwf_sum,
         dq_sum=dq_sum,
+        initial_labels=labels,
         w=w_tot,
         wf=wf_tot,
         q=q_tot,
@@ -425,7 +480,7 @@ def run_batch(
         final_z=z,
         residuals=residuals,
         outcomes=outcomes,
-        series=series,
+        series={**state_series, **step_series},
     )
 
 
@@ -441,13 +496,12 @@ def simulate_trajectory(
     fb = NO_FEEDBACK if feedback is None else feedback
     if rng is None:
         rng = rng_for_trajectory(cfg.seed, 0)
-    batch = run_batch(cfg, fb, [rng], record=("pop", "state", "ledger", "dv"))
-    steps = cfg.n_steps
+    batch = run_batch(cfg, fb, [rng], record=SERIES)
     return TrajectoryRecord(
         config=cfg,
         feedback=fb,
         initial_label=int(batch.initial_labels[0]),
-        times=cfg.dt * np.arange(steps + 1),
+        times=batch.times,
         x=batch.series["x"][0],
         z=batch.series["z"][0],
         dv=batch.series["dv"][0],

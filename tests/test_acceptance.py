@@ -46,7 +46,7 @@ def paper_run():
     """10^4 trajectories at experiment defaults, with per-step series."""
     cfg = SimConfig(seed=PAPER_SEED, tau=8.0, dt=0.02)
     t0 = time.perf_counter()
-    res = run_ensemble(cfg, n_traj=10_000, record=("pop", "ledger"))
+    res = run_ensemble(cfg, n_traj=10_000, record=("p00", "dw", "dwf", "dq"))
     wall = time.perf_counter() - t0
     return cfg, res, wall
 
@@ -96,7 +96,7 @@ def test_criterion_02_bounded_decomposition(paper_run):
 def test_criterion_03_oracle_equivalence():
     """Conditional means reproduce the unconditional master equation."""
     cfg = SimConfig(seed=42, tau=8.0, dt=0.005)
-    res = run_ensemble(cfg, n_traj=10_000, record=("pop",))
+    res = run_ensemble(cfg, n_traj=10_000, record=("p00",))
     comb = np.arange(0, cfg.n_steps + 1, int(round(0.1 / cfg.dt)))
     times = res.times[comb]
     sol = lindblad_evolve(GROUND, cfg, t_grid=times)
@@ -249,15 +249,15 @@ def test_criterion_07_anticorrelations():
     cfg = SimConfig(seed=23, tau=8.0, dt=0.02)
     n = 400
 
-    res = run_ensemble(cfg, FeedbackConfig(mode="optimal"), n, record=("ledger",))
+    res = run_ensemble(cfg, FeedbackConfig(mode="optimal"), n, record=("dwf", "dq"))
     r_opt = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=1)
 
     fb0 = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
-    res = run_ensemble(cfg, fb0, n, record=("ledger",))
+    res = run_ensemble(cfg, fb0, n, record=("dwf", "dq"))
     r_pll0 = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=0)
 
     fb5 = fb0.with_(delay_steps=5)
-    res = run_ensemble(cfg, fb5, n, record=("ledger",))
+    res = run_ensemble(cfg, fb5, n, record=("dwf", "dq"))
     r_pll5 = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=5)
     r_pll5_lag1 = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=1)
 

@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -203,3 +204,60 @@ def test_assemble_defaults_come_from_the_dataclasses(monkeypatch):
     monkeypatch.setattr(cli, "FeedbackConfig", functools.partial(FeedbackConfig, gain=20.0))
     sim, fb, _ = cli._assemble(args)
     assert (sim.gamma, sim.dt, fb.gain) == (2.5, 0.01, 20.0)
+
+
+#: A non-default value of every user parameter: (flag or None for INI-only,
+#: text as typed, expected value of the field it targets).
+PARAM_SAMPLES = {
+    "gamma_per_us": ("--gamma-per-us", "2.5", 2.5),
+    "omega_mhz": ("--omega-mhz", "2", 4.0 * math.pi),
+    "eta": ("--eta", "0.5", 0.5),
+    "beta": ("--beta", "2", 2.0),
+    "dt_ns": ("--dt-ns", "10", 0.01),
+    "tau_us": ("--tau-us", "2", 2.0),
+    "seed": ("--seed", "7", 7),
+    "scheme": ("--scheme", "kraus", "kraus"),
+    "initial_state": ("--initial-state", "1", 1),
+    "mode": ("--feedback", "pll", "phase_locked"),
+    "gain": ("--gain", "20", 20.0),
+    "offset": ("--offset", "-0.5", -0.5),
+    "delay_ns": ("--delay-ns", "100", 5),
+    "phi": (None, "0.5", 0.5),
+    "n_traj": ("--n-traj", "50", 50),
+    "workers": ("--workers", "2", 2),
+    "out_dir": ("--out-dir", "elsewhere", Path("elsewhere")),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli.PARAMS))
+def test_each_parameter_reaches_its_field(key, tmp_path):
+    assert set(PARAM_SAMPLES) == set(cli.PARAMS)
+    flag, text, want = PARAM_SAMPLES[key]
+    param = cli.PARAMS[key]
+    group, name = param.target.split(".")
+    # The loop delay only counts with feedback on.
+    extra = ["--feedback", "optimal"] if key == "delay_ns" else []
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{param.section}]\n{key} = {text}\n")
+    routes = [["--config", str(ini)]] + ([[f"{flag}={text}"]] if flag else [])
+    for route in routes:
+        args = cli._build_parser().parse_args(["ensemble"] + extra + route)
+        sim, fb, run = cli._assemble(args)
+        assert getattr({"sim": sim, "fb": fb, "run": run}[group], name) == want
+
+
+def test_sample_final_is_not_a_parameter(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--sample-final"])
+    assert exc.value.code == 2
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nsample_final = true\n")
+    assert main(["ensemble", "--config", str(ini)]) == 2
+    assert "sample_final" in capsys.readouterr().err
+
+
+def test_config_file_values_are_checked_against_the_flag_choices(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[feedback]\nmode = pid\n")
+    assert main(["ensemble", "--config", str(ini)]) == 2
+    assert "mode = 'pid': must be one of none, optimal, phase_locked, pll" in capsys.readouterr().err

@@ -39,7 +39,7 @@ def test_ensemble_result_consistency(paper_cfg):
 
 def test_requested_series_shapes(paper_cfg):
     cfg = paper_cfg(tau=0.2, seed=2)
-    res = run_ensemble(cfg, n_traj=10, record=("pop", "ledger"))
+    res = run_ensemble(cfg, n_traj=10, record=("p00", "dq"))
     n_steps = cfg.n_steps
     assert res.series["p00"].shape == (10, n_steps + 1)
     assert res.series["dq"].shape == (10, n_steps)

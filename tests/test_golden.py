@@ -1,17 +1,24 @@
-"""Golden digests of the data files three CLI commands write.
+"""Golden digests of the engine's results and of the data files three CLI commands write.
 
 The SHA-256 of every data file (``manifest.json`` is outside the determinism
-contract and is skipped) pins the output bytes of a fixed (seed, config).  A
-change that alters seeded output on purpose updates these digests and says
-so; any other change must leave them alone.  The digests were recorded with
-numpy 2.4 on x86-64 Linux; a different libm may round differently.
+contract and is skipped) pins the output bytes of a fixed (seed, config).
+``ENGINE_DIGEST`` pins every array ``run_ensemble`` returns for a set of
+feedback laws, both schemes and a thermal preparation, chunked and run on one
+and two workers.  A change that alters seeded output on purpose updates these
+digests and says so; any other change must leave them alone.  The digests
+were recorded with numpy 2.4 on x86-64 Linux; a different libm may round
+differently.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qtherm.cli import main
+from qtherm.config import FeedbackConfig, SimConfig
+from qtherm.ensemble import run_ensemble
+from qtherm.sme import SERIES
 
 GOLDEN = {
     "trajectory": (
@@ -51,3 +58,40 @@ def test_data_file_digests(name, tmp_path):
         if p.name != "manifest.json"
     }
     assert got == want
+
+
+ENGINE_DIGEST = "2c37546d5604ac3618e99dbaa849be4e21fffab3ef9bf60d07c4f90bad3e74f1"
+
+ENGINE_FIELDS = ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean",
+                 "initial_labels", "w", "wf", "q", "final_x", "final_z",
+                 "residuals", "outcomes")
+
+
+def engine_cases():
+    feedback = [
+        FeedbackConfig(),
+        FeedbackConfig(mode="phase_locked", delay_steps=0),
+        FeedbackConfig(mode="phase_locked", delay_steps=5),
+        FeedbackConfig(mode="optimal", delay_steps=0),
+        FeedbackConfig(mode="optimal", delay_steps=2),
+    ]
+    for scheme in ("ito-euler", "kraus"):
+        for fb in feedback:
+            yield SimConfig(tau=0.4, seed=3, scheme=scheme, sample_final=True), fb
+    yield (
+        SimConfig(tau=0.4, seed=4, initial_state="thermal", beta=1.0, sample_final=True),
+        FeedbackConfig(mode="phase_locked", delay_steps=5),
+    )
+
+
+def test_engine_digest():
+    h = hashlib.sha256()
+    for sim, fb in engine_cases():
+        for workers in (1, 2):
+            res = run_ensemble(sim, fb, 300, record=SERIES,
+                               workers=workers, chunk_size=128)
+            for name in ENGINE_FIELDS:
+                h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
+            for name in sorted(res.series):
+                h.update(np.ascontiguousarray(res.series[name]).tobytes())
+    assert h.hexdigest() == ENGINE_DIGEST

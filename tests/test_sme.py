@@ -215,12 +215,18 @@ def test_batch_matches_scalar_path(paper_cfg):
     cfg = paper_cfg(tau=0.5, sample_final=True)
     fb = FeedbackConfig(mode="phase_locked", gain=30.0, offset=-1.0, delay_steps=2)
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(3)]
-    batch = run_batch(cfg, fb, rngs, record=("pop", "state", "ledger", "dv"))
+    batch = run_batch(cfg, fb, rngs, record=("z", "dw", "dv"))
     for k in range(3):
         rec = simulate_trajectory(cfg, fb, rng=rng_for_trajectory(cfg.seed, k))
         assert np.array_equal(batch.series["z"][k], rec.z)
         assert np.array_equal(batch.series["dw"][k], rec.dw)
         assert np.array_equal(batch.series["dv"][k], rec.dv)
+
+
+def test_unknown_record_name_is_rejected(paper_cfg):
+    cfg = paper_cfg(tau=0.2)
+    with pytest.raises(ValueError, match=r"\['ledgr'\].*p00, x, z, dw, dwf, dq, dv, dx"):
+        run_batch(cfg, FeedbackConfig(), [rng_for_trajectory(cfg.seed, 0)], record=("ledgr",))
 
 
 @pytest.mark.parametrize("scheme", ["ito-euler", "kraus"])
@@ -230,7 +236,7 @@ def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg, scheme):
     cfg = paper_cfg(tau=0.1, scheme=scheme)
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(50)]
-    batch = run_batch(cfg, fb, rngs, record=("state", "ledger", "dv"))
+    batch = run_batch(cfg, fb, rngs, record=("x", "z", "dw", "dwf", "dq", "dv"))
     phi = resolve_phi(cfg, fb, 0)
     s = batch.series
     for i in range(cfg.n_steps):
