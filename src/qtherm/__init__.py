@@ -13,7 +13,6 @@ from .bloch import (
     EXCITED,
     GROUND,
     BlochState,
-    EnergyScale,
     closed_rabi_probabilities,
     excited_population,
     ground_population,
@@ -52,7 +51,6 @@ __all__ = [
     "BlochState",
     "EXCITED",
     "EfficacyResult",
-    "EnergyScale",
     "EnsembleResult",
     "FeedbackConfig",
     "GROUND",

@@ -129,33 +129,14 @@ def closed_rabi_probabilities(omega: float, t: float) -> RabiTransitions:
     return RabiTransitions(p00=c2, p11=c2, p10=s2, p01=s2)
 
 
-@dataclass(frozen=True)
-class EnergyScale:
-    """Energy unit and inverse temperature for the two-point statistics.
+def gibbs_weights(beta: float) -> tuple[float, float]:
+    """(p_ground, p_excited) of the thermal state at inverse temperature ``beta``.
 
-    All energies are in units of ``hbar_omega_q`` (kept explicit but fixed to
-    1.0 throughout).  ``beta`` is the inverse temperature in 1/(hbar*omega_q);
-    the Gibbs weights refer to eigenvalues E0 = -1/2, E1 = +1/2.
+    ``beta`` is in 1/(hbar*omega_q); the eigenvalues are E0 = -1/2, E1 = +1/2.
     """
-
-    beta: float
-    hbar_omega_q: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-
-    @property
-    def e_ground(self) -> float:
-        return -0.5 * self.hbar_omega_q
-
-    @property
-    def e_excited(self) -> float:
-        return +0.5 * self.hbar_omega_q
-
-    def gibbs_weights(self) -> tuple[float, float]:
-        """(p_ground, p_excited) of the thermal state at ``beta``."""
-        # Z = 2 cosh(beta/2); weights e^{+beta/2}/Z and e^{-beta/2}/Z.
-        half = 0.5 * self.beta
-        z = 2.0 * math.cosh(half)
-        return math.exp(half) / z, math.exp(-half) / z
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    # Z = 2 cosh(beta/2); weights e^{+beta/2}/Z and e^{-beta/2}/Z.
+    half = 0.5 * beta
+    z = 2.0 * math.cosh(half)
+    return math.exp(half) / z, math.exp(-half) / z

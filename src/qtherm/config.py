@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Union
 
+import numpy as np
+
 #: Allowed values of SimConfig.initial_state besides the eigenstate labels.
 THERMAL = "thermal"
 
@@ -72,9 +74,9 @@ class SimConfig:
         the Jarzynski statistics.
     scheme : str
         Integration scheme, one of ``SCHEMES``.
-    sample_final : bool
-        If True, each trajectory ends with an ideal projective energy
-        measurement whose outcome is recorded.
+
+    Every trajectory ends with an ideal projective energy measurement whose
+    outcome is recorded.
     """
 
     gamma: float = 1.7
@@ -87,7 +89,6 @@ class SimConfig:
     initial_state: Union[int, str] = 0
     beta: float = 3.5
     scheme: str = "ito-euler"
-    sample_final: bool = False
 
     def __post_init__(self) -> None:
         _require_finite(self, ("gamma", "omega_r", "eta", "dt", "tau", "phi", "beta"))
@@ -138,9 +139,6 @@ class FeedbackConfig:
         at eta = 0.35, dt = 20 ns, empirically 34).
     offset : float
         Reference offset B (dimensionless, -1 in the derived law).
-    phi : float or None
-        Reference phase override; None defers to SimConfig.phi / the
-        preparation convention.
     delay_steps : int
         Loop delay in integration steps (dt units); the drive computed at
         step i is applied at step i + delay_steps.
@@ -149,11 +147,10 @@ class FeedbackConfig:
     mode: str = "none"
     gain: float = 34.0
     offset: float = -1.0
-    phi: float | None = None
     delay_steps: int = 0
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("gain", "offset", "phi", "delay_steps"))
+        _require_finite(self, ("gain", "offset", "delay_steps"))
         if self.mode not in FEEDBACK_MODES:
             raise ValueError(
                 f"mode must be one of {FEEDBACK_MODES}, got {self.mode!r}"
@@ -168,18 +165,17 @@ class FeedbackConfig:
 NO_FEEDBACK = FeedbackConfig(mode="none")
 
 
-def resolve_phi(sim: SimConfig, fb: FeedbackConfig, initial_label: int) -> float:
-    """Reference phase for one trajectory.
+def resolve_phi(sim: SimConfig, initial_labels) -> np.ndarray:
+    """Reference phase of each trajectory, from its preparation label.
 
-    Priority: FeedbackConfig.phi, then SimConfig.phi, then the preparation
-    convention (0 for ground start, pi for excited start), which makes the
-    phase-locked target ``z = cos(omega_r*t + phi)`` the closed-evolution z.
+    SimConfig.phi if set, else the preparation convention (0 for a ground
+    start, pi for an excited one), which makes the phase-locked target
+    ``z = cos(omega_r*t + phi)`` the closed-evolution z.
     """
-    if fb.phi is not None:
-        return fb.phi
+    labels = np.asarray(initial_labels)
     if sim.phi is not None:
-        return sim.phi
-    return 0.0 if initial_label == 0 else math.pi
+        return np.full(labels.shape, float(sim.phi))
+    return np.where(labels == 0, 0.0, math.pi)
 
 
 def delay_steps_for(delay_ns: float, dt_us: float) -> int:

@@ -87,8 +87,6 @@ def _merge(
             merged[f.name] = sum(parts, np.zeros_like(parts[0]))
         elif f.name == "series":
             merged[f.name] = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-        elif parts[0] is not None:
-            merged[f.name] = np.concatenate(parts)
         else:
-            merged[f.name] = None
+            merged[f.name] = np.concatenate(parts)
     return EnsembleResult(sim=sim, fb=fb, n_traj=n_traj, **merged)

@@ -10,6 +10,7 @@ from .config import FeedbackConfig, SimConfig
 from .ensemble import EnsembleResult, run_ensemble
 from .stats import (
     EfficacyResult,
+    contrast_window,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
     rabi_contrast,
@@ -47,7 +48,8 @@ def sweep_gain_offset(
 
     Every grid point runs its own ensemble (same seed: paired comparisons)
     and is scored by the steady-state Rabi contrast of P00(t) over
-    ``window`` (default: from 2 us to the end of the protocol).
+    ``window`` (default: from 2 us to the end of the protocol).  A window too
+    short for the contrast fit is rejected before any ensemble runs.
     """
     gains = np.asarray(list(gains), dtype=float)
     offsets = np.asarray(list(offsets), dtype=float)
@@ -55,6 +57,7 @@ def sweep_gain_offset(
         raise ValueError("gain and offset ranges must be non-empty")
     if window is None:
         window = (2.0, sim.tau)
+    contrast_window(sim.dt * np.arange(sim.n_steps + 1), sim.omega_r, window)
     base = fb if fb is not None else FeedbackConfig(mode="phase_locked")
 
     contrast = np.empty((gains.size, offsets.size))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import subprocess
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,13 +51,11 @@ def config_snapshot(sim: SimConfig, fb: FeedbackConfig) -> dict:
             "initial_state": sim.initial_state,
             "beta": sim.beta,
             "scheme": sim.scheme,
-            "sample_final": sim.sample_final,
         },
         "feedback": {
             "mode": fb.mode,
             "gain": fb.gain,
             "offset": fb.offset,
-            "phi": fb.phi,
             "delay_steps": fb.delay_steps,
         },
     }
@@ -91,20 +88,6 @@ class RunManifest:
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
-
-
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False
-
-
-def timer() -> _Timer:
-    return _Timer()
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

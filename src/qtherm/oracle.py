@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochState, EnergyScale, closed_rabi_probabilities
+from .bloch import BlochState, closed_rabi_probabilities, gibbs_weights
 from .config import SimConfig
 
 #: RK4 substep ceiling (us): local error ~ (|A| h)^5 / 5! with |A| <~ 7/us
@@ -113,7 +113,7 @@ def closed_two_point_sample(
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    _, p_excited = EnergyScale(beta=beta).gibbs_weights()
+    _, p_excited = gibbs_weights(beta)
     flip = closed_rabi_probabilities(omega, tau).p10
 
     n = 1 if size is None else int(size)

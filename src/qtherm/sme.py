@@ -50,7 +50,7 @@ O(sqrt(gamma*dt)); use it for unit-efficiency runs.
 
 Trajectories are independent: trajectory k draws all its randomness from the
 stream (seed, k), in the fixed order [thermal-preparation uniform,] noise
-path [, final-outcome uniform], so ensembles are reproducible bit-for-bit
+path, final-outcome uniform, so ensembles are reproducible bit-for-bit
 regardless of how they are chunked across workers.
 """
 
@@ -63,7 +63,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bloch import BlochState, excited_population
+from .bloch import BlochState, excited_population, gibbs_weights
 from .config import NO_FEEDBACK, THERMAL, FeedbackConfig, SimConfig, resolve_phi
 from .feedback import DelayLine, _wrap_angle, optimal_drive, pll_drive
 
@@ -96,7 +96,7 @@ class TrajectoryRecord:
     dwf: np.ndarray
     dq: np.ndarray
     du: np.ndarray
-    final_outcome: int | None = None
+    final_outcome: int
 
     @property
     def n_steps(self) -> int:
@@ -301,7 +301,7 @@ class EnsembleResult:
     final_x: np.ndarray
     final_z: np.ndarray
     residuals: np.ndarray                         # first-law residuals
-    outcomes: np.ndarray | None                   # None unless sim.sample_final
+    outcomes: np.ndarray                          # final projective outcomes, int8
     series: dict[str, np.ndarray]                 # requested per-trajectory series
 
     @cached_property
@@ -372,11 +372,7 @@ def run_batch(
     # Per-trajectory draws, in the fixed stream order.
     labels = np.empty(n, dtype=np.int8)
     noise = np.empty((steps, n))
-    p_exc_thermal = (
-        math.exp(-0.5 * cfg.beta) / (2.0 * math.cosh(0.5 * cfg.beta))
-        if cfg.initial_state == THERMAL
-        else None
-    )
+    p_exc_thermal = gibbs_weights(cfg.beta)[1] if cfg.initial_state == THERMAL else None
     for k, rng in enumerate(rngs):
         if p_exc_thermal is None:
             labels[k] = int(cfg.initial_state)
@@ -386,7 +382,7 @@ def run_batch(
 
     z = np.where(labels == 0, 1.0, -1.0)
     x = np.zeros(n)
-    phi0 = np.array([resolve_phi(cfg, fb, int(lbl)) for lbl in labels])
+    phi0 = resolve_phi(cfg, labels)
 
     p00_sum = np.zeros(steps + 1)
     p00_sqsum = np.zeros(steps + 1)
@@ -458,10 +454,8 @@ def run_batch(
     pe_final = 0.5 * (1.0 - z)
     residuals = np.abs((pe_final - pe_init) - (w_tot + wf_tot + q_tot))
 
-    outcomes = None
-    if cfg.sample_final:
-        u = np.array([rng.random() for rng in rngs])
-        outcomes = (u < pe_final).astype(np.int8)
+    u = np.array([rng.random() for rng in rngs])
+    outcomes = (u < pe_final).astype(np.int8)
 
     return EnsembleResult(
         sim=cfg,
@@ -510,5 +504,5 @@ def simulate_trajectory(
         dwf=batch.series["dwf"][0],
         dq=batch.series["dq"][0],
         du=batch.series["dw"][0] + batch.series["dwf"][0] + batch.series["dq"][0],
-        final_outcome=int(batch.outcomes[0]) if batch.outcomes is not None else None,
+        final_outcome=int(batch.outcomes[0]),
     )

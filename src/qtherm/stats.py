@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import EnergyScale, excited_population, ground_population
+from .bloch import excited_population, gibbs_weights, ground_population
 from .ensemble import EnsembleResult
 from .sme import TrajectoryRecord
 
@@ -96,8 +96,6 @@ def transition_probabilities(
     if not mask.any():
         raise ValueError(f"ensemble contains no trajectories prepared in n={n}")
     if sampled:
-        if ensemble.outcomes is None:
-            raise ValueError("ensemble was run without final-outcome sampling")
         hits = (ensemble.outcomes[mask] == m).astype(float)
         p = float(hits.mean())
         count = hits.size
@@ -135,7 +133,7 @@ def two_point_work_distribution(beta: float, transitions) -> WorkDistribution:
         raise ValueError("transitions must be a 2x2 matrix T[n][m]")
     if (t < -1e-12).any() or np.abs(t.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("transition matrix must be row-stochastic")
-    p_g, p_e = EnergyScale(beta=beta).gibbs_weights()
+    p_g, p_e = gibbs_weights(beta)
     p_up = p_g * t[0, 1]     # ground -> excited, W = +1
     p_down = p_e * t[1, 0]   # excited -> ground, W = -1
     p_zero = p_g * t[0, 0] + p_e * t[1, 1]
@@ -235,7 +233,7 @@ def jarzynski_from_transitions(
     """
     p00 = np.asarray(p00_t, dtype=float)
     p11 = np.asarray(p11_t, dtype=float)
-    p_g, p_e = EnergyScale(beta=beta).gibbs_weights()
+    p_g, p_e = gibbs_weights(beta)
     gamma = p_g * (np.exp(-beta) + p00 * (1.0 - math.exp(-beta))) + p_e * (
         math.exp(beta) - p11 * (math.exp(beta) - 1.0)
     )
@@ -248,20 +246,14 @@ def jarzynski_from_transitions(
     return gamma, np.sqrt(np.maximum(var, 0.0))
 
 
-def rabi_contrast(
-    times: np.ndarray,
-    p00: np.ndarray,
-    omega_r: float,
-    window: tuple[float, float] = (2.0, 8.0),
-) -> float:
-    """Steady oscillation amplitude of P00 relative to the closed amplitude 1/2.
+def contrast_window(
+    times: np.ndarray, omega_r: float, window: tuple[float, float]
+) -> np.ndarray:
+    """Mask of the ``times`` inside ``window``, which a contrast fit needs to
+    span at least three Rabi periods; raises InsufficientSpanError otherwise.
 
-    Least-squares fit of ``m + a cos(omega_r t) + b sin(omega_r t)`` over the
-    post-transient window; the series must span at least three Rabi periods
-    there.  Returns 2*sqrt(a^2 + b^2).
+    Callers that know the time grid before integrating check it here first.
     """
-    times = np.asarray(times, dtype=float)
-    p00 = np.asarray(p00, dtype=float)
     lo, hi = window
     mask = (times >= lo) & (times <= hi)
     if not mask.any():
@@ -272,6 +264,25 @@ def rabi_contrast(
         raise InsufficientSpanError(
             f"window spans {span:.3f} us, need >= 3 Rabi periods"
         )
+    return mask
+
+
+def rabi_contrast(
+    times: np.ndarray,
+    p00: np.ndarray,
+    omega_r: float,
+    window: tuple[float, float] = (2.0, 8.0),
+) -> float:
+    """Steady oscillation amplitude of P00 relative to the closed amplitude 1/2.
+
+    Least-squares fit of ``m + a cos(omega_r t) + b sin(omega_r t)`` over the
+    post-transient window (see :func:`contrast_window`).  Returns
+    2*sqrt(a^2 + b^2).
+    """
+    times = np.asarray(times, dtype=float)
+    p00 = np.asarray(p00, dtype=float)
+    mask = contrast_window(times, omega_r, window)
+    t = times[mask]
     design = np.column_stack(
         [np.ones_like(t), np.cos(omega_r * t), np.sin(omega_r * t)]
     )

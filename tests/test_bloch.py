@@ -7,9 +7,9 @@ from qtherm.bloch import (
     EXCITED,
     GROUND,
     BlochState,
-    EnergyScale,
     closed_rabi_probabilities,
     excited_population,
+    gibbs_weights,
     ground_population,
     phase,
     purity,
@@ -104,13 +104,11 @@ def test_transition_matrix_rows_sum_to_one():
     assert t[1][0] + t[1][1] == pytest.approx(1.0)
 
 
-def test_energy_scale_gibbs_weights():
-    es = EnergyScale(beta=3.5)
-    p_g, p_e = es.gibbs_weights()
+def test_gibbs_weights():
+    p_g, p_e = gibbs_weights(3.5)
     assert p_g + p_e == pytest.approx(1.0)
     assert p_g / p_e == pytest.approx(math.exp(3.5))
-    assert es.e_ground == -0.5 and es.e_excited == 0.5
-    p_g, p_e = EnergyScale(beta=0.0).gibbs_weights()
+    p_g, p_e = gibbs_weights(0.0)
     assert p_g == pytest.approx(0.5) and p_e == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        EnergyScale(beta=-1.0)
+        gibbs_weights(-1.0)

@@ -154,13 +154,39 @@ def test_config_errors(tmp_path, capsys):
 
 def test_verify_passes_quickly(tmp_path):
     assert main(["verify", "--out-dir", str(tmp_path)]) == 0
+    # It reports each check's measured values and bounds next to a manifest.
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    checks = summary["checks"]
+    assert [c["name"] for c in checks] == [
+        "first-law", "bounded-decomposition", "unitary-limit",
+        "oracle-agreement", "purity-eta1", "determinism",
+    ]
+    assert (summary["passed"], summary["total"]) == (6, 6)
+    for c in checks:
+        assert c["passed"] is True
+        assert c["measured"] and set(c["measured"]) == set(c["bound"])
+        for key, value in c["measured"].items():
+            lo, hi = c["bound"][key]
+            assert math.isfinite(value) and lo <= value <= hi, (c["name"], key)
+    assert checks[0]["measured"]["max_residual"] < 1e-9
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["outputs"] == ["summary.json"]
+    assert manifest["config"]["sim"]["initial_state"] == 0
+
+
+def test_verify_always_starts_from_the_ground_state(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[numerics]\ninitial_state = 1\n")
+    assert main(["verify", "--config", str(ini), "--out-dir", str(tmp_path / "v")]) == 0
+    assert "verify: 6/6 checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["trajectory", "--tau-us", "0.2"], {"sim": {"sample_final": True}}),
-        (["ensemble", "--n-traj", "8", "--tau-us", "0.2"], {"sim": {"sample_final": True}}),
+        (["trajectory", "--tau-us", "0.2"], {"sim": {"tau_us": 0.2, "initial_state": 0}}),
+        (["ensemble", "--n-traj", "8", "--tau-us", "0.2"], {"sim": {"tau_us": 0.2, "initial_state": 0}}),
         (
             ["jarzynski", "--n-traj", "8", "--tau-us", "0.2", "--eta-list", "0.5"],
             {"sim": {"eta": [0.5], "scheme": "kraus", "initial_state": [0, 1]}},
@@ -261,3 +287,88 @@ def test_config_file_values_are_checked_against_the_flag_choices(tmp_path, capsy
     ini.write_text("[feedback]\nmode = pid\n")
     assert main(["ensemble", "--config", str(ini)]) == 2
     assert "mode = 'pid': must be one of none, optimal, phase_locked, pll" in capsys.readouterr().err
+
+
+#: The parameters each command does not read; it offers the flag of every
+#: other one.
+UNREAD = {
+    "trajectory": ("n_traj", "workers"),
+    "ensemble": (),
+    "jarzynski": ("eta", "initial_state"),
+    "sweep": ("gain", "offset"),
+    "verify": ("beta", "tau_us", "initial_state", "mode", "gain", "offset",
+               "delay_ns", "phi", "n_traj"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c, keys in UNREAD.items() for k in keys if PARAM_SAMPLES[k][0]],
+)
+def test_a_flag_the_command_does_not_read_ends_in_exit_2(command, key):
+    flag, text, _ = PARAM_SAMPLES[key]
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={text}"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD))
+def test_each_command_offers_the_flags_it_reads(command):
+    assert set(UNREAD) == set(cli.COMMANDS)
+    parser = cli._build_parser()
+    read = [key for key in PARAM_SAMPLES if key not in UNREAD[command]]
+    for key in read:
+        flag, text, _ = PARAM_SAMPLES[key]
+        if flag is not None:
+            args = parser.parse_args([command, f"{flag}={text}"])
+            assert getattr(args, key) is not None
+    assert set(cli.COMMANDS[command].reads) == set(read)
+
+
+def test_sweep_delay_needs_no_feedback_flag(tmp_path):
+    base = ["sweep", "--n-traj", "32", "--tau-us", "5", "--gain-grid", "35",
+            "--offset-grid=-1", "--delay-ns", "100"]
+    assert main(base + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(base + ["--feedback", "pll", "--out-dir", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+    config = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+    assert (config["feedback"]["mode"], config["feedback"]["delay_steps"]) == ("phase_locked", 5)
+
+
+def test_sweep_accepts_only_phase_locked_feedback(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--feedback", "optimal"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    ini = tmp_path / "run.ini"
+    ini.write_text("[feedback]\nmode = optimal\n")
+    assert main(["sweep", "--config", str(ini), "--out-dir", str(tmp_path)]) == 2
+    assert "mode = 'optimal': must be one of phase_locked, pll" in capsys.readouterr().err
+
+
+def test_sweep_checks_its_window_before_integrating(tmp_path, capsys, monkeypatch):
+    def no_ensembles(*_args, **_kwargs):
+        pytest.fail("sweep integrated an ensemble for a window it cannot fit")
+
+    monkeypatch.setattr("qtherm.experiments.run_ensemble", no_ensembles)
+    assert main(["sweep", "--tau-us", "1", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_jarzynski_integrates_the_configured_scheme(tmp_path, monkeypatch):
+    schemes = []
+    protocol = cli.run_efficacy_protocol
+
+    def recording(sim, fb, **kwargs):
+        schemes.append(sim.scheme)
+        return protocol(sim, fb, **kwargs)
+
+    monkeypatch.setattr(cli, "run_efficacy_protocol", recording)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[numerics]\nscheme = ito-euler\n")
+    assert main(["jarzynski", "--config", str(ini), "--n-traj", "8", "--tau-us", "0.2",
+                 "--eta-list", "0.5", "--out-dir", str(tmp_path)]) == 0
+    assert schemes == ["ito-euler"]
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config["sim"]["scheme"] == "ito-euler"

@@ -22,7 +22,7 @@ INF = math.inf
         (FeedbackConfig, "gain", NAN),
         (FeedbackConfig, "gain", INF),
         (FeedbackConfig, "offset", NAN),
-        (FeedbackConfig, "phi", -INF),
+        (FeedbackConfig, "delay_steps", -INF),
     ],
 )
 def test_non_finite_values_are_rejected_by_name(make, field, value):

@@ -25,7 +25,7 @@ GOLDEN = {
         ["trajectory", "--tau-us", "1"],
         {
             "trajectory.csv": "1f2d0dd905f5b0174683be0b1fe04170efbeff1f996d5aa903cca14d89769c9b",
-            "trajectory_config.json": "a1e0dde694680987b4413970173a0c74fce92719a829ce536f2b3c47c6b720cb",
+            "trajectory_config.json": "0f6e08f1fd546c5db8c2fdb0133b27faa0e6e05639b9fdc759ce1227b1731a48",
         },
     ),
     "ensemble": (
@@ -77,9 +77,9 @@ def engine_cases():
     ]
     for scheme in ("ito-euler", "kraus"):
         for fb in feedback:
-            yield SimConfig(tau=0.4, seed=3, scheme=scheme, sample_final=True), fb
+            yield SimConfig(tau=0.4, seed=3, scheme=scheme), fb
     yield (
-        SimConfig(tau=0.4, seed=4, initial_state="thermal", beta=1.0, sample_final=True),
+        SimConfig(tau=0.4, seed=4, initial_state="thermal", beta=1.0),
         FeedbackConfig(mode="phase_locked", delay_steps=5),
     )
 

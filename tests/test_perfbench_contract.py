@@ -1,0 +1,60 @@
+"""The benchmark harness in perfbench/ still drives the CLI.
+
+``perfbench/probe.py`` stubs the engine entry points ``qtherm.cli`` calls and
+``perfbench/layer_trace.py`` patches module attributes by name, so renaming
+one of those names, or a flag a workload passes, breaks the benchmark.  These
+tests run the probe on each workload's exact command line, and one traced
+command that uses the process pool, so such a change fails here first.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _workloads() -> dict:
+    """``WORKLOADS`` of perfbench/run.py, imported by path without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+WORKLOADS = _workloads()
+
+
+def probe(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, str(PERFBENCH / "probe.py"), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_setup_probe_reaches_the_engine(name, tmp_path):
+    done = probe("setup", *WORKLOADS[name].argv, "--seed", "1", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+
+
+def test_traced_pool_run_accounts_for_every_trajectory(tmp_path):
+    layers = tmp_path / "layers.json"
+    done = probe("trace", str(layers), "ensemble", "--n-traj", "2100", "--tau-us", "0.1",
+                 "--feedback", "pll", "--delay-ns", "40", "--workers", "2",
+                 "--out-dir", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(layers.read_text())
+    assert metrics["trace.missing_traj"] == 0
+    assert metrics["sme.streams"] == 2100

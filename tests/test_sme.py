@@ -176,7 +176,7 @@ def test_simulate_trajectory_zero_duration(paper_cfg):
 
 def test_simulate_trajectory_closed_pi_pulse(paper_cfg):
     # omega_r * tau = pi: full ground -> excited flip, deterministic.
-    cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.5, sample_final=True, seed=9)
+    cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.5, seed=9)
     rec = simulate_trajectory(cfg)
     assert rec.final_outcome == 1
     assert rec.z[-1] == pytest.approx(-1.0, abs=1e-12)
@@ -190,7 +190,7 @@ def test_simulate_trajectory_first_law(paper_cfg):
 
 
 def test_simulate_trajectory_deterministic(paper_cfg):
-    cfg = paper_cfg(tau=1.0, seed=42, sample_final=True)
+    cfg = paper_cfg(tau=1.0, seed=42)
     a = simulate_trajectory(cfg)
     b = simulate_trajectory(cfg)
     for name in ("x", "z", "dv", "dx", "dw", "dwf", "dq", "du"):
@@ -212,7 +212,7 @@ def test_simulate_trajectory_record_shape(paper_cfg):
 def test_batch_matches_scalar_path(paper_cfg):
     # run_batch with k-indexed streams is the definition of the ensemble;
     # simulate_trajectory must be exactly its width-1 slice.
-    cfg = paper_cfg(tau=0.5, sample_final=True)
+    cfg = paper_cfg(tau=0.5)
     fb = FeedbackConfig(mode="phase_locked", gain=30.0, offset=-1.0, delay_steps=2)
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(3)]
     batch = run_batch(cfg, fb, rngs, record=("z", "dw", "dv"))
@@ -237,7 +237,7 @@ def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg, scheme):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(50)]
     batch = run_batch(cfg, fb, rngs, record=("x", "z", "dw", "dwf", "dq", "dv"))
-    phi = resolve_phi(cfg, fb, 0)
+    phi = resolve_phi(cfg, 0)
     s = batch.series
     for i in range(cfg.n_steps):
         x, z, dv = s["x"][:, i], s["z"][:, i], s["dv"][:, i]

@@ -74,7 +74,7 @@ def test_transition_probabilities_closed(paper_cfg):
 
 
 def test_transition_probabilities_sampled_agrees(paper_cfg):
-    cfg = paper_cfg(tau=1.0, sample_final=True, seed=5)
+    cfg = paper_cfg(tau=1.0, seed=5)
     res = run_ensemble(cfg, n_traj=4000)
     p_state, _ = transition_probabilities(res, m=0, n=0)
     p_samp, sem = transition_probabilities(res, m=0, n=0, sampled=True)
