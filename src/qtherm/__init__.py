@@ -38,7 +38,6 @@ from .stats import (
     accumulate,
     efficacy_from_trajectories,
     jarzynski_average,
-    pearson_r,
     rabi_contrast,
     transition_probabilities,
     two_point_work_distribution,
@@ -71,7 +70,6 @@ __all__ = [
     "ito_step",
     "jarzynski_average",
     "lindblad_evolve",
-    "pearson_r",
     "phase",
     "purity",
     "rabi_contrast",

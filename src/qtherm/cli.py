@@ -39,15 +39,12 @@ from .oracle import ensemble_vs_oracle, lindblad_evolve
 from .sme import NumericalBlowupError, rng_for_trajectory, simulate_trajectory
 from .stats import (
     InsufficientSpanError,
+    ZeroVarianceError,
     pooled_pearson_r,
     rabi_contrast,
     transition_probabilities,
 )
 from .bloch import GROUND, closed_rabi_probabilities
-
-#: Per-trajectory step series are only kept when the total footprint stays
-#: reasonable (doubles per series).
-MAX_SERIES_VALUES = 20_000_000
 
 _FEEDBACK_ALIASES = {"pll": "phase_locked", "phase_locked": "phase_locked",
                      "optimal": "optimal", "none": "none"}
@@ -283,10 +280,10 @@ def cmd_ensemble(args) -> int:
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     n = run.n_traj
-    correlate = fb.mode != "none" and n * sim.n_steps <= MAX_SERIES_VALUES
+    # With feedback on, r(dWF, dQ) at lag 0 and at the loop delay.
+    lags = sorted({0, fb.delay_steps}) if fb.mode != "none" else []
     started = time.perf_counter()
-    res = run_ensemble(sim, fb, n, record=("dwf", "dq") if correlate else (),
-                       workers=run.workers)
+    res = run_ensemble(sim, fb, n, lags=lags, workers=run.workers)
     # Per-step means start with a zero row at t = 0.
     steps = (np.concatenate(([0.0], m)) for m in (res.dw_mean, res.dwf_mean, res.dq_mean))
     write_csv(out / "timeseries.csv",
@@ -302,22 +299,18 @@ def cmd_ensemble(args) -> int:
         "p_sum00_range": [float(res.p_sum_00().min()), float(res.p_sum_00().max())],
         "manifest": "manifest.json",
     }
-    p, sem = transition_probabilities(res, m=0, n=int(res.initial_labels[0]))
-    summary["p00_final"] = p
-    summary["p00_final_sem"] = sem
+    summary["p00_final"], summary["p00_final_sem"] = transition_probabilities(
+        res, m=0, n=int(res.initial_labels[0]))
     try:
         summary["contrast"] = rabi_contrast(res.times, res.p00_mean, sim.omega_r,
                                             window=(2.0, sim.tau))
     except InsufficientSpanError:
         summary["contrast"] = None
-    if correlate:
-        summary["r_wf_q_lag0"] = pooled_pearson_r(
-            res.series["dwf"], res.series["dq"], lag=0
-        )
-        if fb.delay_steps:
-            summary[f"r_wf_q_lag{fb.delay_steps}"] = pooled_pearson_r(
-                res.series["dwf"], res.series["dq"], lag=fb.delay_steps
-            )
+    for lag in lags:
+        try:
+            summary[f"r_wf_q_lag{lag}"] = pooled_pearson_r(res, lag)
+        except ZeroVarianceError:
+            summary[f"r_wf_q_lag{lag}"] = None
     write_json(out / "summary.json", summary)
     _write_manifest(out, "ensemble", sim, fb,
                     ["timeseries.csv", "trajectories.csv", "summary.json"], n, started)

@@ -4,8 +4,8 @@ Trajectory k always draws from the RNG stream (seed, k) and batches are always
 cut at the same fixed chunk size, so the result is bit-identical no matter how
 many workers execute the chunks.  Each chunk is one ``sme.run_batch`` call and
 returns an :class:`EnsembleResult` (defined in ``sme``, re-exported here);
-``_merge`` adds their per-step sums in chunk order and concatenates their
-per-trajectory arrays and series.
+``_merge`` adds their per-step sums and pair moments in chunk order and
+concatenates their per-trajectory arrays and series.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ def _run_chunk(
     start: int,
     count: int,
     record: tuple[str, ...],
+    lags: tuple[int, ...],
 ) -> EnsembleResult:
     rngs = [rng_for_trajectory(sim.seed, start + k) for k in range(count)]
-    return run_batch(sim, fb, rngs, record=record)
+    return run_batch(sim, fb, rngs, record=record, lags=lags)
 
 
 def run_ensemble(
@@ -45,29 +46,29 @@ def run_ensemble(
     n_traj: int = 1,
     *,
     record: Iterable[str] = (),
+    lags: Iterable[int] = (),
     workers: int = 1,
     chunk_size: int = CHUNK_SIZE,
 ) -> EnsembleResult:
     """Simulate ``n_traj`` independent trajectories and reduce the results.
 
     ``record`` names the per-trajectory series to keep (see sme.run_batch);
-    mind the memory (n_traj * n_steps doubles per series).  ``workers`` > 1
+    mind the memory (n_traj * n_steps doubles per series).  ``lags`` names
+    the lags whose (dWF, dQ) pair moments to pool, at no memory cost (see
+    sme.run_batch and stats.pooled_pearson_r).  ``workers`` > 1
     distributes whole chunks over a process pool; results are identical to a
     single-worker run.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    record = tuple(record)
-    bounds = _chunk_bounds(n_traj, chunk_size)
-
-    if workers > 1 and len(bounds) > 1:
+    record, lags = tuple(record), tuple(lags)
+    chunks = [(sim, fb, s, c, record, lags) for s, c in _chunk_bounds(n_traj, chunk_size)]
+    if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, sim, fb, s, c, record) for s, c in bounds
-            ]
+            futures = [pool.submit(_run_chunk, *chunk) for chunk in chunks]
             batches = [f.result() for f in futures]
     else:
-        batches = [_run_chunk(sim, fb, s, c, record) for s, c in bounds]
+        batches = [_run_chunk(*chunk) for chunk in chunks]
 
     return _merge(sim, fb, n_traj, batches)
 
@@ -77,11 +78,12 @@ def _merge(
 ) -> EnsembleResult:
     """One result from the chunk results, one rule per field group.
 
-    Per-step sums are added in chunk order starting from zeros; every other
-    array, ``outcomes`` and each series are concatenated in chunk order.
+    Per-step sums and pair moments are added in chunk order starting from
+    zeros; every other array, ``outcomes`` and each series are concatenated
+    in chunk order.  Every chunk accumulated the same ``lags``.
     """
     merged: dict = {}
-    for f in fields(EnsembleResult)[3:]:  # after sim, fb, n_traj
+    for f in fields(EnsembleResult)[4:]:  # after sim, fb, n_traj, lags
         parts = [getattr(b, f.name) for b in batches]
         if f.metadata.get("merge") == "sum":
             merged[f.name] = sum(parts, np.zeros_like(parts[0]))
@@ -89,4 +91,4 @@ def _merge(
             merged[f.name] = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
         else:
             merged[f.name] = np.concatenate(parts)
-    return EnsembleResult(sim=sim, fb=fb, n_traj=n_traj, **merged)
+    return EnsembleResult(sim=sim, fb=fb, n_traj=n_traj, lags=batches[0].lags, **merged)

@@ -49,8 +49,12 @@ def sweep_gain_offset(
     Every grid point runs its own ensemble (same seed: paired comparisons)
     and is scored by the steady-state Rabi contrast of P00(t) over
     ``window`` (default: from 2 us to the end of the protocol).  A window too
-    short for the contrast fit is rejected before any ensemble runs.
+    short for the contrast fit, or an ``fb`` that is not phase-locked, is
+    rejected before any ensemble runs.
     """
+    fb = FeedbackConfig(mode="phase_locked") if fb is None else fb
+    if fb.mode != "phase_locked":
+        raise ValueError(f"the gain/offset sweep needs phase-locked feedback, not {fb.mode!r}")
     gains = np.asarray(list(gains), dtype=float)
     offsets = np.asarray(list(offsets), dtype=float)
     if gains.size == 0 or offsets.size == 0:
@@ -58,12 +62,11 @@ def sweep_gain_offset(
     if window is None:
         window = (2.0, sim.tau)
     contrast_window(sim.dt * np.arange(sim.n_steps + 1), sim.omega_r, window)
-    base = fb if fb is not None else FeedbackConfig(mode="phase_locked")
 
     contrast = np.empty((gains.size, offsets.size))
     for i, a in enumerate(gains):
         for j, b in enumerate(offsets):
-            fb_ij = base.with_(mode="phase_locked", gain=float(a), offset=float(b))
+            fb_ij = fb.with_(gain=float(a), offset=float(b))
             res = run_ensemble(sim, fb_ij, n_traj, workers=workers)
             contrast[i, j] = rabi_contrast(
                 res.times, res.p00_mean, sim.omega_r, window=window

@@ -33,7 +33,7 @@ as the optimal law is) joins the drive in sub-step 1.
 that :func:`run_batch` calls once per step on every lane of a batch.
 :func:`run_batch` returns an :class:`EnsembleResult`, the one result type of
 a batch and of a merged ensemble: per-step sums (the means derive from them),
-per-trajectory ledger totals, and the series named in ``record``.
+per-trajectory ledger totals, (dWF, dQ) pair moments and recorded series.
 
 The Euler update can leave the unit disk by O(dt); when it does, the Bloch
 vector is rescaled to unit length (states never become unphysical, and the
@@ -280,6 +280,9 @@ class EnsembleResult:
 
     ``run_batch`` returns one per batch and ``ensemble._merge`` combines them.
     The five per-step sums are stored; the means derive from them.
+    ``pair_moments`` row k pools the pairs (a, b) = (dWF[i + L], dQ[i]) at
+    lag L = ``lags[k]`` over every lane and aligned step, as the sums
+    (count, a, b, a^2, b^2, a*b); ``stats.pooled_pearson_r`` derives r.
     Per-trajectory arrays are indexed by trajectory index (0..n_traj-1);
     `w`, `wf`, `q` are the integrated work/feedback-work/heat in the m=1
     (excited projector) convention, i.e. also the transition-probability
@@ -289,11 +292,13 @@ class EnsembleResult:
     sim: SimConfig
     fb: FeedbackConfig
     n_traj: int
+    lags: tuple[int, ...]                         # ascending, distinct
     p00_sum: np.ndarray = field(metadata=_SUM)    # (steps+1,) ground population
     p00_sqsum: np.ndarray = field(metadata=_SUM)  # (steps+1,)
     dw_sum: np.ndarray = field(metadata=_SUM)     # (steps,) per-step work
     dwf_sum: np.ndarray = field(metadata=_SUM)
     dq_sum: np.ndarray = field(metadata=_SUM)
+    pair_moments: np.ndarray = field(metadata=_SUM)  # (len(lags), 6)
     initial_labels: np.ndarray                    # (n_traj,) int8
     w: np.ndarray
     wf: np.ndarray
@@ -350,11 +355,15 @@ def run_batch(
     fb: FeedbackConfig,
     rngs: list[np.random.Generator],
     record: Iterable[str] = (),
+    lags: Iterable[int] = (),
 ) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
 
     ``record`` names the per-trajectory series to keep, from ``SERIES``;
-    unrequested series are not allocated.
+    unrequested series are not allocated.  For each lag L in ``lags`` the
+    step loop pools the moments of the pairs (dWF[i + L], dQ[i]) into
+    ``pair_moments``, keeping only the last L dQ arrays; a lag of n_steps or
+    more has no pairs.  Without lags the loop does no extra work.
     """
     record = frozenset(record)
     unknown = record.difference(SERIES)
@@ -363,6 +372,9 @@ def run_batch(
             f"unknown record name(s) {sorted(unknown)}; valid names are "
             + ", ".join(SERIES)
         )
+    lags = tuple(sorted(set(lags)))
+    if any(lag < 0 or lag != int(lag) for lag in lags):
+        raise ValueError(f"lags must be non-negative integers, got {lags}")
     n = len(rngs)
     steps = cfg.n_steps
     dt = cfg.dt
@@ -392,6 +404,10 @@ def run_batch(
     w_tot = np.zeros(n)
     wf_tot = np.zeros(n)
     q_tot = np.zeros(n)
+
+    # Per lag and step, the lane sums of the pairs' moments; dQ waits in a line.
+    moments = np.zeros((len(lags), 6, steps))
+    dq_lines = [DelayLine(min(lag, steps)) for lag in lags]
 
     state_series = {k: np.empty((n, steps + 1)) for k in STATE_SERIES if k in record}
     step_series = {k: np.empty((n, steps)) for k in STEP_SERIES if k in record}
@@ -446,6 +462,11 @@ def run_batch(
         dw_sum[i] = dw.sum()
         dwf_sum[i] = dwf.sum()
         dq_sum[i] = dq.sum()
+        for k, lag in enumerate(lags):
+            dq_then = dq_lines[k].push(dq)  # dQ[i - lag]
+            if i >= lag:
+                moments[k, :, i] = (n, dwf_sum[i], dq_then.sum(), dwf @ dwf,
+                                    dq_then @ dq_then, dwf @ dq_then)
         now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
         for name, arr in step_series.items():
             arr[:, i] = now[name]
@@ -461,11 +482,13 @@ def run_batch(
         sim=cfg,
         fb=fb,
         n_traj=n,
+        lags=lags,
         p00_sum=p00_sum,
         p00_sqsum=p00_sqsum,
         dw_sum=dw_sum,
         dwf_sum=dwf_sum,
         dq_sum=dq_sum,
+        pair_moments=moments.sum(axis=2),
         initial_labels=labels,
         w=w_tot,
         wf=wf_tot,

@@ -290,44 +290,25 @@ def rabi_contrast(
     return float(2.0 * math.hypot(coef[1], coef[2]))
 
 
-def pearson_r(a: np.ndarray, b: np.ndarray, lag: int = 0) -> float:
-    """Pearson correlation of pooled samples, with ``a`` lagged by ``lag`` steps.
+def pooled_pearson_r(ensemble: EnsembleResult, lag: int = 0) -> float:
+    """Pearson r of the per-step pairs (dWF[i + lag], dQ[i]) pooled over the
+    trajectories, from the moments ``run_ensemble(..., lags)`` accumulated.
 
-    ``lag=k`` pairs a[i+k] with b[i] (e.g. feedback work k steps after the
-    heat it responds to).  Series must have equal lengths before alignment.
+    Raises ZeroVarianceError where r is undefined: fewer than two aligned
+    pairs, or a series without variance.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError("series must have equal lengths")
-    if lag < 0:
-        raise ValueError("lag must be >= 0")
-    if lag:
-        a = a[lag:]
-        b = b[: b.size - lag]
-    if a.size < 2:
-        raise ValueError("need at least two aligned samples")
-    if a.std() == 0.0 or b.std() == 0.0:
+    if lag not in ensemble.lags:
+        raise ValueError(f"no pair moments at lag {lag}; accumulated lags: {ensemble.lags}")
+    n, sa, sb, saa, sbb, sab = ensemble.pair_moments[ensemble.lags.index(lag)]
+    if n < 2:
+        raise ZeroVarianceError("correlation undefined for fewer than two aligned pairs")
+    var_a = saa - sa * sa / n
+    var_b = sbb - sb * sb / n
+    # Below 1e-12 of the raw second moment a variance is the rounding residue
+    # of the one-pass difference, as for a constant series.
+    if var_a <= 1e-12 * saa or var_b <= 1e-12 * sbb:
         raise ZeroVarianceError("correlation undefined for constant series")
-    return float(np.corrcoef(a, b)[0, 1])
-
-
-def pooled_pearson_r(
-    wf_series: np.ndarray, q_series: np.ndarray, lag: int = 0
-) -> float:
-    """Pearson r of per-step (dWF, dQ) pairs pooled over trajectories.
-
-    Inputs are (n_traj, n_steps); the lag shifts the feedback-work series
-    within each trajectory before pooling.
-    """
-    wf = np.asarray(wf_series, dtype=float)
-    q = np.asarray(q_series, dtype=float)
-    if wf.shape != q.shape or wf.ndim != 2:
-        raise ValueError("series must be (n_traj, n_steps) with equal shapes")
-    if lag:
-        wf = wf[:, lag:]
-        q = q[:, : q.shape[1] - lag]
-    return pearson_r(wf.ravel(), q.ravel())
+    return float((sab - sa * sb / n) / math.sqrt(var_a * var_b))
 
 
 def binned_first_law_check(

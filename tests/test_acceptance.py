@@ -249,17 +249,17 @@ def test_criterion_07_anticorrelations():
     cfg = SimConfig(seed=23, tau=8.0, dt=0.02)
     n = 400
 
-    res = run_ensemble(cfg, FeedbackConfig(mode="optimal"), n, record=("dwf", "dq"))
-    r_opt = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=1)
+    res = run_ensemble(cfg, FeedbackConfig(mode="optimal"), n, lags=(1,))
+    r_opt = pooled_pearson_r(res, lag=1)
 
     fb0 = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
-    res = run_ensemble(cfg, fb0, n, record=("dwf", "dq"))
-    r_pll0 = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=0)
+    res = run_ensemble(cfg, fb0, n, lags=(0,))
+    r_pll0 = pooled_pearson_r(res, lag=0)
 
     fb5 = fb0.with_(delay_steps=5)
-    res = run_ensemble(cfg, fb5, n, record=("dwf", "dq"))
-    r_pll5 = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=5)
-    r_pll5_lag1 = pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=1)
+    res = run_ensemble(cfg, fb5, n, lags=(1, 5))
+    r_pll5 = pooled_pearson_r(res, lag=5)
+    r_pll5_lag1 = pooled_pearson_r(res, lag=1)
 
     ok = (
         abs(r_opt - (-0.9)) <= 0.1

@@ -91,6 +91,44 @@ def test_ensemble_with_feedback_reports_correlation(tmp_path):
     assert "r_wf_q_lag5" in summary
 
 
+def test_ensemble_streams_its_correlations_without_series(tmp_path, monkeypatch):
+    calls = []
+    ensemble = cli.run_ensemble
+
+    def recording(*args, **kwargs):
+        res = ensemble(*args, **kwargs)
+        calls.append((kwargs, res))
+        return res
+
+    monkeypatch.setattr(cli, "run_ensemble", recording)
+    assert main(["ensemble", "--n-traj", "40", "--tau-us", "1", "--feedback", "pll",
+                 "--delay-ns", "100", "--out-dir", str(tmp_path)]) == 0
+    [(kwargs, res)] = calls
+    assert not kwargs.get("record") and res.series == {}
+    assert res.lags == (0, 5)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert all(isinstance(summary[key], float) for key in ("r_wf_q_lag0", "r_wf_q_lag5"))
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        # The loop does no work at zero gain: dWF has no variance.
+        (["--gain", "0"], ("r_wf_q_lag0",)),
+        # Five steps: no step has its delayed drive yet, and no pair spans the delay.
+        (["--tau-us", "0.1", "--delay-ns", "200"], ("r_wf_q_lag0", "r_wf_q_lag10")),
+    ],
+    ids=["zero-gain", "delay-beyond-run"],
+)
+def test_an_undefined_correlation_is_written_as_null(argv, keys, tmp_path):
+    assert main(["ensemble", "--n-traj", "20", "--feedback", "pll", *argv,
+                 "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [key for key in summary if key.startswith("r_wf_q")] == list(keys)
+    assert all(summary[key] is None for key in keys)
+    assert (tmp_path / "manifest.json").is_file()
+
+
 def test_jarzynski_outputs(tmp_path):
     out = tmp_path / "jar"
     assert main(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.experiments import sweep_gain_offset
-from qtherm.stats import rabi_contrast
+from qtherm.stats import pooled_pearson_r, rabi_contrast
+from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
 
 def test_worker_count_does_not_change_results(paper_cfg):
@@ -72,3 +74,24 @@ def test_sweep_grid_shape_and_rows(paper_cfg):
     assert rows[0][:2] == (20.0, -1.0)
     with pytest.raises(ValueError):
         sweep_gain_offset([], [-1.0], cfg)
+
+
+def test_sweep_rejects_a_mode_other_than_phase_locked():
+    with pytest.raises(ValueError, match="phase-locked"):
+        sweep_gain_offset([30], [-1], SimConfig(tau=5), FeedbackConfig(mode="optimal"),
+                          n_traj=20)
+
+
+@pytest.mark.parametrize("fb", [
+    FeedbackConfig(mode="optimal"),
+    FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0),
+    FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=5),
+], ids=["optimal", "pll-delay0", "pll-delay5"])
+def test_streamed_pearson_r_matches_the_two_pass_reference(fb):
+    """Criterion 7's three ensembles, r from the pair moments against r from
+    the recorded series."""
+    cfg = SimConfig(seed=23, tau=8.0, dt=0.02)
+    res = run_ensemble(cfg, fb, 400, record=("dwf", "dq"), lags=(0, 1, 5))
+    for lag in (0, 1, 5):
+        want = two_pass_pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=lag)
+        assert pooled_pearson_r(res, lag) == pytest.approx(want, rel=1e-12, abs=0.0), lag

@@ -32,7 +32,7 @@ GOLDEN = {
         ["ensemble", "--n-traj", "64", "--tau-us", "1", "--feedback", "pll",
          "--delay-ns", "100"],
         {
-            "summary.json": "aff35c8cb3d1212083d09ad229d242e5f860e2a92a1942a6d5634e27c76f70d0",
+            "summary.json": "c13e0309ccefb51541c17d12c651246396c5b2a20f9287f7e9bec2e19ee5fcc0",
             "timeseries.csv": "9aa81cf017159736c1e93a35fa05dac485b6c524600cc8bc43f2efdd12c03600",
             "trajectories.csv": "1222200cf2d00613cfef130c1e21e5db2901c3315872999a9f537eaf3bd6304d",
         },

@@ -58,3 +58,5 @@ def test_traced_pool_run_accounts_for_every_trajectory(tmp_path):
     metrics = json.loads(layers.read_text())
     assert metrics["trace.missing_traj"] == 0
     assert metrics["sme.streams"] == 2100
+    assert metrics["ensemble.series_mb"] == 0
+    assert metrics["stats.pearson_s"] > 0

@@ -85,7 +85,20 @@ def test_per_trajectory_results_do_not_depend_on_chunks_or_workers(
     n_traj, chunk_size, workers, scheme, fb
 ):
     sim = SimConfig(tau=0.1, seed=11, scheme=scheme, initial_state="thermal")
-    want = run_ensemble(sim, fb, n_traj, workers=1, chunk_size=CHUNK_SIZE)
-    got = run_ensemble(sim, fb, n_traj, workers=workers, chunk_size=chunk_size)
+    lags = (0, 1, 3, 6)  # five steps: lag 6 has no pairs
+    want = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=CHUNK_SIZE)
+    got = run_ensemble(sim, fb, n_traj, lags=lags, workers=workers, chunk_size=chunk_size)
     for name in PER_TRAJECTORY:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # The pair moments are chunk sums added in chunk order: bitwise equal at
+    # a fixed chunk size, and equal to rounding at any other.  Rounding is
+    # judged against each sum's Cauchy-Schwarz bound (of sum |a| by
+    # sqrt(count * sum a^2), of sum |ab| by sqrt(sum a^2 * sum b^2)), as the
+    # signed sums may cancel to near zero.
+    serial = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=chunk_size)
+    assert np.array_equal(got.pair_moments, serial.pair_moments)
+    count, _, _, saa, sbb, _ = want.pair_moments.T
+    bound = np.stack([count, np.sqrt(count * saa), np.sqrt(count * sbb), saa, sbb,
+                      np.sqrt(saa * sbb)], axis=1)
+    assert (np.abs(got.pair_moments - want.pair_moments) <= 1e-12 * bound).all()
+    assert count.tolist() == [n_traj * max(sim.n_steps - lag, 0) for lag in lags]

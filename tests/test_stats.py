@@ -17,12 +17,13 @@ from qtherm.stats import (
     efficacy_from_trajectories,
     jarzynski_average,
     jarzynski_from_transitions,
-    pearson_r,
     pooled_pearson_r,
     rabi_contrast,
     transition_probabilities,
     two_point_work_distribution,
 )
+from reference import pearson_r
+from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
 
 def test_accumulate_zero_length(paper_cfg):
@@ -204,10 +205,26 @@ def test_pooled_pearson_r_shapes():
     rng = np.random.default_rng(10)
     q = rng.normal(size=(20, 100))
     wf = -q + 0.3 * rng.normal(size=(20, 100))
-    r = pooled_pearson_r(wf, q)
+    r = two_pass_pooled_pearson_r(wf, q)
     assert r < -0.9
     with pytest.raises(ValueError):
-        pooled_pearson_r(wf, q[:, :-1])
+        two_pass_pooled_pearson_r(wf, q[:, :-1])
+
+
+def test_streamed_pearson_r_is_undefined_without_variance_or_pairs(paper_cfg):
+    cfg = paper_cfg(tau=0.1)  # five steps
+    # At gain 0 the phase-locked loop does no work: dWF is zero at every step.
+    fb = FeedbackConfig(mode="phase_locked", gain=0.0, delay_steps=2)
+    res = run_ensemble(cfg, fb, 20, lags=(0, 4, 5, 9))
+    assert res.lags == (0, 4, 5, 9)
+    assert res.pair_moments[:, 0].tolist() == [100, 20, 0, 0]  # aligned pairs
+    for lag in res.lags:
+        with pytest.raises(ZeroVarianceError):
+            pooled_pearson_r(res, lag)
+    with pytest.raises(ValueError, match="lag 1"):
+        pooled_pearson_r(res, 1)  # not accumulated
+    with pytest.raises(ValueError):
+        run_ensemble(cfg, fb, 2, lags=(-1,))
 
 
 def test_binned_first_law_check_synthetic():
