@@ -39,7 +39,7 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
     """Raise ValueError naming the first field of ``obj`` that is NaN or infinite."""
     for name in names:
         value = getattr(obj, name)
-        if value is not None and not math.isfinite(value):
+        if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -138,7 +138,8 @@ class FeedbackConfig:
         convention; the loop-analysis optimum is ``sqrt(eta)/dt`` (about 29.6
         at eta = 0.35, dt = 20 ns, empirically 34).
     offset : float
-        Reference offset B (dimensionless, -1 in the derived law).
+        Reference offset B (dimensionless, -1 in the derived law).  Gain and
+        offset may also be (G, 1) columns: a grid of G loops run as lanes.
     delay_steps : int
         Loop delay in integration steps (dt units); the drive computed at
         step i is applied at step i + delay_steps.

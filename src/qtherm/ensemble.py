@@ -5,7 +5,9 @@ cut at the same fixed chunk size, so the result is bit-identical no matter how
 many workers execute the chunks.  Each chunk is one ``sme.run_batch`` call and
 returns an :class:`EnsembleResult` (defined in ``sme``, re-exported here);
 ``_merge`` adds their per-step sums and pair moments in chunk order and
-concatenates their per-trajectory arrays and series.
+concatenates their per-trajectory arrays and series along the trajectory
+axis, which is the last axis (the one before the step axis for series), so
+that a leading grid axis (see ``sme.run_batch``) merges the same way.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _merge(
         if f.metadata.get("merge") == "sum":
             merged[f.name] = sum(parts, np.zeros_like(parts[0]))
         elif f.name == "series":
-            merged[f.name] = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+            merged[f.name] = {k: np.concatenate([p[k] for p in parts], axis=-2) for k in parts[0]}
         else:
-            merged[f.name] = np.concatenate(parts)
+            merged[f.name] = np.concatenate(parts, axis=-1)
     return EnsembleResult(sim=sim, fb=fb, n_traj=n_traj, lags=batches[0].lags, **merged)

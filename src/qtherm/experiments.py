@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FeedbackConfig, SimConfig
-from .ensemble import EnsembleResult, run_ensemble
+from .ensemble import CHUNK_SIZE, EnsembleResult, run_ensemble
 from .stats import (
     EfficacyResult,
     contrast_window,
@@ -15,6 +15,10 @@ from .stats import (
     jarzynski_from_transitions,
     rabi_contrast,
 )
+
+#: Most lanes (grid points x trajectories of one chunk) a sweep integrates in
+#: one batch; more lanes per step save interpreter overhead but cost memory.
+SWEEP_LANES = 8192
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,14 @@ def sweep_gain_offset(
 ) -> SweepResult:
     """Phase-locked-feedback contrast for each (gain, offset) pair.
 
-    Every grid point runs its own ensemble (same seed: paired comparisons)
-    and is scored by the steady-state Rabi contrast of P00(t) over
-    ``window`` (default: from 2 us to the end of the protocol).  A window too
-    short for the contrast fit, or an ``fb`` that is not phase-locked, is
-    rejected before any ensemble runs.
+    Grid points run as lanes, in blocks of at most ``SWEEP_LANES`` lanes:
+    each block is one ensemble that builds the n_traj noise streams once,
+    and every grid point sees the same paths (paired comparisons), bit for
+    bit as its own ensemble would.  Each point is scored by the steady-state
+    Rabi contrast of P00(t) over ``window`` (default: from 2 us to the end
+    of the protocol).  A non-finite grid value, a window too short for the
+    contrast fit, or an ``fb`` that is not phase-locked, is rejected before
+    any ensemble runs.
     """
     fb = FeedbackConfig(mode="phase_locked") if fb is None else fb
     if fb.mode != "phase_locked":
@@ -59,18 +66,22 @@ def sweep_gain_offset(
     offsets = np.asarray(list(offsets), dtype=float)
     if gains.size == 0 or offsets.size == 0:
         raise ValueError("gain and offset ranges must be non-empty")
+    if not (np.isfinite(gains).all() and np.isfinite(offsets).all()):
+        raise ValueError("gain and offset grids must be finite")
     if window is None:
         window = (2.0, sim.tau)
     contrast_window(sim.dt * np.arange(sim.n_steps + 1), sim.omega_r, window)
 
-    contrast = np.empty((gains.size, offsets.size))
-    for i, a in enumerate(gains):
-        for j, b in enumerate(offsets):
-            fb_ij = fb.with_(gain=float(a), offset=float(b))
-            res = run_ensemble(sim, fb_ij, n_traj, workers=workers)
-            contrast[i, j] = rabi_contrast(
-                res.times, res.p00_mean, sim.omega_r, window=window
-            )
+    # Row-major (gain, offset) pairs, cut into near-equal blocks.
+    grid = np.stack(np.meshgrid(gains, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
+    per_block = max(1, SWEEP_LANES // int(np.clip(n_traj, 1, CHUNK_SIZE)))
+    contrast = []
+    for block in np.array_split(grid, -(-len(grid) // per_block)):
+        res = run_ensemble(sim, fb.with_(gain=block[:, :1], offset=block[:, 1:]), n_traj,
+                           workers=workers)
+        contrast += [rabi_contrast(res.times, p00, sim.omega_r, window=window)
+                     for p00 in res.p00_mean]
+    contrast = np.reshape(contrast, (gains.size, offsets.size))
     best = np.unravel_index(np.argmax(contrast), contrast.shape)
     return SweepResult(
         gains=gains,

@@ -34,6 +34,9 @@ that :func:`run_batch` calls once per step on every lane of a batch.
 :func:`run_batch` returns an :class:`EnsembleResult`, the one result type of
 a batch and of a merged ensemble: per-step sums (the means derive from them),
 per-trajectory ledger totals, (dWF, dQ) pair moments and recorded series.
+Phase-locked gain and offset given as (G, 1) columns add a leading grid
+axis: the lanes are (G, n_traj), every grid point integrates the same n_traj
+noise paths, and every per-step sum and per-lane array gains that axis.
 
 The Euler update can leave the unit disk by O(dt); when it does, the Bloch
 vector is rescaled to unit length (states never become unphysical, and the
@@ -278,7 +281,8 @@ _SUM = {"merge": "sum"}
 class EnsembleResult:
     """Work, feedback-work and heat ledgers of a batch or ensemble of trajectories.
 
-    ``run_batch`` returns one per batch and ``ensemble._merge`` combines them.
+    ``run_batch`` returns one per batch and ``ensemble._merge`` combines them:
+    sums add, per-trajectory arrays and series join along the trajectory axis.
     The five per-step sums are stored; the means derive from them.
     ``pair_moments`` row k pools the pairs (a, b) = (dWF[i + L], dQ[i]) at
     lag L = ``lags[k]`` over every lane and aligned step, as the sums
@@ -286,7 +290,9 @@ class EnsembleResult:
     Per-trajectory arrays are indexed by trajectory index (0..n_traj-1);
     `w`, `wf`, `q` are the integrated work/feedback-work/heat in the m=1
     (excited projector) convention, i.e. also the transition-probability
-    contributions P~W/P~F/P~Q for m=1; negate for m=0.
+    contributions P~W/P~F/P~Q for m=1; negate for m=0.  A grid run (see
+    ``run_batch``) gives every field but ``initial_labels`` a leading grid
+    axis; ``n_traj`` counts trajectories per grid point.
     """
 
     sim: SimConfig
@@ -322,7 +328,7 @@ class EnsembleResult:
     def p00_sem(self) -> np.ndarray:
         """Standard error of ``p00_mean``."""
         if self.n_traj < 2:
-            return np.zeros(self.sim.n_steps + 1)
+            return np.zeros_like(self.p00_sum)
         n = float(self.n_traj)
         var = np.maximum(self.p00_sqsum - n * self.p00_mean * self.p00_mean, 0.0) / (n - 1.0)
         return np.sqrt(var / n)
@@ -364,6 +370,11 @@ def run_batch(
     step loop pools the moments of the pairs (dWF[i + L], dQ[i]) into
     ``pair_moments``, keeping only the last L dQ arrays; a lag of n_steps or
     more has no pairs.  Without lags the loop does no extra work.
+
+    ``fb.gain`` and ``fb.offset`` may be (G, 1) columns of a grid: the lanes
+    are then (G, n) with each trajectory's noise shared along the grid axis,
+    and every reduction runs along the last axis, so grid point g gets the
+    bytes a run with its scalar gain and offset gives.
     """
     record = frozenset(record)
     unknown = record.difference(SERIES)
@@ -376,6 +387,8 @@ def run_batch(
     if any(lag < 0 or lag != int(lag) for lag in lags):
         raise ValueError(f"lags must be non-negative integers, got {lags}")
     n = len(rngs)
+    # (G, 1) gain/offset columns give the lanes a leading grid axis: (G, n).
+    lanes = np.broadcast_shapes(np.shape(fb.gain), np.shape(fb.offset), (n,))
     steps = cfg.n_steps
     dt = cfg.dt
     omega_r = cfg.omega_r
@@ -392,33 +405,31 @@ def run_batch(
             labels[k] = 1 if rng.random() < p_exc_thermal else 0
         noise[:, k] = rng.normal(0.0, sqrt_dt, steps)
 
-    z = np.where(labels == 0, 1.0, -1.0)
-    x = np.zeros(n)
+    z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
+    x = np.zeros(lanes)
     phi0 = resolve_phi(cfg, labels)
 
-    p00_sum = np.zeros(steps + 1)
-    p00_sqsum = np.zeros(steps + 1)
-    dw_sum = np.zeros(steps)
-    dwf_sum = np.zeros(steps)
-    dq_sum = np.zeros(steps)
-    w_tot = np.zeros(n)
-    wf_tot = np.zeros(n)
-    q_tot = np.zeros(n)
+    grid = lanes[:-1]
+    p00_sum, p00_sqsum = np.zeros((2, *grid, steps + 1))
+    dw_sum, dwf_sum, dq_sum = np.zeros((3, *grid, steps))
+    w_tot, wf_tot, q_tot = np.zeros((3, *lanes))
 
     # Per lag and step, the lane sums of the pairs' moments; dQ waits in a line.
-    moments = np.zeros((len(lags), 6, steps))
+    moments = np.zeros((len(lags), 6, *grid, steps))
     dq_lines = [DelayLine(min(lag, steps)) for lag in lags]
+    for k, lag in enumerate(lags):
+        moments[k, 0, ..., lag:] = n  # pair count
 
-    state_series = {k: np.empty((n, steps + 1)) for k in STATE_SERIES if k in record}
-    step_series = {k: np.empty((n, steps)) for k in STEP_SERIES if k in record}
+    state_series = {k: np.empty((*lanes, steps + 1)) for k in STATE_SERIES if k in record}
+    step_series = {k: np.empty((*lanes, steps)) for k in STEP_SERIES if k in record}
 
     def snapshot(i: int) -> None:
         p00 = 0.5 * (1.0 + z)
-        p00_sum[i] += p00.sum()
-        p00_sqsum[i] += (p00 * p00).sum()
+        p00_sum[..., i] = p00.sum(axis=-1)
+        p00_sqsum[..., i] = (p00 * p00).sum(axis=-1)
         now = {"p00": p00, "x": x, "z": z}
         for name, arr in state_series.items():
-            arr[:, i] = now[name]
+            arr[..., i] = now[name]
 
     snapshot(0)
     pe_init = 0.5 * (1.0 - z)
@@ -459,17 +470,18 @@ def run_batch(
         w_tot += dw
         wf_tot += dwf
         q_tot += dq
-        dw_sum[i] = dw.sum()
-        dwf_sum[i] = dwf.sum()
-        dq_sum[i] = dq.sum()
+        dw_sum[..., i] = dw.sum(axis=-1)
+        dwf_sum[..., i] = dwf.sum(axis=-1)
+        dq_sum[..., i] = dq.sum(axis=-1)
         for k, lag in enumerate(lags):
             dq_then = dq_lines[k].push(dq)  # dQ[i - lag]
             if i >= lag:
-                moments[k, :, i] = (n, dwf_sum[i], dq_then.sum(), dwf @ dwf,
-                                    dq_then @ dq_then, dwf @ dq_then)
+                moments[k, 1:, ..., i] = (dwf_sum[..., i], dq_then.sum(axis=-1),
+                                          np.vecdot(dwf, dwf), np.vecdot(dq_then, dq_then),
+                                          np.vecdot(dwf, dq_then))
         now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
         for name, arr in step_series.items():
-            arr[:, i] = now[name]
+            arr[..., i] = now[name]
         snapshot(i + 1)
 
     pe_final = 0.5 * (1.0 - z)
@@ -488,7 +500,7 @@ def run_batch(
         dw_sum=dw_sum,
         dwf_sum=dwf_sum,
         dq_sum=dq_sum,
-        pair_moments=moments.sum(axis=2),
+        pair_moments=np.moveaxis(moments.sum(axis=-1), (0, 1), (-2, -1)),
         initial_labels=labels,
         w=w_tot,
         wf=wf_tot,

@@ -3,12 +3,14 @@
 ``pearson_r`` and ``pooled_pearson_r`` are the two-pass Pearson estimators
 over recorded (n_traj, n_steps) series.  The package derives the pooled r
 from one-pass pair moments instead (``qtherm.stats.pooled_pearson_r``);
-these check it.
+these check it.  ``per_point_sweep_contrast`` runs the gain/offset sweep one
+ensemble per grid point; the package runs grid points as batch lanes.
 """
 
 import numpy as np
 
-from qtherm.stats import ZeroVarianceError
+from qtherm.ensemble import run_ensemble
+from qtherm.stats import ZeroVarianceError, rabi_contrast
 
 
 def pearson_r(a: np.ndarray, b: np.ndarray, lag: int = 0) -> float:
@@ -49,3 +51,23 @@ def pooled_pearson_r(
         wf = wf[:, lag:]
         q = q[:, : q.shape[1] - lag]
     return pearson_r(wf.ravel(), q.ravel())
+
+
+def per_point_sweep_contrast(gains, offsets, sim, fb, n_traj, *, window=None, workers=1):
+    """Contrast grid of the gain/offset sweep with one ensemble per grid point.
+
+    This is the sweep loop as it was before grid points ran as lanes of one
+    batch; ``qtherm.experiments.sweep_gain_offset`` must reproduce it bit for
+    bit.
+    """
+    if window is None:
+        window = (2.0, sim.tau)
+    contrast = np.empty((len(gains), len(offsets)))
+    for i, a in enumerate(gains):
+        for j, b in enumerate(offsets):
+            fb_ij = fb.with_(gain=float(a), offset=float(b))
+            res = run_ensemble(sim, fb_ij, n_traj, workers=workers)
+            contrast[i, j] = rabi_contrast(
+                res.times, res.p00_mean, sim.omega_r, window=window
+            )
+    return contrast

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qtherm.experiments
 from qtherm import cli
 from qtherm.cli import main
 from qtherm.config import FeedbackConfig, SimConfig
@@ -392,6 +393,25 @@ def test_sweep_checks_its_window_before_integrating(tmp_path, capsys, monkeypatc
     assert main(["sweep", "--tau-us", "1", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", [["--gain-grid", "20,nan"], ["--offset-grid=-1,inf"]],
+                         ids=["nan-gain", "inf-offset"])
+def test_sweep_rejects_a_non_finite_grid_before_integrating(grid, tmp_path, capsys,
+                                                            monkeypatch):
+    calls = []
+    ensemble = qtherm.experiments.run_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(qtherm.experiments, "run_ensemble", counting)
+    argv = ["sweep", "--tau-us", "5", "--n-traj", "8", *grid, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
 
 
 def test_jarzynski_integrates_the_configured_scheme(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import qtherm.experiments
 from qtherm.config import FeedbackConfig, SimConfig
-from qtherm.ensemble import run_ensemble
+from qtherm.ensemble import CHUNK_SIZE, run_ensemble
 from qtherm.experiments import sweep_gain_offset
 from qtherm.stats import pooled_pearson_r, rabi_contrast
+from reference import per_point_sweep_contrast
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
 
@@ -80,6 +82,51 @@ def test_sweep_rejects_a_mode_other_than_phase_locked():
     with pytest.raises(ValueError, match="phase-locked"):
         sweep_gain_offset([30], [-1], SimConfig(tau=5), FeedbackConfig(mode="optimal"),
                           n_traj=20)
+
+
+def test_grid_lanes_reproduce_the_per_point_sweep(monkeypatch):
+    """Two chunks per grid point and a grid that is no multiple of the block:
+    the lane contrasts equal one ensemble per point, on one worker or two."""
+    n_traj = CHUNK_SIZE + 52
+    gains, offsets = [20.0, 30.0, 40.0, 45.0, 50.0], [-1.0]
+    monkeypatch.setattr(qtherm.experiments, "SWEEP_LANES", 4 * CHUNK_SIZE)
+    blocks = []
+    run_block = qtherm.experiments.run_ensemble
+    monkeypatch.setattr(qtherm.experiments, "run_ensemble",
+                        lambda sim, fb, *a, **kw: blocks.append(len(fb.gain))
+                        or run_block(sim, fb, *a, **kw))
+    sim = SimConfig(seed=5, tau=3.0)
+    fb = FeedbackConfig(mode="phase_locked", delay_steps=5)
+    want = per_point_sweep_contrast(gains, offsets, sim, fb, n_traj, window=(0.0, 3.0))
+    for workers in (1, 2):
+        got = sweep_gain_offset(gains, offsets, sim, fb, n_traj, window=(0.0, 3.0),
+                                workers=workers)
+        assert np.array_equal(got.contrast, want), workers
+    assert blocks == [3, 2, 3, 2]
+
+
+def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
+    """Zero-delay feedback, thermal preparation and the Kraus step, in blocks of
+    two points: every field of each grid point equals its own ensemble."""
+    monkeypatch.setattr(qtherm.experiments, "SWEEP_LANES", 100)
+    sim = SimConfig(seed=6, tau=3.0, scheme="kraus", initial_state="thermal", beta=1.0)
+    fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
+    gains, offsets = [25.0, 35.0, 45.0], [-1.25, -0.75]
+    want = per_point_sweep_contrast(gains, offsets, sim, fb, 50, window=(0.0, 3.0))
+    got = sweep_gain_offset(gains, offsets, sim, fb, 50, window=(0.0, 3.0))
+    assert np.array_equal(got.contrast, want)
+
+    grid = fb.with_(gain=np.array([[25.0], [45.0]]), offset=np.array([[-1.25], [-0.75]]))
+    lanes = run_ensemble(sim, grid, 50, record=("p00", "dq"), lags=(0, 2), chunk_size=16)
+    for g, (a, b) in enumerate([(25.0, -1.25), (45.0, -0.75)]):
+        one = run_ensemble(sim, fb.with_(gain=a, offset=b), 50, record=("p00", "dq"),
+                           lags=(0, 2), chunk_size=16)
+        for name in ("p00_sum", "p00_sqsum", "dw_sum", "dwf_sum", "dq_sum", "pair_moments",
+                     "w", "wf", "q", "final_x", "final_z", "residuals", "outcomes"):
+            assert np.array_equal(getattr(lanes, name)[g], getattr(one, name)), name
+        for name in ("p00", "dq"):
+            assert np.array_equal(lanes.series[name][g], one.series[name]), name
+        assert np.array_equal(lanes.initial_labels, one.initial_labels)
 
 
 @pytest.mark.parametrize("fb", [

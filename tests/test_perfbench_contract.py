@@ -3,8 +3,9 @@
 ``perfbench/probe.py`` stubs the engine entry points ``qtherm.cli`` calls and
 ``perfbench/layer_trace.py`` patches module attributes by name, so renaming
 one of those names, or a flag a workload passes, breaks the benchmark.  These
-tests run the probe on each workload's exact command line, and one traced
-command that uses the process pool, so such a change fails here first.
+tests run the probe on each workload's exact command line, one traced
+command that uses the process pool and one traced sweep, so such a change
+fails here first.
 """
 
 import importlib.util
@@ -15,6 +16,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qtherm.ensemble import CHUNK_SIZE
+from qtherm.experiments import SWEEP_LANES
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -60,3 +64,16 @@ def test_traced_pool_run_accounts_for_every_trajectory(tmp_path):
     assert metrics["sme.streams"] == 2100
     assert metrics["ensemble.series_mb"] == 0
     assert metrics["stats.pearson_s"] > 0
+
+
+def test_traced_sweep_builds_each_noise_stream_once_per_block(tmp_path):
+    n_traj, points = 300, 7 * 5  # the default gain and offset grids
+    blocks = -(-points // (SWEEP_LANES // min(n_traj, CHUNK_SIZE)))
+    layers = tmp_path / "layers.json"
+    done = probe("trace", str(layers), "sweep", "--n-traj", str(n_traj), "--tau-us", "5",
+                 "--feedback", "pll", "--delay-ns", "100", "--out-dir", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(layers.read_text())
+    assert metrics["trace.missing_traj"] == 0
+    assert metrics["sme.streams"] == n_traj * blocks < points * n_traj
+    assert metrics["experiments.ensembles"] == blocks
