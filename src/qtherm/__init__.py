@@ -34,13 +34,10 @@ from .sme import (
 from .stats import (
     EfficacyResult,
     TransitionLedger,
-    WorkDistribution,
     accumulate,
     efficacy_from_trajectories,
-    jarzynski_average,
     rabi_contrast,
     transition_probabilities,
-    two_point_work_distribution,
 )
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 
@@ -59,7 +56,6 @@ __all__ = [
     "SimConfig",
     "TrajectoryRecord",
     "TransitionLedger",
-    "WorkDistribution",
     "accumulate",
     "closed_rabi_probabilities",
     "closed_two_point_sample",
@@ -68,7 +64,6 @@ __all__ = [
     "excited_population",
     "ground_population",
     "ito_step",
-    "jarzynski_average",
     "lindblad_evolve",
     "phase",
     "purity",
@@ -81,6 +76,5 @@ __all__ = [
     "split_step",
     "sweep_gain_offset",
     "transition_probabilities",
-    "two_point_work_distribution",
     "__version__",
 ]

@@ -110,7 +110,6 @@ def run_efficacy_protocol(
     fb: FeedbackConfig,
     n_traj: int = 500,
     *,
-    n_boot: int = 1000,
     workers: int = 1,
 ) -> EfficacyProtocol:
     """Simulate both preparations and estimate gamma_q(t) along both routes.
@@ -119,8 +118,11 @@ def run_efficacy_protocol(
     coefficients C00/C11); the work-distribution route uses per-time sampled
     projective outcomes, statistically emulating separate experiments of every
     duration.  N = 500 trajectories per preparation reproduces the paper's
-    protocol.
+    protocol; fewer than two give no error bar and are rejected before any
+    ensemble runs.
     """
+    if n_traj < 2:
+        raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
     ground = run_ensemble(
         sim.with_(initial_state=0), fb, n_traj, record=("p00",), workers=workers
     )
@@ -133,12 +135,7 @@ def run_efficacy_protocol(
     )
     p00_g = ground.series["p00"]
     p00_e = excited.series["p00"]
-    boot_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=sim.seed, spawn_key=(0xB007,))
-    )
-    traj_route = efficacy_from_trajectories(
-        p00_g, p00_e, sim.beta, times=ground.times, n_boot=n_boot, rng=boot_rng
-    )
+    traj_route = efficacy_from_trajectories(p00_g, p00_e, sim.beta, times=ground.times)
 
     # Independent projective outcomes at every time, one Bernoulli draw per
     # (trajectory, time re-run); this is what an experiment of that duration

@@ -107,51 +107,8 @@ def transition_probabilities(
 
 
 @dataclass(frozen=True)
-class WorkDistribution:
-    """Three-point work distribution of the two-point protocol (hbar*omega_q)."""
-
-    support: np.ndarray
-    probabilities: np.ndarray
-    beta: float
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
-        if (p < -1e-12).any():
-            raise ValueError("work probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"work probabilities must sum to 1, got {p.sum()!r}")
-
-
-def two_point_work_distribution(beta: float, transitions) -> WorkDistribution:
-    """Work distribution from a transition matrix ``T[n][m] = P(m | n)``.
-
-    Initial states are Gibbs-weighted at ``beta``; W = E_m - E_n takes values
-    {-1, 0, +1}.  Rows of ``transitions`` must each sum to 1.
-    """
-    t = np.asarray(transitions, dtype=float)
-    if t.shape != (2, 2):
-        raise ValueError("transitions must be a 2x2 matrix T[n][m]")
-    if (t < -1e-12).any() or np.abs(t.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("transition matrix must be row-stochastic")
-    p_g, p_e = gibbs_weights(beta)
-    p_up = p_g * t[0, 1]     # ground -> excited, W = +1
-    p_down = p_e * t[1, 0]   # excited -> ground, W = -1
-    p_zero = p_g * t[0, 0] + p_e * t[1, 1]
-    return WorkDistribution(
-        support=np.array([-1.0, 0.0, 1.0]),
-        probabilities=np.array([p_down, p_zero, p_up]),
-        beta=beta,
-    )
-
-
-def jarzynski_average(wd: WorkDistribution) -> float:
-    """<e^{-beta W}>; equals e^{-beta DeltaF} * gamma_q (here DeltaF = 0)."""
-    return float(np.sum(wd.probabilities * np.exp(-wd.beta * wd.support)))
-
-
-@dataclass(frozen=True)
 class EfficacyResult:
-    """Efficacy gamma_q(t) with bootstrap errors and the map coefficients."""
+    """Efficacy gamma_q(t), its standard error and the map coefficients."""
 
     times: np.ndarray
     gamma_q: np.ndarray
@@ -165,28 +122,20 @@ class EfficacyResult:
         return float(np.mean((self.gamma_q[mask] - 1.0) ** 2))
 
 
-def _efficacy_curve(c00: np.ndarray, beta: float) -> np.ndarray:
-    # C11 = 2 - C00 exactly (populations sum to one trajectory by trajectory).
-    z = 2.0 * math.cosh(0.5 * beta)
-    return (math.exp(0.5 * beta) * c00 + math.exp(-0.5 * beta) * (2.0 - c00)) / z
-
-
 def efficacy_from_trajectories(
     p00_ground: np.ndarray,
     p00_excited: np.ndarray,
     beta: float,
     times: np.ndarray | None = None,
-    *,
-    n_boot: int = 1000,
-    rng: np.random.Generator | None = None,
 ) -> EfficacyResult:
     """Trajectory-route efficacy from the two preparation ensembles.
 
     ``p00_ground`` / ``p00_excited`` are (n_traj, n_times) ground-population
     series of ensembles prepared in the ground / excited state with otherwise
-    identical configuration.  Standard errors come from a trajectory bootstrap
-    (the estimator is a linear map of ensemble means, but bootstrap keeps the
-    error honest for derived quantities too).
+    identical configuration; each needs at least two trajectories.  gamma_q
+    is linear in C00 = mean_g + mean_e with slope tanh(beta/2), so its
+    standard error is tanh(beta/2) * sqrt(s_g^2/n_g + s_e^2/n_e), from the
+    sample variances (ddof 1) of the two independent ensembles.
     """
     g = np.asarray(p00_ground, dtype=float)
     e = np.asarray(p00_excited, dtype=float)
@@ -194,6 +143,8 @@ def efficacy_from_trajectories(
         raise ValueError(
             "preparation ensembles must be (n_traj, n_times) on a common grid"
         )
+    if g.shape[0] < 2 or e.shape[0] < 2:
+        raise ValueError("each preparation needs at least two trajectories for an error bar")
     n_times = g.shape[1]
     if times is None:
         times = np.arange(n_times, dtype=float)
@@ -202,16 +153,14 @@ def efficacy_from_trajectories(
         raise ValueError("times length must match the series")
 
     c00 = g.mean(axis=0) + e.mean(axis=0)
-    gamma = _efficacy_curve(c00, beta)
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    boots = np.empty((n_boot, n_times))
-    for b in range(n_boot):
-        ig = rng.integers(0, g.shape[0], g.shape[0])
-        ie = rng.integers(0, e.shape[0], e.shape[0])
-        boots[b] = _efficacy_curve(g[ig].mean(axis=0) + e[ie].mean(axis=0), beta)
-    stderr = boots.std(axis=0, ddof=1)
+    # C11 = 2 - C00 exactly (populations sum to one trajectory by trajectory).
+    gamma = (math.exp(0.5 * beta) * c00 + math.exp(-0.5 * beta) * (2.0 - c00)) / (
+        2.0 * math.cosh(0.5 * beta)
+    )
+    k = abs(math.tanh(0.5 * beta))
+    stderr = k * np.sqrt(
+        g.var(axis=0, ddof=1) / g.shape[0] + e.var(axis=0, ddof=1) / e.shape[0]
+    )
 
     return EfficacyResult(
         times=times, gamma_q=gamma, stderr=stderr, c00=c00, c11=2.0 - c00

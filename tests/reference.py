@@ -5,12 +5,20 @@ over recorded (n_traj, n_steps) series.  The package derives the pooled r
 from one-pass pair moments instead (``qtherm.stats.pooled_pearson_r``);
 these check it.  ``per_point_sweep_contrast`` runs the gain/offset sweep one
 ensemble per grid point; the package runs grid points as batch lanes.
+``two_point_work_distribution`` and ``jarzynski_average`` build the explicit
+three-point work distribution and average e^{-beta W} over it; the package
+evaluates that average in closed form (``jarzynski_from_transitions``).
+``bootstrap_efficacy_stderr`` resamples trajectories for the efficacy error
+that the package gives in closed form.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from qtherm.bloch import gibbs_weights
 from qtherm.ensemble import run_ensemble
-from qtherm.stats import ZeroVarianceError, rabi_contrast
+from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_contrast
 
 
 def pearson_r(a: np.ndarray, b: np.ndarray, lag: int = 0) -> float:
@@ -71,3 +79,63 @@ def per_point_sweep_contrast(gains, offsets, sim, fb, n_traj, *, window=None, wo
                 res.times, res.p00_mean, sim.omega_r, window=window
             )
     return contrast
+
+
+@dataclass(frozen=True)
+class WorkDistribution:
+    """Three-point work distribution of the two-point protocol (hbar*omega_q)."""
+
+    support: np.ndarray
+    probabilities: np.ndarray
+    beta: float
+
+    def __post_init__(self) -> None:
+        p = np.asarray(self.probabilities, dtype=float)
+        if (p < -1e-12).any():
+            raise ValueError("work probabilities must be non-negative")
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError(f"work probabilities must sum to 1, got {p.sum()!r}")
+
+
+def two_point_work_distribution(beta: float, transitions) -> WorkDistribution:
+    """Work distribution from a transition matrix ``T[n][m] = P(m | n)``.
+
+    Initial states are Gibbs-weighted at ``beta``; W = E_m - E_n takes values
+    {-1, 0, +1}.  Rows of ``transitions`` must each sum to 1.
+    """
+    t = np.asarray(transitions, dtype=float)
+    if t.shape != (2, 2):
+        raise ValueError("transitions must be a 2x2 matrix T[n][m]")
+    if (t < -1e-12).any() or np.abs(t.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ValueError("transition matrix must be row-stochastic")
+    p_g, p_e = gibbs_weights(beta)
+    p_up = p_g * t[0, 1]     # ground -> excited, W = +1
+    p_down = p_e * t[1, 0]   # excited -> ground, W = -1
+    p_zero = p_g * t[0, 0] + p_e * t[1, 1]
+    return WorkDistribution(
+        support=np.array([-1.0, 0.0, 1.0]),
+        probabilities=np.array([p_down, p_zero, p_up]),
+        beta=beta,
+    )
+
+
+def jarzynski_average(wd: WorkDistribution) -> float:
+    """<e^{-beta W}>; equals e^{-beta DeltaF} * gamma_q (here DeltaF = 0)."""
+    return float(np.sum(wd.probabilities * np.exp(-wd.beta * wd.support)))
+
+
+def bootstrap_efficacy_stderr(g, e, beta, rng, n_boot=1000):
+    """Trajectory-bootstrap standard error of the trajectory-route gamma_q(t).
+
+    Resamples the rows of each preparation ensemble with replacement
+    ``n_boot`` times and takes the ddof-1 spread of the resampled curves, as
+    ``efficacy_from_trajectories`` did before its error became closed-form.
+    """
+    g = np.asarray(g, dtype=float)
+    e = np.asarray(e, dtype=float)
+    boots = np.empty((n_boot, g.shape[1]))
+    for b in range(n_boot):
+        ig = rng.integers(0, g.shape[0], g.shape[0])
+        ie = rng.integers(0, e.shape[0], e.shape[0])
+        boots[b] = efficacy_from_trajectories(g[ig], e[ie], beta).gamma_q
+    return boots.std(axis=0, ddof=1)

@@ -322,7 +322,7 @@ def test_criterion_09_generalized_jarzynski():
         cfg = SimConfig(
             seed=77, tau=1.0, dt=0.005, eta=eta, scheme="kraus", beta=3.5
         )
-        prot = run_efficacy_protocol(cfg, fb, n_traj=500, n_boot=500)
+        prot = run_efficacy_protocol(cfg, fb, n_traj=500)
         tr = prot.trajectory_route
         gamma0_exact &= tr.gamma_q[0] == 1.0 and prot.wd_route_gamma[0] == 1.0
         msd[eta] = tr.mean_sq_deviation(1.0)

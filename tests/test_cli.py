@@ -430,3 +430,18 @@ def test_jarzynski_integrates_the_configured_scheme(tmp_path, monkeypatch):
     assert schemes == ["ito-euler"]
     config = json.loads((tmp_path / "manifest.json").read_text())["config"]
     assert config["sim"]["scheme"] == "ito-euler"
+
+
+def test_jarzynski_rejects_a_single_trajectory_before_integrating(tmp_path, capsys,
+                                                                  monkeypatch):
+    # One trajectory per preparation has no sample variance, so no error bar.
+    def no_ensembles(*_args, **_kwargs):
+        pytest.fail("jarzynski integrated an ensemble it cannot give an error bar")
+
+    monkeypatch.setattr("qtherm.experiments.run_ensemble", no_ensembles)
+    argv = ["jarzynski", "--n-traj", "1", "--tau-us", "0.1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n_traj >= 2" in err
+    assert list(tmp_path.glob("*.csv")) == []

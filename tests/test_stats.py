@@ -10,19 +10,22 @@ from qtherm.experiments import run_efficacy_protocol
 from qtherm.sme import simulate_trajectory
 from qtherm.stats import (
     InsufficientSpanError,
-    WorkDistribution,
     ZeroVarianceError,
     accumulate,
     binned_first_law_check,
     efficacy_from_trajectories,
-    jarzynski_average,
     jarzynski_from_transitions,
     pooled_pearson_r,
     rabi_contrast,
     transition_probabilities,
+)
+from reference import (
+    WorkDistribution,
+    bootstrap_efficacy_stderr,
+    jarzynski_average,
+    pearson_r,
     two_point_work_distribution,
 )
-from reference import pearson_r
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
 
@@ -122,7 +125,7 @@ def test_efficacy_identity_map():
     p_g = 0.5 + 0.5 * np.cos(2 * math.pi * times)
     g = np.tile(p_g, (40, 1))
     e = 1.0 - g
-    res = efficacy_from_trajectories(g, e, beta=3.5, times=times, n_boot=50)
+    res = efficacy_from_trajectories(g, e, beta=3.5, times=times)
     assert np.allclose(res.gamma_q, 1.0, atol=1e-12)
     assert res.gamma_q[0] == 1.0
     assert np.allclose(res.c00 + res.c11, 2.0, atol=1e-12)
@@ -134,7 +137,7 @@ def test_efficacy_decayed_map_value():
     beta = 3.5
     g = np.ones((30, 5))
     e = np.ones((30, 5))
-    res = efficacy_from_trajectories(g, e, beta=beta, n_boot=50)
+    res = efficacy_from_trajectories(g, e, beta=beta)
     assert np.allclose(res.gamma_q, 1.0 + math.tanh(beta / 2.0), atol=1e-12)
 
 
@@ -143,6 +146,33 @@ def test_efficacy_shape_validation():
         efficacy_from_trajectories(np.ones((3, 4)), np.ones((3, 5)), 3.5)
     with pytest.raises(ValueError):
         efficacy_from_trajectories(np.ones(4), np.ones(4), 3.5)
+    with pytest.raises(ValueError, match="at least two trajectories"):
+        efficacy_from_trajectories(np.ones((1, 4)), np.ones((3, 4)), 3.5)
+
+
+def test_efficacy_stderr_closed_form_by_hand():
+    # beta = 2 ln 3 makes the slope tanh(beta/2) = 0.8.  Time 0 has no spread
+    # in either preparation; at time 1 the ground rows (0.2, 0.6) have sample
+    # variance 0.08 and the excited rows (0, 0, 1, 1) have 1/3.
+    g = np.array([[1.0, 0.2], [1.0, 0.6]])
+    e = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    res = efficacy_from_trajectories(g, e, beta=2.0 * math.log(3.0))
+    assert res.stderr[0] == 0.0
+    assert res.stderr[1] == pytest.approx(0.8 * math.sqrt(0.08 / 2 + (1 / 3) / 4), rel=1e-12)
+
+
+def test_closed_form_efficacy_error_matches_the_bootstrap():
+    # Both preparations start in their eigenstates (no spread at time 0),
+    # then spread by differing amounts at later times.
+    rng = np.random.default_rng(2017)
+    g = rng.random((300, 41)) ** np.linspace(0.5, 3.0, 41)
+    e = 1.0 - rng.random((250, 41)) ** np.linspace(3.0, 0.5, 41)
+    g[:, 0], e[:, 0] = 1.0, 0.0
+    closed = efficacy_from_trajectories(g, e, beta=3.5).stderr
+    boot = bootstrap_efficacy_stderr(g, e, beta=3.5, rng=np.random.default_rng(7))
+    assert closed[0] == 0.0
+    ratio = boot[1:] / closed[1:]
+    assert ((ratio >= 0.85) & (ratio <= 1.15)).all()
 
 
 def test_two_efficacy_routes_agree(paper_cfg):
@@ -151,7 +181,7 @@ def test_two_efficacy_routes_agree(paper_cfg):
     # 0.1 us checkpoints.
     cfg = paper_cfg(tau=1.0, dt=0.005, scheme="kraus", seed=19)
     fb = FeedbackConfig(mode="optimal")
-    prot = run_efficacy_protocol(cfg, fb, n_traj=300, n_boot=300)
+    prot = run_efficacy_protocol(cfg, fb, n_traj=300)
     comb = np.arange(20, cfg.n_steps + 1, 20)
     sem = np.hypot(prot.trajectory_route.stderr[comb], prot.wd_route_stderr[comb])
     diff = np.abs(prot.trajectory_route.gamma_q[comb] - prot.wd_route_gamma[comb])
@@ -166,6 +196,14 @@ def test_jarzynski_from_transitions_formula():
     assert gamma[0] == pytest.approx(1.0, abs=1e-12)
     assert gamma[1] == pytest.approx(1.0, abs=1e-12)  # symmetric transitions
     assert err[0] == 0.0 and err[1] > 0.0
+
+
+def test_jarzynski_from_transitions_equals_the_three_point_average():
+    for p00, p11, beta in [(1.0, 1.0, 3.5), (0.3, 0.9, 3.5), (0.05, 0.6, 0.7),
+                           (0.8, 0.1, 6.0)]:
+        wd = two_point_work_distribution(beta, [[p00, 1 - p00], [1 - p11, p11]])
+        gamma, _ = jarzynski_from_transitions(np.array([p00]), np.array([p11]), beta, 50, 50)
+        assert abs(gamma[0] - jarzynski_average(wd)) < 1e-12
 
 
 def test_rabi_contrast_closed_and_flat():
