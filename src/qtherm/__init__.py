@@ -9,32 +9,13 @@ unitary feedback, and aggregates the per-trajectory ledgers into first-law
 checks, work distributions and the generalized-Jarzynski efficacy.
 """
 
-from .bloch import (
-    EXCITED,
-    GROUND,
-    BlochState,
-    closed_rabi_probabilities,
-    excited_population,
-    ground_population,
-    phase,
-    purity,
-    rotate_y,
-)
+from .bloch import EXCITED, GROUND, BlochState, closed_rabi_probabilities
 from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
 from .ensemble import EnsembleResult, run_ensemble
 from .oracle import LindbladSolution, closed_two_point_sample, ensemble_vs_oracle, lindblad_evolve
-from .sme import (
-    NumericalBlowupError,
-    TrajectoryRecord,
-    ito_step,
-    rng_for_trajectory,
-    simulate_trajectory,
-    split_step,
-)
+from .sme import NumericalBlowupError, rng_for_trajectory, simulate_trajectory, split_step
 from .stats import (
     EfficacyResult,
-    TransitionLedger,
-    accumulate,
     efficacy_from_trajectories,
     rabi_contrast,
     transition_probabilities,
@@ -54,22 +35,13 @@ __all__ = [
     "NO_FEEDBACK",
     "NumericalBlowupError",
     "SimConfig",
-    "TrajectoryRecord",
-    "TransitionLedger",
-    "accumulate",
     "closed_rabi_probabilities",
     "closed_two_point_sample",
     "efficacy_from_trajectories",
     "ensemble_vs_oracle",
-    "excited_population",
-    "ground_population",
-    "ito_step",
     "lindblad_evolve",
-    "phase",
-    "purity",
     "rabi_contrast",
     "rng_for_trajectory",
-    "rotate_y",
     "run_efficacy_protocol",
     "run_ensemble",
     "simulate_trajectory",

@@ -13,10 +13,8 @@ everywhere in the package:
   conditional state in the x-z plane, so the density matrix is fully described
   by two real numbers: ``rho00 = (1+z)/2``, ``rho11 = (1-z)/2``,
   ``rho01 = x/2`` (real).
-* ``rotate_y(state, theta)`` uses the sign convention whose infinitesimal
-  limit is ``dz = theta*x``, ``dx = -theta*z``.  A drive of Bloch angular
-  rate ``omega`` therefore advances the oscillation phase ``atan2(-x, z)``
-  at rate ``+omega``; a global sign flip of x is an equivalent gauge.
+* The sign convention of a rotation in the x-z plane is stated where the
+  package's one rotation lives, ``sme._rotation_work``.
 
 Energies are reported in units of ``hbar*omega_q``: the eigenvalues are
 ``E0 = -1/2`` (ground) and ``E1 = +1/2`` (excited), so every energy change of
@@ -34,11 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-#: Tolerance on x^2 + z^2 <= 1 for a state to count as physical (the SME
-#: integrator renormalizes, so valid states never exceed the disk by more
-#: than rounding noise).
-NORM_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class BlochState:
@@ -55,51 +48,9 @@ class BlochState:
     x: float
     z: float
 
-    def is_valid(self, eps: float = NORM_EPS) -> bool:
-        """Whether the state lies within the unit disk (up to ``eps``)."""
-        return self.x * self.x + self.z * self.z <= 1.0 + eps
-
 
 GROUND = BlochState(0.0, 1.0)
 EXCITED = BlochState(0.0, -1.0)
-
-
-def ground_population(s: BlochState) -> float:
-    """rho00 = (1 + z) / 2, the probability of finding the ground state."""
-    return 0.5 * (1.0 + s.z)
-
-
-def excited_population(s: BlochState) -> float:
-    """rho11 = (1 - z) / 2, the probability of finding the excited state."""
-    return 0.5 * (1.0 - s.z)
-
-
-def purity(s: BlochState) -> float:
-    """tr(rho^2) = (1 + x^2 + z^2) / 2, in [1/2, 1]."""
-    return 0.5 * (1.0 + s.x * s.x + s.z * s.z)
-
-
-def phase(s: BlochState) -> float:
-    """Oscillation phase atan2(-x, z), advancing at +omega under a drive.
-
-    Closed evolution from the ground state sits at phase ``omega*t``; from the
-    excited state at ``omega*t + pi``.  Undefined (returns 0.0) only for the
-    maximally mixed state x = z = 0.
-    """
-    return math.atan2(-s.x, s.z)
-
-
-def rotate_y(s: BlochState, theta: float) -> BlochState:
-    """Exact rotation in the x-z plane by angle ``theta``.
-
-    ``z' = z cos(theta) + x sin(theta)``, ``x' = x cos(theta) - z sin(theta)``;
-    the infinitesimal limit is ``dz = theta*x``, ``dx = -theta*z``, i.e. the
-    unitary drive term of the Bloch-form stochastic master equation with
-    ``theta = omega*dt``.  Preserves x^2 + z^2 exactly (up to rounding).
-    """
-    c = math.cos(theta)
-    t = math.sin(theta)
-    return BlochState(x=s.x * c - s.z * t, z=s.z * c + s.x * t)
 
 
 class RabiTransitions(NamedTuple):
@@ -109,10 +60,6 @@ class RabiTransitions(NamedTuple):
     p11: float
     p10: float
     p01: float
-
-    def as_matrix(self):
-        """2x2 list ``T[n][m] = P(m | started in n)`` (rows sum to 1)."""
-        return [[self.p00, self.p10], [self.p01, self.p11]]
 
 
 def closed_rabi_probabilities(omega: float, t: float) -> RabiTransitions:

@@ -27,14 +27,7 @@ import numpy as np
 from .config import SCHEMES, FeedbackConfig, SimConfig, delay_steps_for
 from .ensemble import run_ensemble
 from .experiments import run_efficacy_protocol, sweep_gain_offset
-from .io import (
-    RunManifest,
-    config_snapshot,
-    write_csv,
-    write_json,
-    write_trajectory_csv,
-    write_trajectory_sidecar,
-)
+from .io import RunManifest, config_snapshot, write_csv, write_json
 from .oracle import ensemble_vs_oracle, lindblad_evolve
 from .sme import NumericalBlowupError, rng_for_trajectory, simulate_trajectory
 from .stats import (
@@ -262,24 +255,32 @@ def cmd_trajectory(args) -> int:
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    record = simulate_trajectory(sim, fb)
-    write_trajectory_csv(record, out / "trajectory.csv")
-    write_trajectory_sidecar(record, out / "trajectory_config.json")
+    res = simulate_trajectory(sim, fb)
+    # One row per step: time at step end, post-step state, step increments.
+    s = {name: arr[0] for name, arr in res.series.items()}
+    write_csv(out / "trajectory.csv", ("t", "x", "z", "dV", "dW", "dWF", "dQ", "dU"),
+              _columns(res.times[1:], s["x"][1:], s["z"][1:], s["dv"], s["dw"], s["dwf"],
+                       s["dq"], s["dw"] + s["dwf"] + s["dq"]))
+    sidecar = config_snapshot(res.sim, res.fb)
+    sidecar.update(initial_label=int(res.initial_labels[0]),
+                   final_outcome=int(res.outcomes[0]), manifest="manifest.json")
+    write_json(out / "trajectory_config.json", sidecar)
     _write_manifest(out, "trajectory", sim, fb,
                     ["trajectory.csv", "trajectory_config.json"], 1, started)
-    w, wf, q = record.work_heat_totals()
     print(
-        f"trajectory: {sim.n_steps} steps, W={w:+.4f} WF={wf:+.4f} Q={q:+.4f} "
-        f"residual={record.first_law_residual():.2e} -> {out}"
+        f"trajectory: {sim.n_steps} steps, W={res.w[0]:+.4f} WF={res.wf[0]:+.4f} "
+        f"Q={res.q[0]:+.4f} residual={res.residuals[0]:.2e} -> {out}"
     )
     return 0
 
 
 def cmd_ensemble(args) -> int:
     sim, fb, run = _assemble(args)
+    n = run.n_traj
+    if n < 2:
+        raise ConfigError(f"ensemble needs n_traj >= 2 for an error bar, got {n}")
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    n = run.n_traj
     # With feedback on, r(dWF, dQ) at lag 0 and at the loop delay.
     lags = sorted({0, fb.delay_steps}) if fb.mode != "none" else []
     started = time.perf_counter()
@@ -411,13 +412,13 @@ def cmd_verify(args) -> int:
 
     # Unitary limit: gamma = 0 reproduces the closed transition probabilities.
     closed_cfg = sim.with_(gamma=0.0, eta=0.0, tau=sim.dt * 400)
-    rec = simulate_trajectory(closed_cfg)
+    rec = simulate_trajectory(closed_cfg).series
     want = closed_rabi_probabilities(closed_cfg.omega_r / 2.0, closed_cfg.tau).p00
-    got = 0.5 * (1.0 + rec.z[-1])
+    got = 0.5 * (1.0 + rec["z"][0, -1])
     err = abs(got - want)
     # Renormalization touches the rotation's 1-ulp overshoot of the unit
     # circle, so Q is zero only to accumulated rounding.
-    q_tot = abs(float(rec.dq.sum()))
+    q_tot = abs(float(rec["dq"][0].sum()))
     check(
         "unitary-limit",
         err < 1e-6 and q_tot < 1e-12,
@@ -440,15 +441,15 @@ def cmd_verify(args) -> int:
           max_z=(zmax, 0.0, 5.0))
 
     # Purity at eta = 1 with the measurement-operator scheme.
-    rec = simulate_trajectory(sim.with_(eta=1.0, tau=sim.dt * 1000, scheme="kraus"))
-    perr = float(np.abs(0.5 * (1.0 + rec.x**2 + rec.z**2) - 1.0).max())
+    rec = simulate_trajectory(sim.with_(eta=1.0, tau=sim.dt * 1000, scheme="kraus")).series
+    perr = float(np.abs(0.5 * (1.0 + rec["x"][0]**2 + rec["z"][0]**2) - 1.0).max())
     check("purity-eta1", perr < 1e-6, f"max |purity - 1| = {perr:.1e} (< 1e-6)",
           max_purity_error=(perr, 0.0, 1e-6))
 
     # Determinism: bit-identical reruns and worker invariance.
-    r1 = simulate_trajectory(sim.with_(tau=2.0))
-    r2 = simulate_trajectory(sim.with_(tau=2.0))
-    rerun_diff = max(np.abs(r1.z - r2.z).max(), np.abs(r1.dv - r2.dv).max())
+    r1 = simulate_trajectory(sim.with_(tau=2.0)).series
+    r2 = simulate_trajectory(sim.with_(tau=2.0)).series
+    rerun_diff = max(np.abs(r1[k][0] - r2[k][0]).max() for k in ("z", "dv"))
     e1 = run_ensemble(sim.with_(tau=1.0), n_traj=300, workers=1, chunk_size=128)
     e2 = run_ensemble(sim.with_(tau=1.0), n_traj=300, workers=3, chunk_size=128)
     workers_diff = max(np.abs(e1.p00_mean - e2.p00_mean).max(), np.abs(e1.w - e2.w).max())

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .config import FeedbackConfig, SimConfig
-from .sme import TrajectoryRecord
 
 MANIFEST_NAME = "manifest.json"
 
@@ -106,29 +105,3 @@ def _fmt(v):
 
 def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_trajectory_csv(record: TrajectoryRecord, path: Path) -> None:
-    """One row per step: time at step end, post-step state, step increments."""
-    rows = (
-        (
-            float(record.times[i + 1]),
-            float(record.x[i + 1]),
-            float(record.z[i + 1]),
-            float(record.dv[i]),
-            float(record.dw[i]),
-            float(record.dwf[i]),
-            float(record.dq[i]),
-            float(record.du[i]),
-        )
-        for i in range(record.n_steps)
-    )
-    write_csv(path, ("t", "x", "z", "dV", "dW", "dWF", "dQ", "dU"), rows)
-
-
-def write_trajectory_sidecar(record: TrajectoryRecord, path: Path) -> None:
-    payload = config_snapshot(record.config, record.feedback)
-    payload["initial_label"] = record.initial_label
-    payload["final_outcome"] = record.final_outcome
-    payload["manifest"] = MANIFEST_NAME
-    write_json(path, payload)

@@ -66,7 +66,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bloch import BlochState, excited_population, gibbs_weights
+from .bloch import gibbs_weights
 from .config import NO_FEEDBACK, THERMAL, FeedbackConfig, SimConfig, resolve_phi
 from .feedback import DelayLine, _wrap_angle, optimal_drive, pll_drive
 
@@ -77,51 +77,6 @@ BLOWUP_LIMIT = 1.5
 
 class NumericalBlowupError(RuntimeError):
     """Ito-Euler update left the Bloch disk by more than BLOWUP_LIMIT."""
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Time series of one conditional trajectory.
-
-    State-like arrays (times, x, z) have n_steps + 1 entries including the
-    initial point; per-step arrays (dv, dx, dw, dwf, dq, du) have n_steps.
-    """
-
-    config: SimConfig
-    feedback: FeedbackConfig
-    initial_label: int
-    times: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    dv: np.ndarray
-    dx: np.ndarray
-    dw: np.ndarray
-    dwf: np.ndarray
-    dq: np.ndarray
-    du: np.ndarray
-    final_outcome: int
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.dv)
-
-    def state(self, i: int) -> BlochState:
-        return BlochState(x=float(self.x[i]), z=float(self.z[i]))
-
-    def work_heat_totals(self) -> tuple[float, float, float]:
-        """(W, WF, Q) integrated over the trajectory."""
-        return float(self.dw.sum()), float(self.dwf.sum()), float(self.dq.sum())
-
-    def delta_u_from_states(self) -> float:
-        """Path-independent energy change, from the end states alone."""
-        return excited_population(self.state(self.n_steps)) - excited_population(
-            self.state(0)
-        )
-
-    def first_law_residual(self) -> float:
-        """|Delta U (from states) - (W + WF + Q)|; ~1e-14 by construction."""
-        w, wf, q = self.work_heat_totals()
-        return abs(self.delta_u_from_states() - (w + wf + q))
 
 
 def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
@@ -177,40 +132,14 @@ def _dissipative_kraus(x, z, dv, gamma: float, eta: float, dt: float):
 _DISSIPATORS = {"ito-euler": _dissipative_euler, "kraus": _dissipative_kraus}
 
 
-def ito_step(s: BlochState, dv: float, omega_total: float, cfg: SimConfig) -> BlochState:
-    """One full (unsplit) Ito-Euler step with drive rate ``omega_total``.
-
-    This is the discretized SME exactly as written, drive and dissipative
-    terms in a single first-order update, followed by renormalization.  The
-    production integrator uses :func:`split_step` instead so that work and
-    heat can be told apart; the two agree to O(dt^2) per step.  Tests use it
-    as the independent reference for that kernel.
-    """
-    innovation = dv - cfg.gamma * math.sqrt(cfg.eta) * s.x * cfg.dt
-    sqrt_eta = math.sqrt(cfg.eta)
-    x, z = s.x, s.z
-    z2 = (
-        z
-        + omega_total * x * cfg.dt
-        + cfg.gamma * (1.0 - z) * cfg.dt
-        + sqrt_eta * x * (1.0 - z) * innovation
-    )
-    x2 = (
-        x
-        - omega_total * z * cfg.dt
-        - 0.5 * cfg.gamma * x * cfg.dt
-        + sqrt_eta * (1.0 - z - x * x) * innovation
-    )
-    if max(abs(x2), abs(z2)) > BLOWUP_LIMIT:
-        raise NumericalBlowupError(
-            "Bloch components exceeded |1.5| before renormalization; dt too coarse"
-        )
-    x3, z3 = _renormalize(np.float64(x2), np.float64(z2))
-    return BlochState(x=float(x3), z=float(z3))
-
-
 def _rotation_work(x, z, theta_d, theta_f):
-    """Unitary sub-step: rotated state plus the (dW, dWF) attribution."""
+    """Unitary sub-step: rotated state plus the (dW, dWF) attribution.
+
+    The rotation by ``theta = theta_d + theta_f`` has the infinitesimal limit
+    ``dz = theta*x``, ``dx = -theta*z``.  A drive of Bloch angular rate
+    ``omega`` therefore advances the oscillation phase ``atan2(-x, z)`` at
+    rate ``+omega``; a global sign flip of x is an equivalent gauge.
+    """
     theta = theta_d + theta_f
     ct = np.cos(theta)
     st = np.sin(theta)
@@ -517,27 +446,12 @@ def simulate_trajectory(
     cfg: SimConfig,
     feedback: FeedbackConfig | None = None,
     rng: np.random.Generator | None = None,
-) -> TrajectoryRecord:
-    """Simulate one trajectory, recording everything.
+) -> EnsembleResult:
+    """Simulate one trajectory: a one-lane batch that records every series.
 
     ``rng`` defaults to the stream of trajectory index 0 under ``cfg.seed``.
     """
     fb = NO_FEEDBACK if feedback is None else feedback
     if rng is None:
         rng = rng_for_trajectory(cfg.seed, 0)
-    batch = run_batch(cfg, fb, [rng], record=SERIES)
-    return TrajectoryRecord(
-        config=cfg,
-        feedback=fb,
-        initial_label=int(batch.initial_labels[0]),
-        times=batch.times,
-        x=batch.series["x"][0],
-        z=batch.series["z"][0],
-        dv=batch.series["dv"][0],
-        dx=batch.series["dx"][0],
-        dw=batch.series["dw"][0],
-        dwf=batch.series["dwf"][0],
-        dq=batch.series["dq"][0],
-        du=batch.series["dw"][0] + batch.series["dwf"][0] + batch.series["dq"][0],
-        final_outcome=int(batch.outcomes[0]),
-    )
+    return run_batch(cfg, fb, [rng], record=SERIES)

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import excited_population, gibbs_weights, ground_population
+from .bloch import gibbs_weights
 from .ensemble import EnsembleResult
-from .sme import TrajectoryRecord
 
 
 class InsufficientSpanError(ValueError):
@@ -45,44 +44,6 @@ class ZeroVarianceError(ValueError):
     """Pearson correlation of a constant series is undefined."""
 
 
-@dataclass(frozen=True)
-class TransitionLedger:
-    """Path-dependent decomposition of one transition probability."""
-
-    p_w: float
-    p_q: float
-    p_f: float
-    p_total: float
-    n: int
-    m: int
-
-    @property
-    def p_initial(self) -> float:
-        """P0_{m,n} = delta_{m,n} for eigenstate preparation."""
-        return 1.0 if self.m == self.n else 0.0
-
-    def decomposition_residual(self) -> float:
-        """|P_total - (delta_mn + P_W + P_Q + P_F)|; rounding-level by construction."""
-        return abs(self.p_total - (self.p_initial + self.p_w + self.p_q + self.p_f))
-
-
-def accumulate(record: TrajectoryRecord, m: int) -> TransitionLedger:
-    """Integrate a trajectory's ledger into the m-target transition split."""
-    if m not in (0, 1):
-        raise ValueError("target label m must be 0 or 1")
-    sign = 1.0 if m == 1 else -1.0
-    final = record.state(record.n_steps)
-    p_total = excited_population(final) if m == 1 else ground_population(final)
-    return TransitionLedger(
-        p_w=sign * float(record.dw.sum()),
-        p_q=sign * float(record.dq.sum()),
-        p_f=sign * float(record.dwf.sum()),
-        p_total=p_total,
-        n=record.initial_label,
-        m=m,
-    )
-
-
 def transition_probabilities(
     ensemble: EnsembleResult, m: int, n: int, *, sampled: bool = False
 ) -> tuple[float, float]:
@@ -90,20 +51,22 @@ def transition_probabilities(
 
     By default uses the state-derived expectations tr[Pi_m rho(tau)] (lower
     variance); with ``sampled=True`` uses the recorded projective outcomes
-    with a binomial error bar.
+    with a binomial error bar.  Either error bar needs at least two
+    trajectories prepared in n.
     """
+    if m not in (0, 1):
+        raise ValueError("target label m must be 0 or 1")
     mask = ensemble.initial_labels == n
-    if not mask.any():
-        raise ValueError(f"ensemble contains no trajectories prepared in n={n}")
+    count = int(mask.sum())
+    if count < 2:
+        raise ValueError(
+            f"an error bar needs at least two trajectories prepared in n={n}, got {count}"
+        )
     if sampled:
-        hits = (ensemble.outcomes[mask] == m).astype(float)
-        p = float(hits.mean())
-        count = hits.size
+        p = float((ensemble.outcomes[mask] == m).mean())
         return p, math.sqrt(max(p * (1.0 - p), 0.0) / count)
     vals = ensemble.final_p00[mask] if m == 0 else 1.0 - ensemble.final_p00[mask]
-    p = float(vals.mean())
-    sem = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return p, sem
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,60 @@ ensemble per grid point; the package runs grid points as batch lanes.
 three-point work distribution and average e^{-beta W} over it; the package
 evaluates that average in closed form (``jarzynski_from_transitions``).
 ``bootstrap_efficacy_stderr`` resamples trajectories for the efficacy error
-that the package gives in closed form.
+that the package gives in closed form.  ``ito_step`` is the discretized SME
+as one unsplit Ito-Euler update, the reference for ``qtherm.sme.split_step``.
+``rotate`` applies the package's own rotation to one ``BlochState``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qtherm.bloch import gibbs_weights
+from qtherm.bloch import BlochState, gibbs_weights
+from qtherm.config import SimConfig
 from qtherm.ensemble import run_ensemble
+from qtherm.sme import BLOWUP_LIMIT, NumericalBlowupError, _renormalize, _rotation_work
 from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_contrast
+
+
+def ito_step(s: BlochState, dv: float, omega_total: float, cfg: SimConfig) -> BlochState:
+    """One full (unsplit) Ito-Euler step with drive rate ``omega_total``.
+
+    This is the discretized SME exactly as written, drive and dissipative
+    terms in a single first-order update, followed by renormalization.  The
+    package integrates with ``split_step`` instead, so that work and heat can
+    be told apart.  The split step evaluates the noise term at the rotated
+    state, O(dt) away from the start, and the noise is O(sqrt(dt)), so one
+    split step and one unsplit step differ pathwise by O(dt^1.5).
+    """
+    innovation = dv - cfg.gamma * math.sqrt(cfg.eta) * s.x * cfg.dt
+    sqrt_eta = math.sqrt(cfg.eta)
+    x, z = s.x, s.z
+    z2 = (
+        z
+        + omega_total * x * cfg.dt
+        + cfg.gamma * (1.0 - z) * cfg.dt
+        + sqrt_eta * x * (1.0 - z) * innovation
+    )
+    x2 = (
+        x
+        - omega_total * z * cfg.dt
+        - 0.5 * cfg.gamma * x * cfg.dt
+        + sqrt_eta * (1.0 - z - x * x) * innovation
+    )
+    if max(abs(x2), abs(z2)) > BLOWUP_LIMIT:
+        raise NumericalBlowupError(
+            "Bloch components exceeded |1.5| before renormalization; dt too coarse"
+        )
+    x3, z3 = _renormalize(np.float64(x2), np.float64(z2))
+    return BlochState(x=float(x3), z=float(z3))
+
+
+def rotate(s: BlochState, theta: float) -> BlochState:
+    """The package's rotation by ``theta``, booked all to the drive."""
+    x, z, _, _ = _rotation_work(s.x, s.z, theta, 0.0)
+    return BlochState(float(x), float(z))
 
 
 def pearson_r(a: np.ndarray, b: np.ndarray, lag: int = 0) -> float:

@@ -248,7 +248,7 @@ def test_manifest_records_integrated_config(argv, want, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ensemble", "--n-traj", "0"],           # ValueError
+        ["ensemble", "--n-traj", "0"],           # no error bar below two
         ["sweep", "--tau-us", "1"],              # InsufficientSpanError
         ["ensemble", "--gamma-per-us", "500"],   # NumericalBlowupError
         ["ensemble", "--gamma-per-us", "nan"],   # non-finite config value
@@ -445,3 +445,19 @@ def test_jarzynski_rejects_a_single_trajectory_before_integrating(tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "n_traj >= 2" in err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_ensemble_rejects_a_single_trajectory_before_integrating(tmp_path, capsys,
+                                                                monkeypatch):
+    # One trajectory has no sample variance, so P00(tau) and p00_mean have no
+    # error bar.
+    def no_ensembles(*_args, **_kwargs):
+        pytest.fail("ensemble integrated a run it cannot give an error bar")
+
+    monkeypatch.setattr("qtherm.cli.run_ensemble", no_ensembles)
+    argv = ["ensemble", "--n-traj", "1", "--tau-us", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n_traj >= 2" in err
+    assert list(tmp_path.iterdir()) == []

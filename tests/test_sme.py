@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from qtherm.bloch import EXCITED, GROUND, BlochState, excited_population
+from qtherm.bloch import EXCITED, GROUND, BlochState
 from qtherm.config import FeedbackConfig, resolve_phi
 from qtherm.ensemble import run_ensemble
 from qtherm.feedback import pll_drive
 from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
+    SERIES,
     NumericalBlowupError,
     _renormalize,
     homodyne_increment,
-    ito_step,
     rng_for_trajectory,
     run_batch,
     simulate_trajectory,
     split_step,
 )
+from reference import ito_step
 
 
 def one(v):
@@ -106,6 +107,30 @@ def test_ito_step_blowup(paper_cfg):
         ito_step(EXCITED, 0.0, 0.0, cfg)
 
 
+def test_split_step_differs_from_the_unsplit_step_at_order_dt_1_5(paper_cfg):
+    # Rotating first moves the state O(dt) before the O(sqrt(dt)) noise term
+    # is evaluated, so one split step and one unsplit Ito-Euler step from the
+    # same state and noise differ pathwise by O(dt^1.5), a ratio of about
+    # 2.8 per halving of dt.
+    rng = np.random.default_rng(0)
+    n = 2000
+    r = 0.95 * np.sqrt(rng.uniform(size=n))
+    a = rng.uniform(0, 2 * math.pi, n)
+    x, z = r * np.sin(a), r * np.cos(a)
+    xi = rng.standard_normal(n)
+    dts = np.array([0.02, 0.01, 0.005, 0.0025, 0.00125])
+    rms = []
+    for dt in dts:
+        cfg = paper_cfg(dt=dt)
+        dv = homodyne_increment(x, math.sqrt(dt) * xi, cfg)
+        step = split_step(x, z, dv, cfg.omega_r, 0.0, cfg)
+        ref = [ito_step(BlochState(x[k], z[k]), dv[k], cfg.omega_r, cfg) for k in range(n)]
+        gap = np.hypot(step.x - [s.x for s in ref], step.z - [s.z for s in ref])
+        rms.append(math.sqrt(np.mean(gap**2)))
+    order = np.polyfit(np.log(dts), np.log(rms), 1)[0]
+    assert 1.3 <= order <= 1.7
+
+
 def test_renormalize():
     x, z = _renormalize(np.array([0.0, 0.3, 0.8]), np.array([1.0000001, 0.4, 0.8]))
     assert z[0] == 1.0 and x[0] == 0.0
@@ -121,7 +146,7 @@ def test_split_step_unitary_limit(paper_cfg):
     assert step.dq[0] == 0.0
     assert (step.dw + step.dwf + step.dq)[0] == step.dw[0]
     assert step.dwf[0] == 0.0
-    assert excited_population(BlochState(step.x[0], step.z[0])) > 0
+    assert 0.5 * (1.0 - step.z[0]) > 0  # excited population
 
 
 def test_split_step_pure_relaxation(paper_cfg):
@@ -168,45 +193,45 @@ def test_split_step_cancelling_drives(paper_cfg):
 
 def test_simulate_trajectory_zero_duration(paper_cfg):
     cfg = paper_cfg(tau=0.0)
-    rec = simulate_trajectory(cfg)
-    assert rec.n_steps == 0
-    assert rec.work_heat_totals() == (0.0, 0.0, 0.0)
-    assert rec.first_law_residual() == 0.0
+    res = simulate_trajectory(cfg)
+    assert res.series["dv"].shape == (1, 0)
+    assert (res.w[0], res.wf[0], res.q[0]) == (0.0, 0.0, 0.0)
+    assert res.residuals[0] == 0.0
 
 
 def test_simulate_trajectory_closed_pi_pulse(paper_cfg):
     # omega_r * tau = pi: full ground -> excited flip, deterministic.
     cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.5, seed=9)
-    rec = simulate_trajectory(cfg)
-    assert rec.final_outcome == 1
-    assert rec.z[-1] == pytest.approx(-1.0, abs=1e-12)
-    assert abs(rec.dq.sum()) < 1e-12
+    res = simulate_trajectory(cfg)
+    assert res.outcomes[0] == 1
+    assert res.series["z"][0, -1] == pytest.approx(-1.0, abs=1e-12)
+    assert abs(res.series["dq"][0].sum()) < 1e-12
 
 
 def test_simulate_trajectory_first_law(paper_cfg):
     for seed in (1, 2, 3, 12345):
-        rec = simulate_trajectory(paper_cfg(tau=2.0, seed=seed))
-        assert rec.first_law_residual() < 1e-9
+        res = simulate_trajectory(paper_cfg(tau=2.0, seed=seed))
+        assert res.residuals[0] < 1e-9
 
 
 def test_simulate_trajectory_deterministic(paper_cfg):
     cfg = paper_cfg(tau=1.0, seed=42)
     a = simulate_trajectory(cfg)
     b = simulate_trajectory(cfg)
-    for name in ("x", "z", "dv", "dx", "dw", "dwf", "dq", "du"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.final_outcome == b.final_outcome
+    for name in SERIES:
+        assert np.array_equal(a.series[name], b.series[name])
+    assert a.outcomes[0] == b.outcomes[0]
 
 
 def test_simulate_trajectory_record_shape(paper_cfg):
     cfg = paper_cfg(tau=1.0)
-    rec = simulate_trajectory(cfg)
+    res = simulate_trajectory(cfg)
+    s = {name: arr[0] for name, arr in res.series.items()}
     n = cfg.n_steps
-    assert len(rec.times) == len(rec.x) == len(rec.z) == n + 1
-    assert len(rec.dv) == len(rec.dw) == len(rec.dq) == n
-    assert rec.state(0) == GROUND
-    assert rec.du[0] == rec.dw[0] + rec.dwf[0] + rec.dq[0]
-    assert rec.dv[3] == homodyne_increment(rec.x[3], rec.dx[3], cfg)
+    assert len(res.times) == len(s["x"]) == len(s["z"]) == n + 1
+    assert len(s["dv"]) == len(s["dw"]) == len(s["dq"]) == n
+    assert BlochState(s["x"][0], s["z"][0]) == GROUND
+    assert s["dv"][3] == homodyne_increment(s["x"][3], s["dx"][3], cfg)
 
 
 def test_batch_matches_scalar_path(paper_cfg):
@@ -217,10 +242,10 @@ def test_batch_matches_scalar_path(paper_cfg):
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(3)]
     batch = run_batch(cfg, fb, rngs, record=("z", "dw", "dv"))
     for k in range(3):
-        rec = simulate_trajectory(cfg, fb, rng=rng_for_trajectory(cfg.seed, k))
-        assert np.array_equal(batch.series["z"][k], rec.z)
-        assert np.array_equal(batch.series["dw"][k], rec.dw)
-        assert np.array_equal(batch.series["dv"][k], rec.dv)
+        one = simulate_trajectory(cfg, fb, rng=rng_for_trajectory(cfg.seed, k)).series
+        assert np.array_equal(batch.series["z"][k], one["z"][0])
+        assert np.array_equal(batch.series["dw"][k], one["dw"][0])
+        assert np.array_equal(batch.series["dv"][k], one["dv"][0])
 
 
 def test_unknown_record_name_is_rejected(paper_cfg):
@@ -277,8 +302,8 @@ def test_purity_preserved_at_unit_efficiency_kraus(paper_cfg):
     # 1000 steps at eta = 1: the measurement-operator dissipator keeps a pure
     # state pure to rounding (well under the 1e-6 contract).
     cfg = paper_cfg(eta=1.0, tau=0.02 * 1000, scheme="kraus", seed=5)
-    rec = simulate_trajectory(cfg)
-    pur = 0.5 * (1.0 + rec.x**2 + rec.z**2)
+    s = simulate_trajectory(cfg).series
+    pur = 0.5 * (1.0 + s["x"]**2 + s["z"]**2)
     assert np.abs(pur - 1.0).max() < 1e-6
 
 
@@ -288,8 +313,8 @@ def test_purity_drift_of_euler_scheme_at_unit_efficiency(paper_cfg):
     # efficiency runs use the kraus scheme.  Assert the drift is real so a
     # silent behavior change would be noticed.
     cfg = paper_cfg(eta=1.0, tau=0.002 * 1000, dt=0.002, scheme="ito-euler", seed=5)
-    rec = simulate_trajectory(cfg)
-    pur = 0.5 * (1.0 + rec.x**2 + rec.z**2)
+    s = simulate_trajectory(cfg).series
+    pur = 0.5 * (1.0 + s["x"]**2 + s["z"]**2)
     assert pur.min() < 1.0 - 1e-3
     assert pur.max() <= 1.0 + 1e-12
 

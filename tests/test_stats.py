@@ -11,7 +11,6 @@ from qtherm.sme import simulate_trajectory
 from qtherm.stats import (
     InsufficientSpanError,
     ZeroVarianceError,
-    accumulate,
     binned_first_law_check,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
@@ -29,44 +28,60 @@ from reference import (
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
 
+def decomposition_residual(res, m: int) -> float:
+    """|P_{m,n}(tau) - (delta_mn + P~W + P~Q + P~F)| of a one-trajectory result.
+
+    The ledger totals are the m = 1 contributions; for m = 0 they flip sign.
+    """
+    n = res.initial_labels[0]
+    p_total = res.final_p00[0] if m == 0 else 1.0 - res.final_p00[0]
+    p_path = res.p_sum_00()[0] if m == 0 else -res.p_sum_00()[0]
+    return abs(p_total - ((1.0 if m == n else 0.0) + p_path))
+
+
 def test_accumulate_zero_length(paper_cfg):
-    rec = simulate_trajectory(paper_cfg(tau=0.0))
-    ledger = accumulate(rec, m=0)
-    assert (ledger.p_w, ledger.p_q, ledger.p_f) == (0.0, 0.0, 0.0)
-    assert ledger.p_total == 1.0
-    assert ledger.p_initial == 1.0
+    res = simulate_trajectory(paper_cfg(tau=0.0))
+    assert (-res.w[0], -res.q[0], -res.wf[0]) == (0.0, 0.0, 0.0)
+    assert res.final_p00[0] == 1.0
+    assert res.initial_labels[0] == 0  # P0_{0,0} = delta_{0,0} = 1
 
 
 def test_accumulate_closed_full_flip(paper_cfg):
     # omega_r * tau = pi: P~W(m=0) = -1, heat-free, P(tau) = 0.
     cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.5)
-    rec = simulate_trajectory(cfg)
-    ledger = accumulate(rec, m=0)
-    assert ledger.p_w == pytest.approx(-1.0, abs=1e-12)
-    assert ledger.p_q == pytest.approx(0.0, abs=1e-12)
-    assert ledger.p_total == pytest.approx(0.0, abs=1e-12)
-    assert ledger.decomposition_residual() < 1e-9
+    res = simulate_trajectory(cfg)
+    assert -res.w[0] == pytest.approx(-1.0, abs=1e-12)
+    assert -res.q[0] == pytest.approx(0.0, abs=1e-12)
+    assert res.final_p00[0] == pytest.approx(0.0, abs=1e-12)
+    assert decomposition_residual(res, m=0) < 1e-9
 
 
 def test_accumulate_decomposition_identity(paper_cfg):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=5)
     for seed in range(8):
-        rec = simulate_trajectory(paper_cfg(tau=2.0, seed=seed), fb)
+        res = simulate_trajectory(paper_cfg(tau=2.0, seed=seed), fb)
         for m in (0, 1):
-            assert accumulate(rec, m).decomposition_residual() < 1e-9
-    with pytest.raises(ValueError):
-        accumulate(rec, m=2)
+            assert decomposition_residual(res, m) < 1e-9
+    with pytest.raises(ValueError, match="m must be 0 or 1"):
+        transition_probabilities(run_ensemble(paper_cfg(tau=0.0), n_traj=2), m=2, n=0)
 
 
 def test_first_law_residual(paper_cfg):
-    rec = simulate_trajectory(paper_cfg(tau=2.0, seed=3))
-    assert rec.first_law_residual() < 1e-9
+    res = simulate_trajectory(paper_cfg(tau=2.0, seed=3))
+    assert res.residuals[0] < 1e-9
 
 
 def test_transition_probabilities_zero_duration(paper_cfg):
     res = run_ensemble(paper_cfg(tau=0.0), n_traj=50)
     p, sem = transition_probabilities(res, m=0, n=0)
     assert p == 1.0 and sem == 0.0
+
+
+def test_transition_probabilities_need_two_trajectories_per_preparation(paper_cfg):
+    res = run_ensemble(paper_cfg(tau=0.1), n_traj=1)
+    for sampled in (False, True):
+        with pytest.raises(ValueError, match="at least two trajectories prepared in n=0"):
+            transition_probabilities(res, m=0, n=0, sampled=sampled)
 
 
 def test_transition_probabilities_closed(paper_cfg):
@@ -104,8 +119,8 @@ def test_jarzynski_closed_identity_on_tau_grid():
     # (1 - s) + s * (p_g e^-b + p_e e^+b) = 1 algebraically.
     beta = 3.5
     for tau in np.linspace(0.0, 2.5, 10):
-        t = closed_rabi_probabilities(math.pi, tau).as_matrix()
-        wd = two_point_work_distribution(beta, t)
+        t = closed_rabi_probabilities(math.pi, tau)
+        wd = two_point_work_distribution(beta, [[t.p00, t.p10], [t.p01, t.p11]])
         assert jarzynski_average(wd) == pytest.approx(1.0, abs=1e-12)
 
 
