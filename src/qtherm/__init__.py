@@ -12,14 +12,9 @@ checks, work distributions and the generalized-Jarzynski efficacy.
 from .bloch import EXCITED, GROUND, BlochState, closed_rabi_probabilities
 from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
 from .ensemble import EnsembleResult, run_ensemble
-from .oracle import LindbladSolution, closed_two_point_sample, ensemble_vs_oracle, lindblad_evolve
-from .sme import NumericalBlowupError, rng_for_trajectory, simulate_trajectory, split_step
-from .stats import (
-    EfficacyResult,
-    efficacy_from_trajectories,
-    rabi_contrast,
-    transition_probabilities,
-)
+from .oracle import LindbladSolution, ensemble_vs_oracle, lindblad_evolve
+from .sme import NumericalBlowupError, rng_for_trajectory, split_step
+from .stats import EfficacyResult, efficacy_from_trajectories, rabi_contrast
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 
 __version__ = "0.1.0"
@@ -36,7 +31,6 @@ __all__ = [
     "NumericalBlowupError",
     "SimConfig",
     "closed_rabi_probabilities",
-    "closed_two_point_sample",
     "efficacy_from_trajectories",
     "ensemble_vs_oracle",
     "lindblad_evolve",
@@ -44,9 +38,7 @@ __all__ = [
     "rng_for_trajectory",
     "run_efficacy_protocol",
     "run_ensemble",
-    "simulate_trajectory",
     "split_step",
     "sweep_gain_offset",
-    "transition_probabilities",
     "__version__",
 ]

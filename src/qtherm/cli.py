@@ -29,14 +29,8 @@ from .ensemble import run_ensemble
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 from .io import RunManifest, config_snapshot, write_csv, write_json
 from .oracle import ensemble_vs_oracle, lindblad_evolve
-from .sme import NumericalBlowupError, rng_for_trajectory, simulate_trajectory
-from .stats import (
-    InsufficientSpanError,
-    ZeroVarianceError,
-    pooled_pearson_r,
-    rabi_contrast,
-    transition_probabilities,
-)
+from .sme import SERIES, NumericalBlowupError, rng_for_trajectory
+from .stats import InsufficientSpanError, ZeroVarianceError, pooled_pearson_r, rabi_contrast
 from .bloch import GROUND, closed_rabi_probabilities
 
 _FEEDBACK_ALIASES = {"pll": "phase_locked", "phase_locked": "phase_locked",
@@ -255,7 +249,7 @@ def cmd_trajectory(args) -> int:
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    res = simulate_trajectory(sim, fb)
+    res = run_ensemble(sim, fb, 1, record=SERIES)
     # One row per step: time at step end, post-step state, step increments.
     s = {name: arr[0] for name, arr in res.series.items()}
     write_csv(out / "trajectory.csv", ("t", "x", "z", "dV", "dW", "dWF", "dQ", "dU"),
@@ -299,9 +293,10 @@ def cmd_ensemble(args) -> int:
         "max_first_law_residual": float(res.residuals.max()),
         "p_sum00_range": [float(res.p_sum_00().min()), float(res.p_sum_00().max())],
         "manifest": "manifest.json",
+        # The last timeseries.csv row, pooled over the preparations.
+        "p00_final": float(res.p00_mean[-1]),
+        "p00_final_sem": float(res.p00_sem[-1]),
     }
-    summary["p00_final"], summary["p00_final_sem"] = transition_probabilities(
-        res, m=0, n=int(res.initial_labels[0]))
     try:
         summary["contrast"] = rabi_contrast(res.times, res.p00_mean, sim.omega_r,
                                             window=(2.0, sim.tau))
@@ -412,7 +407,7 @@ def cmd_verify(args) -> int:
 
     # Unitary limit: gamma = 0 reproduces the closed transition probabilities.
     closed_cfg = sim.with_(gamma=0.0, eta=0.0, tau=sim.dt * 400)
-    rec = simulate_trajectory(closed_cfg).series
+    rec = run_ensemble(closed_cfg, n_traj=1, record=("z", "dq")).series
     want = closed_rabi_probabilities(closed_cfg.omega_r / 2.0, closed_cfg.tau).p00
     got = 0.5 * (1.0 + rec["z"][0, -1])
     err = abs(got - want)
@@ -441,14 +436,15 @@ def cmd_verify(args) -> int:
           max_z=(zmax, 0.0, 5.0))
 
     # Purity at eta = 1 with the measurement-operator scheme.
-    rec = simulate_trajectory(sim.with_(eta=1.0, tau=sim.dt * 1000, scheme="kraus")).series
+    rec = run_ensemble(sim.with_(eta=1.0, tau=sim.dt * 1000, scheme="kraus"), n_traj=1,
+                       record=("x", "z")).series
     perr = float(np.abs(0.5 * (1.0 + rec["x"][0]**2 + rec["z"][0]**2) - 1.0).max())
     check("purity-eta1", perr < 1e-6, f"max |purity - 1| = {perr:.1e} (< 1e-6)",
           max_purity_error=(perr, 0.0, 1e-6))
 
     # Determinism: bit-identical reruns and worker invariance.
-    r1 = simulate_trajectory(sim.with_(tau=2.0)).series
-    r2 = simulate_trajectory(sim.with_(tau=2.0)).series
+    r1 = run_ensemble(sim.with_(tau=2.0), n_traj=1, record=("z", "dv")).series
+    r2 = run_ensemble(sim.with_(tau=2.0), n_traj=1, record=("z", "dv")).series
     rerun_diff = max(np.abs(r1[k][0] - r2[k][0]).max() for k in ("z", "dv"))
     e1 = run_ensemble(sim.with_(tau=1.0), n_traj=300, workers=1, chunk_size=128)
     e2 = run_ensemble(sim.with_(tau=1.0), n_traj=300, workers=3, chunk_size=128)

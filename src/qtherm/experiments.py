@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FeedbackConfig, SimConfig
-from .ensemble import CHUNK_SIZE, EnsembleResult, run_ensemble
+from .ensemble import CHUNK_SIZE, run_ensemble
+from .sme import rng_for_trajectory
 from .stats import (
     EfficacyResult,
     contrast_window,
@@ -96,13 +97,10 @@ def sweep_gain_offset(
 class EfficacyProtocol:
     """Both efficacy estimates from one ground/excited preparation pair."""
 
-    eta: float
     times: np.ndarray
     trajectory_route: EfficacyResult
     wd_route_gamma: np.ndarray
     wd_route_stderr: np.ndarray
-    ground: EnsembleResult
-    excited: EnsembleResult
 
 
 def run_efficacy_protocol(
@@ -139,10 +137,9 @@ def run_efficacy_protocol(
 
     # Independent projective outcomes at every time, one Bernoulli draw per
     # (trajectory, time re-run); this is what an experiment of that duration
-    # would have measured.
-    samp_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=sim.seed, spawn_key=(0x5A3B,))
-    )
+    # would have measured.  0x5A3B is also trajectory 23,099's key; moving it
+    # to a disjoint key is ROADMAP item 4, as it changes the efficacy bytes.
+    samp_rng = rng_for_trajectory(sim.seed, 0x5A3B)
     hits_g = (samp_rng.random(p00_g.shape) < p00_g).mean(axis=0)
     hits_e = (samp_rng.random(p00_e.shape) < (1.0 - p00_e)).mean(axis=0)
     gamma_wd, err_wd = jarzynski_from_transitions(
@@ -150,11 +147,8 @@ def run_efficacy_protocol(
     )
 
     return EfficacyProtocol(
-        eta=sim.eta,
         times=ground.times,
         trajectory_route=traj_route,
         wd_route_gamma=gamma_wd,
         wd_route_stderr=err_wd,
-        ground=ground,
-        excited=excited,
     )

@@ -1,21 +1,9 @@
-"""Non-stochastic reference computations used to validate the Monte Carlo engine.
+"""Unconditional master equation, the reference for conditional ensemble means.
 
-Two oracles live here, deliberately independent of the trajectory code paths:
-
-* :func:`lindblad_evolve` integrates the unconditional master equation
-  (the stochastic term averages to zero), a two-variable linear ODE
-
-      dz/dt = omega*x + gamma*(1 - z),     dx/dt = -omega*z - (gamma/2)*x,
-
-  with a fixed-step classical RK4 at a substep small enough for ~1e-10 local
-  error.  Its solution is independent of the quantum efficiency by
-  construction, so conditional ensembles at any eta (without feedback) must
-  average to it.
-
-* :func:`closed_two_point_sample` draws total-energy changes of the
-  two-point-measurement protocol for *closed* Rabi evolution: sample the
-  initial eigenstate from the Gibbs weights, sample the final eigenstate from
-  the cos^2/sin^2 transition matrix, return E_m - E_n in {-1, 0, +1}.
+:func:`lindblad_evolve` integrates dz/dt = omega*x + gamma*(1 - z),
+dx/dt = -omega*z - (gamma/2)*x (the stochastic term averages to zero) by
+fixed-step RK4, independently of the trajectory code.  The solution does not
+depend on eta, so conditional ensembles without feedback must average to it.
 """
 
 from __future__ import annotations
@@ -24,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochState, closed_rabi_probabilities, gibbs_weights
+from .bloch import BlochState
 from .config import SimConfig
 
 #: RK4 substep ceiling (us): local error ~ (|A| h)^5 / 5! with |A| <~ 7/us
@@ -49,10 +37,6 @@ class LindbladSolution:
     def p00(self) -> np.ndarray:
         """Ground population (1 + z)/2 on the grid."""
         return 0.5 * (1.0 + self.z)
-
-    @property
-    def p11(self) -> np.ndarray:
-        return 0.5 * (1.0 - self.z)
 
 
 def _rhs(z: float, x: float, omega: float, gamma: float) -> tuple[float, float]:
@@ -95,33 +79,6 @@ def lindblad_evolve(
             x += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         zs[i + 1], xs[i + 1] = z, x
     return LindbladSolution(times=t_grid, z=zs, x=xs)
-
-
-def closed_two_point_sample(
-    beta: float,
-    omega: float,
-    tau: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Work samples (units of hbar*omega_q) of the closed two-point protocol.
-
-    The initial eigenstate n is Gibbs-distributed at ``beta``; the final
-    eigenstate m follows the closed transition probabilities at ``omega*tau``
-    (``omega`` in the cos^2/sin^2 convention, i.e. half the Bloch drive rate).
-    Returns a float (``size=None``) or an array of floats in {-1, 0, +1}.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    _, p_excited = gibbs_weights(beta)
-    flip = closed_rabi_probabilities(omega, tau).p10
-
-    n = 1 if size is None else int(size)
-    start_excited = rng.random(n) < p_excited
-    flipped = rng.random(n) < flip
-    # W = +1 for ground -> excited, -1 for excited -> ground, else 0.
-    w = np.where(flipped, np.where(start_excited, -1.0, 1.0), 0.0)
-    return float(w[0]) if size is None else w
 
 
 def ensemble_vs_oracle(

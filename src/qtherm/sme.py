@@ -67,7 +67,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .bloch import gibbs_weights
-from .config import NO_FEEDBACK, THERMAL, FeedbackConfig, SimConfig, resolve_phi
+from .config import THERMAL, FeedbackConfig, SimConfig, resolve_phi
 from .feedback import DelayLine, _wrap_angle, optimal_drive, pll_drive
 
 #: Pre-renormalization |x| or |z| beyond this aborts the run: the Euler step
@@ -441,17 +441,3 @@ def run_batch(
         series={**state_series, **step_series},
     )
 
-
-def simulate_trajectory(
-    cfg: SimConfig,
-    feedback: FeedbackConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> EnsembleResult:
-    """Simulate one trajectory: a one-lane batch that records every series.
-
-    ``rng`` defaults to the stream of trajectory index 0 under ``cfg.seed``.
-    """
-    fb = NO_FEEDBACK if feedback is None else feedback
-    if rng is None:
-        rng = rng_for_trajectory(cfg.seed, 0)
-    return run_batch(cfg, fb, [rng], record=SERIES)

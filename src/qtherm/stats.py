@@ -44,31 +44,6 @@ class ZeroVarianceError(ValueError):
     """Pearson correlation of a constant series is undefined."""
 
 
-def transition_probabilities(
-    ensemble: EnsembleResult, m: int, n: int, *, sampled: bool = False
-) -> tuple[float, float]:
-    """(P_{m,n}, standard error) from an ensemble prepared in n.
-
-    By default uses the state-derived expectations tr[Pi_m rho(tau)] (lower
-    variance); with ``sampled=True`` uses the recorded projective outcomes
-    with a binomial error bar.  Either error bar needs at least two
-    trajectories prepared in n.
-    """
-    if m not in (0, 1):
-        raise ValueError("target label m must be 0 or 1")
-    mask = ensemble.initial_labels == n
-    count = int(mask.sum())
-    if count < 2:
-        raise ValueError(
-            f"an error bar needs at least two trajectories prepared in n={n}, got {count}"
-        )
-    if sampled:
-        p = float((ensemble.outcomes[mask] == m).mean())
-        return p, math.sqrt(max(p * (1.0 - p), 0.0) / count)
-    vals = ensemble.final_p00[mask] if m == 0 else 1.0 - ensemble.final_p00[mask]
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
-
-
 @dataclass(frozen=True)
 class EfficacyResult:
     """Efficacy gamma_q(t), its standard error and the map coefficients."""
@@ -222,39 +197,3 @@ def pooled_pearson_r(ensemble: EnsembleResult, lag: int = 0) -> float:
         raise ZeroVarianceError("correlation undefined for constant series")
     return float((sab - sa * sb / n) / math.sqrt(var_a * var_b))
 
-
-def binned_first_law_check(
-    path_sums: np.ndarray,
-    outcomes_m0: np.ndarray,
-    n_bins: int = 12,
-    min_count: int = 20,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Projective outcomes binned against the path-dependent P00 prediction.
-
-    ``path_sums`` holds per-trajectory delta_{0,0} + P~W + P~Q (+ P~F);
-    ``outcomes_m0`` is 1 where the projective measurement returned m=0.
-    Returns (bin prediction means, bin outcome frequencies, binomial errors,
-    reduced chi^2 against the identity line).
-    """
-    s = np.asarray(path_sums, dtype=float)
-    y = np.asarray(outcomes_m0, dtype=float)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    idx = np.clip(np.digitize(s, edges) - 1, 0, n_bins - 1)
-    pred, freq, err = [], [], []
-    for b in range(n_bins):
-        mask = idx == b
-        count = int(mask.sum())
-        if count < min_count:
-            continue
-        p_hat = y[mask].mean()
-        pred.append(s[mask].mean())
-        freq.append(p_hat)
-        # Wilson-ish floor keeps empty-variance bins from dividing by zero.
-        err.append(math.sqrt(max(p_hat * (1.0 - p_hat), 0.25 / count) / count))
-    pred = np.array(pred)
-    freq = np.array(freq)
-    err = np.array(err)
-    if pred.size == 0:
-        raise ValueError("no bin reached the minimum occupancy")
-    chi2 = float(np.sum(((freq - pred) / err) ** 2) / pred.size)
-    return pred, freq, err, chi2

@@ -12,6 +12,9 @@ evaluates that average in closed form (``jarzynski_from_transitions``).
 that the package gives in closed form.  ``ito_step`` is the discretized SME
 as one unsplit Ito-Euler update, the reference for ``qtherm.sme.split_step``.
 ``rotate`` applies the package's own rotation to one ``BlochState``.
+``closed_two_point_sample`` draws the two-point work of closed Rabi
+evolution (acceptance criterion 10), and ``binned_first_law_check`` bins
+projective outcomes against the path-dependent P00 prediction (criterion 1).
 """
 
 import math
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qtherm.bloch import BlochState, gibbs_weights
+from qtherm.bloch import BlochState, closed_rabi_probabilities, gibbs_weights
 from qtherm.config import SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.sme import BLOWUP_LIMIT, NumericalBlowupError, _renormalize, _rotation_work
@@ -183,3 +186,67 @@ def bootstrap_efficacy_stderr(g, e, beta, rng, n_boot=1000):
         ie = rng.integers(0, e.shape[0], e.shape[0])
         boots[b] = efficacy_from_trajectories(g[ig], e[ie], beta).gamma_q
     return boots.std(axis=0, ddof=1)
+
+
+def closed_two_point_sample(
+    beta: float,
+    omega: float,
+    tau: float,
+    rng: np.random.Generator,
+    size: int | None = None,
+):
+    """Work samples (units of hbar*omega_q) of the closed two-point protocol.
+
+    The initial eigenstate n is Gibbs-distributed at ``beta``; the final
+    eigenstate m follows the closed transition probabilities at ``omega*tau``
+    (``omega`` in the cos^2/sin^2 convention, i.e. half the Bloch drive rate).
+    Returns a float (``size=None``) or an array of floats in {-1, 0, +1}.
+    """
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    _, p_excited = gibbs_weights(beta)
+    flip = closed_rabi_probabilities(omega, tau).p10
+
+    n = 1 if size is None else int(size)
+    start_excited = rng.random(n) < p_excited
+    flipped = rng.random(n) < flip
+    # W = +1 for ground -> excited, -1 for excited -> ground, else 0.
+    w = np.where(flipped, np.where(start_excited, -1.0, 1.0), 0.0)
+    return float(w[0]) if size is None else w
+
+
+def binned_first_law_check(
+    path_sums: np.ndarray,
+    outcomes_m0: np.ndarray,
+    n_bins: int = 12,
+    min_count: int = 20,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Projective outcomes binned against the path-dependent P00 prediction.
+
+    ``path_sums`` holds per-trajectory delta_{0,0} + P~W + P~Q (+ P~F);
+    ``outcomes_m0`` is 1 where the projective measurement returned m=0.
+    Returns (bin prediction means, bin outcome frequencies, binomial errors,
+    reduced chi^2 against the identity line).
+    """
+    s = np.asarray(path_sums, dtype=float)
+    y = np.asarray(outcomes_m0, dtype=float)
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    idx = np.clip(np.digitize(s, edges) - 1, 0, n_bins - 1)
+    pred, freq, err = [], [], []
+    for b in range(n_bins):
+        mask = idx == b
+        count = int(mask.sum())
+        if count < min_count:
+            continue
+        p_hat = y[mask].mean()
+        pred.append(s[mask].mean())
+        freq.append(p_hat)
+        # Wilson-ish floor keeps empty-variance bins from dividing by zero.
+        err.append(math.sqrt(max(p_hat * (1.0 - p_hat), 0.25 / count) / count))
+    pred = np.array(pred)
+    freq = np.array(freq)
+    err = np.array(err)
+    if pred.size == 0:
+        raise ValueError("no bin reached the minimum occupancy")
+    chi2 = float(np.sum(((freq - pred) / err) ** 2) / pred.size)
+    return pred, freq, err, chi2

@@ -25,13 +25,10 @@ from qtherm.cli import main
 from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
-from qtherm.oracle import closed_two_point_sample, ensemble_vs_oracle, lindblad_evolve
+from qtherm.oracle import ensemble_vs_oracle, lindblad_evolve
 from qtherm.sme import rng_for_trajectory
-from qtherm.stats import (
-    binned_first_law_check,
-    pooled_pearson_r,
-    rabi_contrast,
-)
+from qtherm.stats import pooled_pearson_r, rabi_contrast
+from reference import binned_first_law_check, closed_two_point_sample
 
 PAPER_SEED = 101
 

@@ -15,7 +15,6 @@ PUBLIC = [
     "SimConfig",
     "__version__",
     "closed_rabi_probabilities",
-    "closed_two_point_sample",
     "efficacy_from_trajectories",
     "ensemble_vs_oracle",
     "lindblad_evolve",
@@ -23,10 +22,8 @@ PUBLIC = [
     "rng_for_trajectory",
     "run_efficacy_protocol",
     "run_ensemble",
-    "simulate_trajectory",
     "split_step",
     "sweep_gain_offset",
-    "transition_probabilities",
 ]
 
 

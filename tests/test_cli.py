@@ -71,6 +71,19 @@ def test_ensemble_outputs(tmp_path):
     assert -1.0 <= lo <= hi <= 0.0
 
 
+def test_thermal_ensemble_summary_is_the_last_timeseries_row(tmp_path):
+    # Seed 9 prepares one of the four trajectories excited: P00(tau) is
+    # pooled over both preparations, not read off one of them.
+    argv = ["ensemble", "--initial-state", "thermal", "--beta", "1", "--n-traj", "4",
+            "--tau-us", "0.1", "--seed", "9", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    _, ts = read_csv(tmp_path / "timeseries.csv")
+    assert [summary["p00_final"], summary["p00_final_sem"]] == ts[-1, 1:3].tolist()
+    _, tr = read_csv(tmp_path / "trajectories.csv")
+    assert 0 < tr[:, 1].sum() < 4  # both preparations present
+
+
 def test_ensemble_worker_invariance(tmp_path):
     out1 = tmp_path / "w1"
     out2 = tmp_path / "w2"

@@ -7,7 +7,7 @@ from qtherm.bloch import GROUND, BlochState
 from qtherm.config import FeedbackConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.feedback import DelayLine, optimal_drive, pll_drive
-from qtherm.sme import simulate_trajectory
+from qtherm.sme import SERIES
 from reference import rotate
 
 # optimal_drive(x, z, 0.0, omega_r, phi, DT) * DT is the rotation angle that
@@ -109,7 +109,7 @@ def test_optimal_feedback_keeps_pure_state_locked(paper_cfg):
     # evolution to within one step's heat kick.
     cfg = paper_cfg(eta=1.0, tau=2.0, scheme="kraus", seed=11)
     fb = FeedbackConfig(mode="optimal")
-    res = simulate_trajectory(cfg, fb)
+    res = run_ensemble(cfg, fb, 1, record=SERIES)
     x, z = res.series["x"][0], res.series["z"][0]
     pur = 0.5 * (1.0 + x**2 + z**2)
     assert np.abs(pur - 1.0).max() < 1e-9

@@ -32,7 +32,7 @@ GOLDEN = {
         ["ensemble", "--n-traj", "64", "--tau-us", "1", "--feedback", "pll",
          "--delay-ns", "100"],
         {
-            "summary.json": "c13e0309ccefb51541c17d12c651246396c5b2a20f9287f7e9bec2e19ee5fcc0",
+            "summary.json": "d7d23d3ccf16ecaef8290a42419e5ed2b20eb2634b18d14e1892f7989977491d",
             "timeseries.csv": "9aa81cf017159736c1e93a35fa05dac485b6c524600cc8bc43f2efdd12c03600",
             "trajectories.csv": "1222200cf2d00613cfef130c1e21e5db2901c3315872999a9f537eaf3bd6304d",
         },

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from qtherm.bloch import EXCITED, GROUND
-from qtherm.oracle import (
-    GridMismatchError,
-    closed_two_point_sample,
-    ensemble_vs_oracle,
-    lindblad_evolve,
-)
+from qtherm.oracle import GridMismatchError, ensemble_vs_oracle, lindblad_evolve
+from reference import closed_two_point_sample
 
 
 def test_lindblad_closed_rabi(paper_cfg):

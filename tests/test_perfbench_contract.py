@@ -3,9 +3,9 @@
 ``perfbench/probe.py`` stubs the engine entry points ``qtherm.cli`` calls and
 ``perfbench/layer_trace.py`` patches module attributes by name, so renaming
 one of those names, or a flag a workload passes, breaks the benchmark.  These
-tests run the probe on each workload's exact command line, one traced
-command that uses the process pool and one traced sweep, so such a change
-fails here first.
+tests run the probe on each workload's exact command line and on the two
+commands no workload runs, one traced command that uses the process pool and
+one traced sweep, so such a change fails here first.
 """
 
 import importlib.util
@@ -50,6 +50,15 @@ def probe(*args: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_setup_probe_reaches_the_engine(name, tmp_path):
     done = probe("setup", *WORKLOADS[name].argv, "--seed", "1", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [["trajectory", "--tau-us", "0.1"], ["verify"]],
+                         ids=["trajectory", "verify"])
+def test_setup_probe_reaches_the_engine_from_every_command(argv, tmp_path):
+    # The two commands no workload runs reach the engine through the same
+    # entry points, so the probe stops them before any integration.
+    done = probe("setup", *argv, "--out-dir", str(tmp_path))
     assert done.returncode == 0, done.stderr
 
 

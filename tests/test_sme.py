@@ -15,7 +15,6 @@ from qtherm.sme import (
     homodyne_increment,
     rng_for_trajectory,
     run_batch,
-    simulate_trajectory,
     split_step,
 )
 from reference import ito_step
@@ -193,7 +192,7 @@ def test_split_step_cancelling_drives(paper_cfg):
 
 def test_simulate_trajectory_zero_duration(paper_cfg):
     cfg = paper_cfg(tau=0.0)
-    res = simulate_trajectory(cfg)
+    res = run_ensemble(cfg, n_traj=1, record=SERIES)
     assert res.series["dv"].shape == (1, 0)
     assert (res.w[0], res.wf[0], res.q[0]) == (0.0, 0.0, 0.0)
     assert res.residuals[0] == 0.0
@@ -202,7 +201,7 @@ def test_simulate_trajectory_zero_duration(paper_cfg):
 def test_simulate_trajectory_closed_pi_pulse(paper_cfg):
     # omega_r * tau = pi: full ground -> excited flip, deterministic.
     cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.5, seed=9)
-    res = simulate_trajectory(cfg)
+    res = run_ensemble(cfg, n_traj=1, record=SERIES)
     assert res.outcomes[0] == 1
     assert res.series["z"][0, -1] == pytest.approx(-1.0, abs=1e-12)
     assert abs(res.series["dq"][0].sum()) < 1e-12
@@ -210,14 +209,14 @@ def test_simulate_trajectory_closed_pi_pulse(paper_cfg):
 
 def test_simulate_trajectory_first_law(paper_cfg):
     for seed in (1, 2, 3, 12345):
-        res = simulate_trajectory(paper_cfg(tau=2.0, seed=seed))
+        res = run_ensemble(paper_cfg(tau=2.0, seed=seed), n_traj=1, record=SERIES)
         assert res.residuals[0] < 1e-9
 
 
 def test_simulate_trajectory_deterministic(paper_cfg):
     cfg = paper_cfg(tau=1.0, seed=42)
-    a = simulate_trajectory(cfg)
-    b = simulate_trajectory(cfg)
+    a = run_ensemble(cfg, n_traj=1, record=SERIES)
+    b = run_ensemble(cfg, n_traj=1, record=SERIES)
     for name in SERIES:
         assert np.array_equal(a.series[name], b.series[name])
     assert a.outcomes[0] == b.outcomes[0]
@@ -225,7 +224,7 @@ def test_simulate_trajectory_deterministic(paper_cfg):
 
 def test_simulate_trajectory_record_shape(paper_cfg):
     cfg = paper_cfg(tau=1.0)
-    res = simulate_trajectory(cfg)
+    res = run_ensemble(cfg, n_traj=1, record=SERIES)
     s = {name: arr[0] for name, arr in res.series.items()}
     n = cfg.n_steps
     assert len(res.times) == len(s["x"]) == len(s["z"]) == n + 1
@@ -236,13 +235,13 @@ def test_simulate_trajectory_record_shape(paper_cfg):
 
 def test_batch_matches_scalar_path(paper_cfg):
     # run_batch with k-indexed streams is the definition of the ensemble;
-    # simulate_trajectory must be exactly its width-1 slice.
+    # a one-lane batch on stream k must be exactly its width-1 slice.
     cfg = paper_cfg(tau=0.5)
     fb = FeedbackConfig(mode="phase_locked", gain=30.0, offset=-1.0, delay_steps=2)
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(3)]
     batch = run_batch(cfg, fb, rngs, record=("z", "dw", "dv"))
     for k in range(3):
-        one = simulate_trajectory(cfg, fb, rng=rng_for_trajectory(cfg.seed, k)).series
+        one = run_batch(cfg, fb, [rng_for_trajectory(cfg.seed, k)], record=SERIES).series
         assert np.array_equal(batch.series["z"][k], one["z"][0])
         assert np.array_equal(batch.series["dw"][k], one["dw"][0])
         assert np.array_equal(batch.series["dv"][k], one["dv"][0])
@@ -302,7 +301,7 @@ def test_purity_preserved_at_unit_efficiency_kraus(paper_cfg):
     # 1000 steps at eta = 1: the measurement-operator dissipator keeps a pure
     # state pure to rounding (well under the 1e-6 contract).
     cfg = paper_cfg(eta=1.0, tau=0.02 * 1000, scheme="kraus", seed=5)
-    s = simulate_trajectory(cfg).series
+    s = run_ensemble(cfg, n_traj=1, record=SERIES).series
     pur = 0.5 * (1.0 + s["x"]**2 + s["z"]**2)
     assert np.abs(pur - 1.0).max() < 1e-6
 
@@ -313,7 +312,7 @@ def test_purity_drift_of_euler_scheme_at_unit_efficiency(paper_cfg):
     # efficiency runs use the kraus scheme.  Assert the drift is real so a
     # silent behavior change would be noticed.
     cfg = paper_cfg(eta=1.0, tau=0.002 * 1000, dt=0.002, scheme="ito-euler", seed=5)
-    s = simulate_trajectory(cfg).series
+    s = run_ensemble(cfg, n_traj=1, record=SERIES).series
     pur = 0.5 * (1.0 + s["x"]**2 + s["z"]**2)
     assert pur.min() < 1.0 - 1e-3
     assert pur.max() <= 1.0 + 1e-12

@@ -7,19 +7,18 @@ from qtherm.bloch import closed_rabi_probabilities
 from qtherm.config import FeedbackConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.experiments import run_efficacy_protocol
-from qtherm.sme import simulate_trajectory
+from qtherm.sme import SERIES
 from qtherm.stats import (
     InsufficientSpanError,
     ZeroVarianceError,
-    binned_first_law_check,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
     pooled_pearson_r,
     rabi_contrast,
-    transition_probabilities,
 )
 from reference import (
     WorkDistribution,
+    binned_first_law_check,
     bootstrap_efficacy_stderr,
     jarzynski_average,
     pearson_r,
@@ -40,7 +39,7 @@ def decomposition_residual(res, m: int) -> float:
 
 
 def test_accumulate_zero_length(paper_cfg):
-    res = simulate_trajectory(paper_cfg(tau=0.0))
+    res = run_ensemble(paper_cfg(tau=0.0), n_traj=1, record=SERIES)
     assert (-res.w[0], -res.q[0], -res.wf[0]) == (0.0, 0.0, 0.0)
     assert res.final_p00[0] == 1.0
     assert res.initial_labels[0] == 0  # P0_{0,0} = delta_{0,0} = 1
@@ -49,7 +48,7 @@ def test_accumulate_zero_length(paper_cfg):
 def test_accumulate_closed_full_flip(paper_cfg):
     # omega_r * tau = pi: P~W(m=0) = -1, heat-free, P(tau) = 0.
     cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.5)
-    res = simulate_trajectory(cfg)
+    res = run_ensemble(cfg, n_traj=1, record=SERIES)
     assert -res.w[0] == pytest.approx(-1.0, abs=1e-12)
     assert -res.q[0] == pytest.approx(0.0, abs=1e-12)
     assert res.final_p00[0] == pytest.approx(0.0, abs=1e-12)
@@ -59,47 +58,39 @@ def test_accumulate_closed_full_flip(paper_cfg):
 def test_accumulate_decomposition_identity(paper_cfg):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=5)
     for seed in range(8):
-        res = simulate_trajectory(paper_cfg(tau=2.0, seed=seed), fb)
+        res = run_ensemble(paper_cfg(tau=2.0, seed=seed), fb, 1, record=SERIES)
         for m in (0, 1):
             assert decomposition_residual(res, m) < 1e-9
-    with pytest.raises(ValueError, match="m must be 0 or 1"):
-        transition_probabilities(run_ensemble(paper_cfg(tau=0.0), n_traj=2), m=2, n=0)
 
 
 def test_first_law_residual(paper_cfg):
-    res = simulate_trajectory(paper_cfg(tau=2.0, seed=3))
+    res = run_ensemble(paper_cfg(tau=2.0, seed=3), n_traj=1, record=SERIES)
     assert res.residuals[0] < 1e-9
 
 
 def test_transition_probabilities_zero_duration(paper_cfg):
     res = run_ensemble(paper_cfg(tau=0.0), n_traj=50)
-    p, sem = transition_probabilities(res, m=0, n=0)
+    p, sem = res.p00_mean[-1], res.p00_sem[-1]
     assert p == 1.0 and sem == 0.0
-
-
-def test_transition_probabilities_need_two_trajectories_per_preparation(paper_cfg):
-    res = run_ensemble(paper_cfg(tau=0.1), n_traj=1)
-    for sampled in (False, True):
-        with pytest.raises(ValueError, match="at least two trajectories prepared in n=0"):
-            transition_probabilities(res, m=0, n=0, sampled=sampled)
 
 
 def test_transition_probabilities_closed(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.7)
     res = run_ensemble(cfg, n_traj=10)
     want = closed_rabi_probabilities(cfg.omega_r / 2.0, cfg.tau).p00
-    p, _ = transition_probabilities(res, m=0, n=0)
+    p = res.p00_mean[-1]
     assert p == pytest.approx(want, abs=1e-9)
 
 
 def test_transition_probabilities_sampled_agrees(paper_cfg):
+    # Born rule: the sampled projective outcomes agree with the state-derived
+    # P00(tau) within their binomial error.
     cfg = paper_cfg(tau=1.0, seed=5)
     res = run_ensemble(cfg, n_traj=4000)
-    p_state, _ = transition_probabilities(res, m=0, n=0)
-    p_samp, sem = transition_probabilities(res, m=0, n=0, sampled=True)
+    p_state = res.p00_mean[-1]
+    p_samp = float((res.outcomes == 0).mean())
+    sem = math.sqrt(p_samp * (1.0 - p_samp) / res.n_traj)
     assert abs(p_samp - p_state) < 4.0 * sem
-    with pytest.raises(ValueError):
-        transition_probabilities(res, m=0, n=1)
 
 
 def test_two_point_work_distribution_weights():
