@@ -13,7 +13,7 @@ from .bloch import EXCITED, GROUND, BlochState, closed_rabi_probabilities
 from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
 from .ensemble import EnsembleResult, run_ensemble
 from .oracle import LindbladSolution, ensemble_vs_oracle, lindblad_evolve
-from .sme import NumericalBlowupError, rng_for_trajectory, split_step
+from .sme import rng_for_trajectory, split_step
 from .stats import EfficacyResult, efficacy_from_trajectories, rabi_contrast
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 
@@ -28,7 +28,6 @@ __all__ = [
     "GROUND",
     "LindbladSolution",
     "NO_FEEDBACK",
-    "NumericalBlowupError",
     "SimConfig",
     "closed_rabi_probabilities",
     "efficacy_from_trajectories",

@@ -24,12 +24,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import SCHEMES, FeedbackConfig, SimConfig, delay_steps_for
+from .config import FeedbackConfig, SimConfig, delay_steps_for
 from .ensemble import run_ensemble
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 from .io import RunManifest, config_snapshot, write_csv, write_json
 from .oracle import ensemble_vs_oracle, lindblad_evolve
-from .sme import SERIES, NumericalBlowupError, rng_for_trajectory
+from .sme import SERIES, rng_for_trajectory
 from .stats import InsufficientSpanError, ZeroVarianceError, pooled_pearson_r, rabi_contrast
 from .bloch import GROUND, closed_rabi_probabilities
 
@@ -69,7 +69,6 @@ PARAMS = {
     "dt_ns": _Param("numerics", float, "sim.dt", lambda v: v * 1e-3),
     "tau_us": _Param("numerics", float, "sim.tau"),
     "seed": _Param("numerics", int, "sim.seed"),
-    "scheme": _Param("numerics", str, "sim.scheme", choices=SCHEMES),
     "initial_state": _Param("numerics", str, "sim.initial_state", _initial_state),
     "mode": _Param("feedback", str, "fb.mode", _FEEDBACK_ALIASES.__getitem__,
                    flag="--feedback", choices=sorted(_FEEDBACK_ALIASES)),
@@ -114,11 +113,9 @@ COMMANDS = {
     "trajectory": _Command("one trajectory -> CSV + sidecar",
                            _all_but("n_traj", "workers")),
     "ensemble": _Command("ensemble statistics -> CSVs + summary", tuple(PARAMS)),
-    # Each eta runs a ground- and an excited-prepared ensemble.  The kraus
-    # dissipator keeps eta = 1 exact and the eta family comparable.
+    # Each eta runs a ground- and an excited-prepared ensemble.
     "jarzynski": _Command("efficacy vs time for a list of eta",
                           _all_but("eta", "initial_state"),
-                          defaults={"scheme": "kraus"},
                           lists={"eta_list": "0.35,0.6,0.8,1.0"}),
     "sweep": _Command("phase-locked (gain, offset) contrast grid",
                       _all_but("gain", "offset"),
@@ -130,7 +127,7 @@ COMMANDS = {
     # their own durations and ensemble sizes.
     "verify": _Command("run the invariant suite, nonzero exit on failure",
                        ("gamma_per_us", "omega_mhz", "eta", "dt_ns", "seed",
-                        "scheme", "workers", "out_dir")),
+                        "workers", "out_dir")),
 }
 
 
@@ -411,8 +408,7 @@ def cmd_verify(args) -> int:
     want = closed_rabi_probabilities(closed_cfg.omega_r / 2.0, closed_cfg.tau).p00
     got = 0.5 * (1.0 + rec["z"][0, -1])
     err = abs(got - want)
-    # Renormalization touches the rotation's 1-ulp overshoot of the unit
-    # circle, so Q is zero only to accumulated rounding.
+    # At gamma = 0 the dissipative sub-step is the identity, so Q is zero.
     q_tot = abs(float(rec["dq"][0].sum()))
     check(
         "unitary-limit",
@@ -435,8 +431,8 @@ def cmd_verify(args) -> int:
     check("oracle-agreement", zmax < 5.0, f"max z-score {zmax:.2f} (< 5)",
           max_z=(zmax, 0.0, 5.0))
 
-    # Purity at eta = 1 with the measurement-operator scheme.
-    rec = run_ensemble(sim.with_(eta=1.0, tau=sim.dt * 1000, scheme="kraus"), n_traj=1,
+    # Purity at eta = 1: the Kraus sub-step keeps a pure state pure.
+    rec = run_ensemble(sim.with_(eta=1.0, tau=sim.dt * 1000), n_traj=1,
                        record=("x", "z")).series
     perr = float(np.abs(0.5 * (1.0 + rec["x"][0]**2 + rec["z"][0]**2) - 1.0).max())
     check("purity-eta1", perr < 1e-6, f"max |purity - 1| = {perr:.1e} (< 1e-6)",
@@ -478,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, ValueError, NumericalBlowupError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,11 +23,11 @@ import numpy as np
 #: Allowed values of SimConfig.initial_state besides the eigenstate labels.
 THERMAL = "thermal"
 
-#: Integration schemes. "ito-euler" is the discretized Ito-form update used
-#: in the experiment's state tracking (first order, renormalized); "kraus" is
-#: a measurement-operator update of the same SME that preserves positivity
-#: exactly and keeps pure states pure at eta = 1 (see sme module docstring).
-SCHEMES = ("ito-euler", "kraus")
+#: Largest gamma*dt a step may take: a quarter decay time.  Within it, and
+#: for increments within ten standard deviations, the dissipative sub-step
+#: keeps every state in the unit disk to rounding (the property test of
+#: ``sme._dissipative_kraus`` draws gamma*dt up to this value).
+MAX_GAMMA_DT = 0.25
 
 #: Feedback modes. "phase_locked" multiplies the homodyne record with a
 #: reference oscillator; "optimal" rotates the state back onto the
@@ -59,7 +59,8 @@ class SimConfig:
     eta : float
         Homodyne quantum efficiency, in [0, 1].
     dt : float
-        Integration step (us).  ``tau/dt`` must be an integer.
+        Integration step (us).  ``tau/dt`` must be an integer, and
+        ``gamma*dt`` at most ``MAX_GAMMA_DT``.
     tau : float
         Protocol duration (us).
     phi : float or None
@@ -72,8 +73,6 @@ class SimConfig:
     beta : float
         Inverse temperature (1/(hbar*omega_q)) for thermal preparation and
         the Jarzynski statistics.
-    scheme : str
-        Integration scheme, one of ``SCHEMES``.
 
     Every trajectory ends with an ideal projective energy measurement whose
     outcome is recorded.
@@ -88,7 +87,6 @@ class SimConfig:
     seed: int = 1
     initial_state: Union[int, str] = 0
     beta: float = 3.5
-    scheme: str = "ito-euler"
 
     def __post_init__(self) -> None:
         _require_finite(self, ("gamma", "omega_r", "eta", "dt", "tau", "phi", "beta"))
@@ -98,6 +96,11 @@ class SimConfig:
             raise ValueError("eta must be in [0, 1]")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
+        if self.gamma * self.dt > MAX_GAMMA_DT:
+            raise ValueError(
+                f"gamma*dt must be <= {MAX_GAMMA_DT} (a quarter decay time per step), "
+                f"got gamma = {self.gamma} /us and dt = {self.dt} us"
+            )
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
         steps = self.tau / self.dt
@@ -111,8 +114,6 @@ class SimConfig:
             )
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:

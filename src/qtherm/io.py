@@ -49,7 +49,6 @@ def config_snapshot(sim: SimConfig, fb: FeedbackConfig) -> dict:
             "seed": sim.seed,
             "initial_state": sim.initial_state,
             "beta": sim.beta,
-            "scheme": sim.scheme,
         },
         "feedback": {
             "mode": fb.mode,

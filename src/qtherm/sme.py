@@ -11,15 +11,17 @@ drive + feedback) or heat (nonunitary, decay + measurement back-action):
    angles; the proportional split is the exact integral of the two commutator
    work rates along the rotation path.
 
-2. *Dissipative sub-step*: the gamma and sqrt(eta) terms of the discretized
-   Ito-form stochastic master equation,
-
-       dz = gamma*(1-z)*dt + sqrt(eta)*x*(1-z)   * (dV - gamma*sqrt(eta)*x*dt)
-       dx = -(gamma/2)*x*dt + sqrt(eta)*(1-z-x^2) * (dV - gamma*sqrt(eta)*x*dt)
-
-   driven by the homodyne increment ``dV = sqrt(eta)*gamma*x*dt +
-   sqrt(gamma)*dX`` with dX ~ N(0, dt).  The excited-population change of this
-   sub-step (including the renormalization below) is recorded as heat.
+2. *Dissipative sub-step*: the measurement operator
+   M = I - (gamma*dt/2)|e><e| + sqrt(eta*gamma)*dy*sigma_- (with
+   dy = dV/sqrt(gamma)) and the unmonitored-decay completion, divided by the
+   trace, driven by the homodyne increment ``dV = sqrt(eta)*gamma*x*dt +
+   sqrt(gamma)*dX`` with dX ~ N(0, dt).  This Kraus form integrates the
+   Ito-form stochastic master equation to first order, stays positive by
+   construction and keeps pure states exactly pure at eta = 1 (Rouchon &
+   Ralph, PRA 91, 012118 (2015)); ``SimConfig`` keeps gamma*dt within
+   ``MAX_GAMMA_DT``, where it stays in the unit disk.  Its excited-population
+   change is recorded as heat, so the first law dU = dW + dWF + dQ holds
+   exactly by construction.
 
 Ordering rule: feedback computed from step i's own increment dV[i] (the
 zero-delay phase-locked loop) must act on the post-measurement state, as in
@@ -37,19 +39,6 @@ per-trajectory ledger totals, (dWF, dQ) pair moments and recorded series.
 Phase-locked gain and offset given as (G, 1) columns add a leading grid
 axis: the lanes are (G, n_traj), every grid point integrates the same n_traj
 noise paths, and every per-step sum and per-lane array gains that axis.
-
-The Euler update can leave the unit disk by O(dt); when it does, the Bloch
-vector is rescaled to unit length (states never become unphysical, and the
-first law dU = dW + dWF + dQ holds exactly by construction, renormalization
-included).
-
-An alternative dissipative sub-step, ``scheme="kraus"``, applies the
-measurement operator M = I - (gamma*dt/2)|e><e| + sqrt(eta*gamma)*dy*sigma_-
-(with dy = dV/sqrt(gamma)) and the unmonitored-decay completion, then
-renormalizes the trace.  It integrates the same SME to the same order but is
-positivity-preserving by construction and keeps pure states exactly pure at
-eta = 1, where the first-order Euler update loses purity pathwise at
-O(sqrt(gamma*dt)); use it for unit-efficiency runs.
 
 Trajectories are independent: trajectory k draws all its randomness from the
 stream (seed, k), in the fixed order [thermal-preparation uniform,] noise
@@ -70,14 +59,6 @@ from .bloch import gibbs_weights
 from .config import THERMAL, FeedbackConfig, SimConfig, resolve_phi
 from .feedback import DelayLine, _wrap_angle, optimal_drive, pll_drive
 
-#: Pre-renormalization |x| or |z| beyond this aborts the run: the Euler step
-#: has left the physical region so far that dt is clearly too coarse.
-BLOWUP_LIMIT = 1.5
-
-
-class NumericalBlowupError(RuntimeError):
-    """Ito-Euler update left the Bloch disk by more than BLOWUP_LIMIT."""
-
 
 def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
     """The RNG stream of trajectory ``index``; depends on (seed, index) only."""
@@ -89,26 +70,6 @@ def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
 def homodyne_increment(x, dX, cfg: SimConfig):
     """Homodyne increments dV = sqrt(eta)*gamma*x*dt + sqrt(gamma)*dX, per lane."""
     return math.sqrt(cfg.eta) * cfg.gamma * x * cfg.dt + math.sqrt(cfg.gamma) * dX
-
-
-def _renormalize(x, z):
-    """Rescale (x, z) onto the unit circle wherever x^2 + z^2 > 1."""
-    r2 = x * x + z * z
-    scale = np.where(r2 > 1.0, 1.0 / np.sqrt(np.maximum(r2, 1.0)), 1.0)
-    return x * scale, z * scale
-
-
-def _dissipative_euler(x, z, dv, gamma: float, eta: float, dt: float):
-    """gamma and sqrt(eta) terms of the Ito-Euler update (drive off)."""
-    sqrt_eta = math.sqrt(eta)
-    innovation = dv - gamma * sqrt_eta * x * dt
-    z2 = z + gamma * (1.0 - z) * dt + sqrt_eta * x * (1.0 - z) * innovation
-    x2 = x - 0.5 * gamma * x * dt + sqrt_eta * (1.0 - z - x * x) * innovation
-    if max(np.abs(x2).max(), np.abs(z2).max()) > BLOWUP_LIMIT:
-        raise NumericalBlowupError(
-            "Bloch components exceeded |1.5| before renormalization; dt too coarse"
-        )
-    return _renormalize(x2, z2)
 
 
 def _dissipative_kraus(x, z, dv, gamma: float, eta: float, dt: float):
@@ -127,9 +88,6 @@ def _dissipative_kraus(x, z, dv, gamma: float, eta: float, dt: float):
     q2 = k * k * q
     trace = p2 + q2
     return 2.0 * c2 / trace, (p2 - q2) / trace
-
-
-_DISSIPATORS = {"ito-euler": _dissipative_euler, "kraus": _dissipative_kraus}
 
 
 def _rotation_work(x, z, theta_d, theta_f):
@@ -175,8 +133,8 @@ def split_step(
 
     ``dv`` is the homodyne increment of each lane and ``omega_fb`` its
     feedback drive rate (a scalar or one value per lane).  The rotation is
-    booked as work, split between drive and feedback; the ``cfg.scheme``
-    dissipative sub-step is booked as heat, so dW + dWF + dQ is the change of
+    booked as work, split between drive and feedback; the Kraus dissipative
+    sub-step is booked as heat, so dW + dWF + dQ is the change of
     the excited population.
 
     ``feedback_after=True`` moves the feedback rotation (still booked as
@@ -188,7 +146,7 @@ def split_step(
     x1, z1, dw, dwf = _rotation_work(
         x, z, omega_drive * cfg.dt, 0.0 if feedback_after else theta_f
     )
-    x2, z2 = _DISSIPATORS[cfg.scheme](x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
+    x2, z2 = _dissipative_kraus(x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
     dq = 0.5 * (z1 - z2)
     if feedback_after:
         x2, z2, _, dwf = _rotation_work(x2, z2, 0.0, theta_f)
@@ -255,9 +213,10 @@ class EnsembleResult:
 
     @cached_property
     def p00_sem(self) -> np.ndarray:
-        """Standard error of ``p00_mean``."""
+        """Standard error of ``p00_mean``; NaN below two trajectories, which
+        leave no sample variance."""
         if self.n_traj < 2:
-            return np.zeros_like(self.p00_sum)
+            return np.full_like(self.p00_sum, np.nan)
         n = float(self.n_traj)
         var = np.maximum(self.p00_sqsum - n * self.p00_mean * self.p00_mean, 0.0) / (n - 1.0)
         return np.sqrt(var / n)

@@ -11,7 +11,6 @@ PUBLIC = [
     "GROUND",
     "LindbladSolution",
     "NO_FEEDBACK",
-    "NumericalBlowupError",
     "SimConfig",
     "__version__",
     "closed_rabi_probabilities",

@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +242,7 @@ def test_verify_always_starts_from_the_ground_state(tmp_path, capsys):
         (["ensemble", "--n-traj", "8", "--tau-us", "0.2"], {"sim": {"tau_us": 0.2, "initial_state": 0}}),
         (
             ["jarzynski", "--n-traj", "8", "--tau-us", "0.2", "--eta-list", "0.5"],
-            {"sim": {"eta": [0.5], "scheme": "kraus", "initial_state": [0, 1]}},
+            {"sim": {"eta": [0.5], "initial_state": [0, 1]}},
         ),
         (
             ["sweep", "--n-traj", "8", "--tau-us", "5", "--gain-grid", "20,35",
@@ -263,7 +264,7 @@ def test_manifest_records_integrated_config(argv, want, tmp_path):
     [
         ["ensemble", "--n-traj", "0"],           # no error bar below two
         ["sweep", "--tau-us", "1"],              # InsufficientSpanError
-        ["ensemble", "--gamma-per-us", "500"],   # NumericalBlowupError
+        ["ensemble", "--gamma-per-us", "500"],   # gamma*dt = 10 > MAX_GAMMA_DT
         ["ensemble", "--gamma-per-us", "nan"],   # non-finite config value
     ],
     ids=["n-traj-0", "short-window", "blowup", "nan-gamma"],
@@ -294,7 +295,6 @@ PARAM_SAMPLES = {
     "dt_ns": ("--dt-ns", "10", 0.01),
     "tau_us": ("--tau-us", "2", 2.0),
     "seed": ("--seed", "7", 7),
-    "scheme": ("--scheme", "kraus", "kraus"),
     "initial_state": ("--initial-state", "1", 1),
     "mode": ("--feedback", "pll", "phase_locked"),
     "gain": ("--gain", "20", 20.0),
@@ -322,6 +322,24 @@ def test_each_parameter_reaches_its_field(key, tmp_path):
         args = cli._build_parser().parse_args(["ensemble"] + extra + route)
         sim, fb, run = cli._assemble(args)
         assert getattr({"sim": sim, "fb": fb, "run": run}[group], name) == want
+
+
+def test_readme_config_example_holds_exactly_the_parameters(tmp_path):
+    # README says its INI example shows all the keys; a commented-out key
+    # (phi) counts.  The example must also be a file the CLI accepts.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    section, keys = None, {}
+    for line in example.splitlines():
+        if m := re.fullmatch(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r"#? ?(\w+) = ", line):
+            keys[m.group(1)] = section
+    assert keys == {key: param.section for key, param in cli.PARAMS.items()}
+    ini = tmp_path / "run.ini"
+    ini.write_text(example)
+    assert set(cli._parse_config_file(str(ini), cli.COMMANDS["ensemble"].params())) == (
+        set(cli.PARAMS) - {"phi"})
 
 
 def test_sample_final_is_not_a_parameter(tmp_path, capsys):
@@ -425,24 +443,6 @@ def test_sweep_rejects_a_non_finite_grid_before_integrating(grid, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert calls == []
-
-
-def test_jarzynski_integrates_the_configured_scheme(tmp_path, monkeypatch):
-    schemes = []
-    protocol = cli.run_efficacy_protocol
-
-    def recording(sim, fb, **kwargs):
-        schemes.append(sim.scheme)
-        return protocol(sim, fb, **kwargs)
-
-    monkeypatch.setattr(cli, "run_efficacy_protocol", recording)
-    ini = tmp_path / "run.ini"
-    ini.write_text("[numerics]\nscheme = ito-euler\n")
-    assert main(["jarzynski", "--config", str(ini), "--n-traj", "8", "--tau-us", "0.2",
-                 "--eta-list", "0.5", "--out-dir", str(tmp_path)]) == 0
-    assert schemes == ["ito-euler"]
-    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
-    assert config["sim"]["scheme"] == "ito-euler"
 
 
 def test_jarzynski_rejects_a_single_trajectory_before_integrating(tmp_path, capsys,

@@ -109,7 +109,7 @@ def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
     """Zero-delay feedback, thermal preparation and the Kraus step, in blocks of
     two points: every field of each grid point equals its own ensemble."""
     monkeypatch.setattr(qtherm.experiments, "SWEEP_LANES", 100)
-    sim = SimConfig(seed=6, tau=3.0, scheme="kraus", initial_state="thermal", beta=1.0)
+    sim = SimConfig(seed=6, tau=3.0, initial_state="thermal", beta=1.0)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
     gains, offsets = [25.0, 35.0, 45.0], [-1.25, -0.75]
     want = per_point_sweep_contrast(gains, offsets, sim, fb, 50, window=(0.0, 3.0))

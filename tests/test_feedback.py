@@ -105,9 +105,9 @@ def test_zero_gain_equals_no_feedback(paper_cfg):
 
 
 def test_optimal_feedback_keeps_pure_state_locked(paper_cfg):
-    # eta = 1, kraus scheme: purity stays 1 and the phase tracks the closed
+    # eta = 1: purity stays 1 and the phase tracks the closed
     # evolution to within one step's heat kick.
-    cfg = paper_cfg(eta=1.0, tau=2.0, scheme="kraus", seed=11)
+    cfg = paper_cfg(eta=1.0, tau=2.0, seed=11)
     fb = FeedbackConfig(mode="optimal")
     res = run_ensemble(cfg, fb, 1, record=SERIES)
     x, z = res.series["x"][0], res.series["z"][0]

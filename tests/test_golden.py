@@ -3,8 +3,8 @@
 The SHA-256 of every data file (``manifest.json`` is outside the determinism
 contract and is skipped) pins the output bytes of a fixed (seed, config).
 ``ENGINE_DIGEST`` pins every array ``run_ensemble`` returns for a set of
-feedback laws, both schemes and a thermal preparation, chunked and run on one
-and two workers.  A change that alters seeded output on purpose updates these
+feedback laws and a thermal preparation, chunked and run on one and two
+workers.  A change that alters seeded output on purpose updates these
 digests and says so; any other change must leave them alone.  The digests
 were recorded with numpy 2.4 on x86-64 Linux; a different libm may round
 differently.
@@ -24,25 +24,25 @@ GOLDEN = {
     "trajectory": (
         ["trajectory", "--tau-us", "1"],
         {
-            "trajectory.csv": "1f2d0dd905f5b0174683be0b1fe04170efbeff1f996d5aa903cca14d89769c9b",
-            "trajectory_config.json": "0f6e08f1fd546c5db8c2fdb0133b27faa0e6e05639b9fdc759ce1227b1731a48",
+            "trajectory.csv": "864eb746bfe83f729413418133b35791b2b354d5221617799e54646ae23531d1",
+            "trajectory_config.json": "0b6958cc9462b29d163e4465de2f3bc22ad0fa6ef0721a711cda2338667719bd",
         },
     ),
     "ensemble": (
         ["ensemble", "--n-traj", "64", "--tau-us", "1", "--feedback", "pll",
          "--delay-ns", "100"],
         {
-            "summary.json": "d7d23d3ccf16ecaef8290a42419e5ed2b20eb2634b18d14e1892f7989977491d",
-            "timeseries.csv": "9aa81cf017159736c1e93a35fa05dac485b6c524600cc8bc43f2efdd12c03600",
-            "trajectories.csv": "1222200cf2d00613cfef130c1e21e5db2901c3315872999a9f537eaf3bd6304d",
+            "summary.json": "99cf94bc74dbe1b4d7b7cce3c2a57c550ad2e3c5bada1cd10abdf9cc873c67ac",
+            "timeseries.csv": "ca30fedbb6cd4d82c7cb1027766b4c4ecbcbaa8de01e2d6c94b9d8126064187c",
+            "trajectories.csv": "ca7f63bb5f873545737b162429c37e04cc9a7d819e8b7f60d330fba749620a9d",
         },
     ),
     "sweep": (
         ["sweep", "--n-traj", "64", "--tau-us", "5", "--feedback", "pll",
          "--gain-grid", "20,35", "--offset-grid=-1,-0.5"],
         {
-            "summary.json": "3b0c52df791b34896d4065f58868020b70d210bfd2198b6be9bc107930874b1a",
-            "sweep.csv": "b0cb1462939b9e5dce855f1645222f76e83df4b0f28c230bb2c72821f420e09f",
+            "summary.json": "680d0f6af42bb6b9a5691e8e120a46d5c388d5233fe9c930e321789db565f1b5",
+            "sweep.csv": "319adb43b9df4abb52c137f25743b339755b07144903826efd877704d7ee4d41",
         },
     ),
 }
@@ -60,7 +60,7 @@ def test_data_file_digests(name, tmp_path):
     assert got == want
 
 
-ENGINE_DIGEST = "2c37546d5604ac3618e99dbaa849be4e21fffab3ef9bf60d07c4f90bad3e74f1"
+ENGINE_DIGEST = "9de0bc5708e28630a6c3c518d0d41cd0c735e6fe06eb474fd1257bae08d11fe4"
 
 ENGINE_FIELDS = ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean",
                  "initial_labels", "w", "wf", "q", "final_x", "final_z",
@@ -75,9 +75,8 @@ def engine_cases():
         FeedbackConfig(mode="optimal", delay_steps=0),
         FeedbackConfig(mode="optimal", delay_steps=2),
     ]
-    for scheme in ("ito-euler", "kraus"):
-        for fb in feedback:
-            yield SimConfig(tau=0.4, seed=3, scheme=scheme), fb
+    for fb in feedback:
+        yield SimConfig(tau=0.4, seed=3), fb
     yield (
         SimConfig(tau=0.4, seed=4, initial_state="thermal", beta=1.0),
         FeedbackConfig(mode="phase_locked", delay_steps=5),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtherm.config import FeedbackConfig, SimConfig
+from qtherm.config import MAX_GAMMA_DT, FeedbackConfig, SimConfig
 from qtherm.ensemble import CHUNK_SIZE, run_ensemble
 from qtherm.sme import _dissipative_kraus, split_step
 
@@ -20,16 +20,17 @@ unit_disk = st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)).map(
 )
 
 
-# The domain is steps of up to a quarter decay time and increments within ten
-# standard deviations (Var dV = gamma*dt).  Beyond it the rounding of
-# p + 2*ady*c + ady^2*q, which cancels for a nearly pure state at
-# ady ~ -c/q, can exceed the 1e-12 margin: x^2 + z^2 - 1 = 3.5e-12 at
-# gamma*dt = 1, eta = 1, (x, z) = (-0.2046, 0.9788), dV = 9.67.
+# The domain is every step SimConfig accepts (gamma*dt up to MAX_GAMMA_DT, a
+# quarter decay time) and increments within ten standard deviations
+# (Var dV = gamma*dt).  Beyond it the rounding of p + 2*ady*c + ady^2*q,
+# which cancels for a nearly pure state at ady ~ -c/q, can exceed the 1e-12
+# margin: x^2 + z^2 - 1 = 3.5e-12 at gamma*dt = 1, eta = 1,
+# (x, z) = (-0.2046, 0.9788), dV = 9.67.
 @PROPERTY
 @given(
     state=unit_disk,
     sigmas=st.floats(-10.0, 10.0),
-    gamma_dt=st.floats(0.0, 0.25, exclude_min=True),
+    gamma_dt=st.floats(0.0, MAX_GAMMA_DT, exclude_min=True),
     eta=st.floats(0.0, 1.0),
 )
 def test_kraus_step_keeps_the_state_in_the_unit_disk(state, sigmas, gamma_dt, eta):
@@ -39,9 +40,7 @@ def test_kraus_step_keeps_the_state_in_the_unit_disk(state, sigmas, gamma_dt, et
     assert x2[0] ** 2 + z2[0] ** 2 <= 1.0 + 1e-12
 
 
-#: Lanes of (state, homodyne increment, feedback rate in rad/us).  |dV| stays
-#: below 0.2, where the Ito-Euler step at the default dt cannot reach the
-#: blow-up guard (|x|, |z| <= 1.5) from any state of the disk.
+#: Lanes of (state, homodyne increment, feedback rate in rad/us).
 lanes = st.lists(
     st.tuples(unit_disk, st.floats(-0.2, 0.2), st.floats(-50.0, 50.0)),
     min_size=1, max_size=16,
@@ -49,15 +48,14 @@ lanes = st.lists(
 
 
 @pytest.mark.parametrize("feedback_after", [False, True])
-@pytest.mark.parametrize("scheme", ["ito-euler", "kraus"])
 @settings(PROPERTY, max_examples=40)
 @given(lanes=lanes)
-def test_split_step_books_every_energy_change(scheme, feedback_after, lanes):
+def test_split_step_books_every_energy_change(feedback_after, lanes):
     x = np.array([s[0] for s, _, _ in lanes])
     z = np.array([s[1] for s, _, _ in lanes])
     dv = np.array([d for _, d, _ in lanes])
     omega_fb = np.array([o for _, _, o in lanes])
-    cfg = SimConfig(scheme=scheme)
+    cfg = SimConfig()
     step = split_step(x, z, dv, cfg.omega_r, omega_fb, cfg, feedback_after=feedback_after)
     assert np.abs(step.dw + step.dwf + step.dq - 0.5 * (z - step.z)).max() <= 1e-12
 
@@ -70,7 +68,6 @@ PER_TRAJECTORY = ("w", "wf", "q", "final_x", "final_z", "residuals", "outcomes")
     n_traj=st.integers(1, 12),
     chunk_size=st.integers(1, 12),
     workers=st.sampled_from([1, 2]),
-    scheme=st.sampled_from(["ito-euler", "kraus"]),
     fb=st.sampled_from([
         FeedbackConfig(),
         FeedbackConfig(mode="phase_locked"),
@@ -79,12 +76,11 @@ PER_TRAJECTORY = ("w", "wf", "q", "final_x", "final_z", "residuals", "outcomes")
         FeedbackConfig(mode="optimal", delay_steps=1),
     ]),
 )
-@example(n_traj=12, chunk_size=5, workers=2, scheme="kraus",
-         fb=FeedbackConfig(mode="optimal", delay_steps=1))
+@example(n_traj=12, chunk_size=5, workers=2, fb=FeedbackConfig(mode="optimal", delay_steps=1))
 def test_per_trajectory_results_do_not_depend_on_chunks_or_workers(
-    n_traj, chunk_size, workers, scheme, fb
+    n_traj, chunk_size, workers, fb
 ):
-    sim = SimConfig(tau=0.1, seed=11, scheme=scheme, initial_state="thermal")
+    sim = SimConfig(tau=0.1, seed=11, initial_state="thermal")
     lags = (0, 1, 3, 6)  # five steps: lag 6 has no pairs
     want = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=CHUNK_SIZE)
     got = run_ensemble(sim, fb, n_traj, lags=lags, workers=workers, chunk_size=chunk_size)

@@ -10,14 +10,12 @@ from qtherm.feedback import pll_drive
 from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
     SERIES,
-    NumericalBlowupError,
-    _renormalize,
     homodyne_increment,
     rng_for_trajectory,
     run_batch,
     split_step,
 )
-from reference import ito_step
+from reference import NumericalBlowupError, ito_step
 
 
 def one(v):
@@ -101,42 +99,49 @@ def test_ito_step_mean_matches_lindblad_at_fine_dt(paper_cfg):
 
 
 def test_ito_step_blowup(paper_cfg):
-    cfg = paper_cfg(gamma=200.0)
+    # From the excited state an increment of dV = 2 (about 11 standard
+    # deviations at the defaults) throws x to 2*sqrt(eta)*dV = 2.4.
+    cfg = paper_cfg()
     with pytest.raises(NumericalBlowupError):
-        ito_step(EXCITED, 0.0, 0.0, cfg)
+        ito_step(EXCITED, 2.0, 0.0, cfg)
 
 
-def test_split_step_differs_from_the_unsplit_step_at_order_dt_1_5(paper_cfg):
-    # Rotating first moves the state O(dt) before the O(sqrt(dt)) noise term
-    # is evaluated, so one split step and one unsplit Ito-Euler step from the
-    # same state and noise differ pathwise by O(dt^1.5), a ratio of about
-    # 2.8 per halving of dt.
+def test_split_step_agrees_with_the_unsplit_step_in_the_mean_at_order_dt_2(paper_cfg):
+    # One-step weak consistency: averaged over the noise, one split step and
+    # one unsplit Ito-Euler step from the same state differ by O(dt^2), a
+    # ratio of about 4 per halving of dt.  (Pathwise they differ at O(dt).)
+    # The mean over xi ~ N(0, 1) is 12-node Gauss-Hermite quadrature.  The
+    # reference's blow-up guard refuses the 5.5-sigma node for a few states
+    # at 20 ns; those states are left out at every dt.
     rng = np.random.default_rng(0)
     n = 2000
     r = 0.95 * np.sqrt(rng.uniform(size=n))
     a = rng.uniform(0, 2 * math.pi, n)
     x, z = r * np.sin(a), r * np.cos(a)
-    xi = rng.standard_normal(n)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(12)
+    weights = weights / weights.sum()
     dts = np.array([0.02, 0.01, 0.005, 0.0025, 0.00125])
-    rms = []
-    for dt in dts:
+    states = [BlochState(*s) for s in zip(x.tolist(), z.tolist())]
+    mean_gap = np.zeros((len(dts), 2, n))
+    kept = np.ones(n, dtype=bool)
+    for i, dt in enumerate(dts):
         cfg = paper_cfg(dt=dt)
-        dv = homodyne_increment(x, math.sqrt(dt) * xi, cfg)
-        step = split_step(x, z, dv, cfg.omega_r, 0.0, cfg)
-        ref = [ito_step(BlochState(x[k], z[k]), dv[k], cfg.omega_r, cfg) for k in range(n)]
-        gap = np.hypot(step.x - [s.x for s in ref], step.z - [s.z for s in ref])
-        rms.append(math.sqrt(np.mean(gap**2)))
+        for xi, w in zip(nodes, weights):
+            dv = homodyne_increment(x, math.sqrt(dt) * xi, cfg)
+            step = split_step(x, z, dv, cfg.omega_r, 0.0, cfg)
+            ref = np.full((2, n), np.nan)
+            for k, (s, dv_k) in enumerate(zip(states, dv.tolist())):
+                try:
+                    unsplit = ito_step(s, dv_k, cfg.omega_r, cfg)
+                except NumericalBlowupError:
+                    kept[k] = False
+                    continue
+                ref[:, k] = unsplit.x, unsplit.z
+            mean_gap[i] += w * (np.stack([step.x, step.z]) - ref)
+    assert kept.sum() >= 0.99 * n
+    rms = np.sqrt((mean_gap[:, :, kept] ** 2).sum(axis=1).mean(axis=1))
     order = np.polyfit(np.log(dts), np.log(rms), 1)[0]
-    assert 1.3 <= order <= 1.7
-
-
-def test_renormalize():
-    x, z = _renormalize(np.array([0.0, 0.3, 0.8]), np.array([1.0000001, 0.4, 0.8]))
-    assert z[0] == 1.0 and x[0] == 0.0
-    assert (x[1], z[1]) == (0.3, 0.4)
-    w = 0.8 / math.sqrt(1.28)
-    assert x[2] == pytest.approx(w, abs=1e-15)
-    assert z[2] == pytest.approx(w, abs=1e-15)
+    assert 1.8 <= order <= 2.2
 
 
 def test_split_step_unitary_limit(paper_cfg):
@@ -198,6 +203,12 @@ def test_simulate_trajectory_zero_duration(paper_cfg):
     assert res.residuals[0] == 0.0
 
 
+def test_one_trajectory_has_no_error_bar(paper_cfg):
+    # One trajectory leaves no sample variance: p00_sem is NaN, not zero.
+    res = run_ensemble(paper_cfg(tau=1.0), n_traj=1)
+    assert res.p00_sem.shape == (51,) and np.isnan(res.p00_sem).all()
+
+
 def test_simulate_trajectory_closed_pi_pulse(paper_cfg):
     # omega_r * tau = pi: full ground -> excited flip, deterministic.
     cfg = paper_cfg(gamma=0.0, eta=0.0, tau=0.5, seed=9)
@@ -253,11 +264,10 @@ def test_unknown_record_name_is_rejected(paper_cfg):
         run_batch(cfg, FeedbackConfig(), [rng_for_trajectory(cfg.seed, 0)], record=("ledgr",))
 
 
-@pytest.mark.parametrize("scheme", ["ito-euler", "kraus"])
-def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg, scheme):
+def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg):
     # A drive that multiplies dV[i] must act on the post-measurement state:
     # every step is drive rotation -> dissipator -> feedback rotation.
-    cfg = paper_cfg(tau=0.1, scheme=scheme)
+    cfg = paper_cfg(tau=0.1)
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(50)]
     batch = run_batch(cfg, fb, rngs, record=("x", "z", "dw", "dwf", "dq", "dv"))
@@ -300,33 +310,10 @@ def test_unconditional_mean_is_eta_independent(paper_cfg):
 def test_purity_preserved_at_unit_efficiency_kraus(paper_cfg):
     # 1000 steps at eta = 1: the measurement-operator dissipator keeps a pure
     # state pure to rounding (well under the 1e-6 contract).
-    cfg = paper_cfg(eta=1.0, tau=0.02 * 1000, scheme="kraus", seed=5)
+    cfg = paper_cfg(eta=1.0, tau=0.02 * 1000, seed=5)
     s = run_ensemble(cfg, n_traj=1, record=SERIES).series
     pur = 0.5 * (1.0 + s["x"]**2 + s["z"]**2)
     assert np.abs(pur - 1.0).max() < 1e-6
-
-
-def test_purity_drift_of_euler_scheme_at_unit_efficiency(paper_cfg):
-    # Known limitation (documented): the first-order Ito-Euler update loses
-    # purity pathwise at O(sqrt(gamma*dt)) per excursion, which is why unit
-    # efficiency runs use the kraus scheme.  Assert the drift is real so a
-    # silent behavior change would be noticed.
-    cfg = paper_cfg(eta=1.0, tau=0.002 * 1000, dt=0.002, scheme="ito-euler", seed=5)
-    s = run_ensemble(cfg, n_traj=1, record=SERIES).series
-    pur = 0.5 * (1.0 + s["x"]**2 + s["z"]**2)
-    assert pur.min() < 1.0 - 1e-3
-    assert pur.max() <= 1.0 + 1e-12
-
-
-def test_kraus_scheme_agrees_with_euler_in_the_mean(paper_cfg):
-    cfg_e = paper_cfg(tau=2.0, seed=31)
-    cfg_k = cfg_e.with_(scheme="kraus")
-    res_e = run_ensemble(cfg_e, n_traj=3000)
-    res_k = run_ensemble(cfg_k, n_traj=3000, )
-    comb = np.arange(10, cfg_e.n_steps + 1, 10)
-    sem = np.hypot(res_e.p00_sem[comb], res_k.p00_sem[comb])
-    z = np.abs(res_e.p00_mean[comb] - res_k.p00_mean[comb]) / sem
-    assert z.max() < 4.5
 
 
 def test_bounded_decomposition_small_ensemble(paper_cfg):

@@ -185,7 +185,7 @@ def test_two_efficacy_routes_agree(paper_cfg):
     # Trajectory-route (state averages) and work-distribution route (sampled
     # projective outcomes) on the same run agree within combined errors at
     # 0.1 us checkpoints.
-    cfg = paper_cfg(tau=1.0, dt=0.005, scheme="kraus", seed=19)
+    cfg = paper_cfg(tau=1.0, dt=0.005, seed=19)
     fb = FeedbackConfig(mode="optimal")
     prot = run_efficacy_protocol(cfg, fb, n_traj=300)
     comb = np.arange(20, cfg.n_steps + 1, 20)
