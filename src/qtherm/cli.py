@@ -316,29 +316,34 @@ def cmd_jarzynski(args) -> int:
     if sim.beta <= 0:
         raise ConfigError("jarzynski requires beta > 0")
     etas = args.eta_list
+    if not etas:
+        raise ConfigError("--eta-list is empty")
+    keys = [f"{eta:g}" for eta in etas]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"--eta-list {','.join(keys)} names an output file twice")
+    # The whole list is checked here, before any output is written.
+    column = sim.with_(eta=np.reshape(etas, (-1, 1)))
     out = run.out_dir
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     summary: dict = {"etas": etas, "per_eta": {}, "manifest": "manifest.json"}
     started = time.perf_counter()
-    for eta in etas:
-        prot = run_efficacy_protocol(
-            sim.with_(eta=eta), fb, n_traj=run.n_traj, workers=run.workers
-        )
+    prots = run_efficacy_protocol(column, fb, n_traj=run.n_traj, workers=run.workers)
+    for key, prot in zip(keys, prots):
         tr = prot.trajectory_route
-        name = f"efficacy_eta{eta:g}.csv"
+        name = f"efficacy_eta{key}.csv"
         write_csv(out / name,
                   ("t", "gamma_traj", "stderr_traj", "gamma_wd", "stderr_wd", "c00", "c11"),
                   _columns(prot.times, tr.gamma_q, tr.stderr, prot.wd_route_gamma,
                            prot.wd_route_stderr, tr.c00, tr.c11))
         outputs.append(name)
-        summary["per_eta"][f"{eta:g}"] = {
+        summary["per_eta"][key] = {
             "gamma0": float(tr.gamma_q[0]),
             "msd_to_1us": tr.mean_sq_deviation(1.0),
         }
     write_json(out / "summary.json", summary)
     outputs.append("summary.json")
-    # Each eta runs a ground-prepared ensemble and an excited-prepared one.
+    # Each eta runs as lanes of a ground-prepared and an excited-prepared ensemble.
     _write_manifest(out, "jarzynski", sim, fb, outputs, run.n_traj, started,
                     eta=etas, initial_state=[0, 1])
     print(f"jarzynski: eta={etas} -> {out}")

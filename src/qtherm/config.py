@@ -40,7 +40,8 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(obj, name)
         if value is not None and not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            shown = value if np.ndim(value) == 0 else np.ravel(value).tolist()
+            raise ValueError(f"{name} must be finite, got {shown!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,10 @@ class SimConfig:
         population oscillation P00(t) then has period ``2*pi/omega_r``
         (1 us at the default), and the transition-probability formula
         cos^2/sin^2 is evaluated at ``omega_r/2``.
-    eta : float
-        Homodyne quantum efficiency, in [0, 1].
+    eta : float or (G, 1) array
+        Homodyne quantum efficiency, in [0, 1].  A (G, 1) column is a grid
+        of G efficiencies run as lanes on shared noise (see
+        ``sme.run_batch``); every element is checked.
     dt : float
         Integration step (us).  ``tau/dt`` must be an integer, and
         ``gamma*dt`` at most ``MAX_GAMMA_DT``.
@@ -92,7 +95,10 @@ class SimConfig:
         _require_finite(self, ("gamma", "omega_r", "eta", "dt", "tau", "phi", "beta"))
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if not 0.0 <= self.eta <= 1.0:
+        eta = np.asarray(self.eta)
+        if eta.ndim != 0 and not (eta.ndim == 2 and eta.shape[0] > 0 and eta.shape[1] == 1):
+            raise ValueError(f"eta must be a scalar or a (G, 1) column, got shape {eta.shape}")
+        if not ((eta >= 0.0) & (eta <= 1.0)).all():
             raise ValueError("eta must be in [0, 1]")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")

@@ -82,13 +82,16 @@ def _merge(
 
     Per-step sums and pair moments are added in chunk order starting from
     zeros; every other array, ``outcomes`` and each series are concatenated
-    in chunk order.  Every chunk accumulated the same ``lags``.
+    in chunk order, except that a lone chunk's are taken as they are,
+    without a copy.  Every chunk accumulated the same ``lags``.
     """
     merged: dict = {}
     for f in fields(EnsembleResult)[4:]:  # after sim, fb, n_traj, lags
         parts = [getattr(b, f.name) for b in batches]
         if f.metadata.get("merge") == "sum":
             merged[f.name] = sum(parts, np.zeros_like(parts[0]))
+        elif len(parts) == 1:
+            merged[f.name] = parts[0]
         elif f.name == "series":
             merged[f.name] = {k: np.concatenate([p[k] for p in parts], axis=-2) for k in parts[0]}
         else:

@@ -11,6 +11,7 @@ from .ensemble import CHUNK_SIZE, run_ensemble
 from .sme import rng_for_trajectory
 from .stats import (
     EfficacyResult,
+    Preparation,
     contrast_window,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
@@ -20,6 +21,14 @@ from .stats import (
 #: Most lanes (grid points x trajectories of one chunk) a sweep integrates in
 #: one batch; more lanes per step save interpreter overhead but cost memory.
 SWEEP_LANES = 8192
+
+
+def _lane_blocks(rows: np.ndarray, n_traj: int, max_lanes: int) -> list[np.ndarray]:
+    """``rows`` (grid points run as lanes) cut into the fewest near-equal
+    blocks whose batches hold at most ``max_lanes`` lanes (one row per block
+    if a chunk alone exceeds it)."""
+    per_block = max(1, max_lanes // int(np.clip(n_traj, 1, CHUNK_SIZE)))
+    return np.array_split(rows, -(-len(rows) // per_block))
 
 
 @dataclass(frozen=True)
@@ -75,9 +84,8 @@ def sweep_gain_offset(
 
     # Row-major (gain, offset) pairs, cut into near-equal blocks.
     grid = np.stack(np.meshgrid(gains, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
-    per_block = max(1, SWEEP_LANES // int(np.clip(n_traj, 1, CHUNK_SIZE)))
     contrast = []
-    for block in np.array_split(grid, -(-len(grid) // per_block)):
+    for block in _lane_blocks(grid, n_traj, SWEEP_LANES):
         res = run_ensemble(sim, fb.with_(gain=block[:, :1], offset=block[:, 1:]), n_traj,
                            workers=workers)
         contrast += [rabi_contrast(res.times, p00, sim.omega_r, window=window)
@@ -109,7 +117,7 @@ def run_efficacy_protocol(
     n_traj: int = 500,
     *,
     workers: int = 1,
-) -> EfficacyProtocol:
+) -> EfficacyProtocol | list[EfficacyProtocol]:
     """Simulate both preparations and estimate gamma_q(t) along both routes.
 
     The trajectory route averages the conditional populations (Methods
@@ -118,37 +126,46 @@ def run_efficacy_protocol(
     duration.  N = 500 trajectories per preparation reproduces the paper's
     protocol; fewer than two give no error bar and are rejected before any
     ensemble runs.
+
+    A (G, 1) column ``sim.eta`` returns G protocols, one per efficiency, each
+    with the bytes of its own scalar-eta call.  The efficiencies run as lanes
+    on shared noise, in blocks of at most ``CHUNK_SIZE`` lanes, and each
+    ensemble's recorded series are reduced before the next one starts.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
-    ground = run_ensemble(
-        sim.with_(initial_state=0), fb, n_traj, record=("p00",), workers=workers
-    )
-    excited = run_ensemble(
-        sim.with_(initial_state=1, seed=sim.seed + 1),
-        fb,
-        n_traj,
-        record=("p00",),
-        workers=workers,
-    )
-    p00_g = ground.series["p00"]
-    p00_e = excited.series["p00"]
-    traj_route = efficacy_from_trajectories(p00_g, p00_e, sim.beta, times=ground.times)
-
+    times = sim.dt * np.arange(sim.n_steps + 1)
     # Independent projective outcomes at every time, one Bernoulli draw per
     # (trajectory, time re-run); this is what an experiment of that duration
-    # would have measured.  0x5A3B is also trajectory 23,099's key; moving it
-    # to a disjoint key is ROADMAP item 4, as it changes the efficacy bytes.
-    samp_rng = rng_for_trajectory(sim.seed, 0x5A3B)
-    hits_g = (samp_rng.random(p00_g.shape) < p00_g).mean(axis=0)
-    hits_e = (samp_rng.random(p00_e.shape) < (1.0 - p00_e)).mean(axis=0)
-    gamma_wd, err_wd = jarzynski_from_transitions(
-        hits_g, hits_e, sim.beta, n_traj, n_traj
-    )
+    # would have measured.  Every eta draws the same uniforms, ground block
+    # first.  0x5A3B is also trajectory 23,099's key; moving it to a disjoint
+    # key is ROADMAP item 5, as it changes the efficacy bytes.
+    uniforms = rng_for_trajectory(sim.seed, 0x5A3B).random((2, n_traj, times.size))
 
-    return EfficacyProtocol(
-        times=ground.times,
-        trajectory_route=traj_route,
-        wd_route_gamma=gamma_wd,
-        wd_route_stderr=err_wd,
-    )
+    # Per preparation and eta: the reduced series and the sampled outcome
+    # frequency (return probability for ground, survival for excited).  Each
+    # ensemble's series are reduced and freed before the next one runs.
+    reduced: list[list[tuple[Preparation, np.ndarray]]] = [[], []]
+    for label, u in enumerate(uniforms):
+        prep = sim.with_(initial_state=label, seed=sim.seed + label)
+        for block in _lane_blocks(np.reshape(sim.eta, (-1, 1)), n_traj, CHUNK_SIZE):
+            series = run_ensemble(prep.with_(eta=block), fb, n_traj, record=("p00",),
+                                  workers=workers).series["p00"]
+            reduced[label] += [
+                (Preparation.of(p00), (u < (p00 if label == 0 else 1.0 - p00)).mean(axis=0))
+                for p00 in series
+            ]
+            del series
+
+    protocols = []
+    for (ground, hits_g), (excited, hits_e) in zip(*reduced):
+        gamma_wd, err_wd = jarzynski_from_transitions(
+            hits_g, hits_e, sim.beta, n_traj, n_traj
+        )
+        protocols.append(EfficacyProtocol(
+            times=times,
+            trajectory_route=efficacy_from_trajectories(ground, excited, sim.beta, times=times),
+            wd_route_gamma=gamma_wd,
+            wd_route_stderr=err_wd,
+        ))
+    return protocols if np.ndim(sim.eta) else protocols[0]

@@ -36,9 +36,10 @@ that :func:`run_batch` calls once per step on every lane of a batch.
 :func:`run_batch` returns an :class:`EnsembleResult`, the one result type of
 a batch and of a merged ensemble: per-step sums (the means derive from them),
 per-trajectory ledger totals, (dWF, dQ) pair moments and recorded series.
-Phase-locked gain and offset given as (G, 1) columns add a leading grid
-axis: the lanes are (G, n_traj), every grid point integrates the same n_traj
-noise paths, and every per-step sum and per-lane array gains that axis.
+Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
+columns add a leading grid axis: the lanes are (G, n_traj), every grid point
+integrates the same n_traj noise paths, and every per-step sum and per-lane
+array gains that axis.
 
 Trajectories are independent: trajectory k draws all its randomness from the
 stream (seed, k), in the fixed order [thermal-preparation uniform,] noise
@@ -69,15 +70,15 @@ def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
 
 def homodyne_increment(x, dX, cfg: SimConfig):
     """Homodyne increments dV = sqrt(eta)*gamma*x*dt + sqrt(gamma)*dX, per lane."""
-    return math.sqrt(cfg.eta) * cfg.gamma * x * cfg.dt + math.sqrt(cfg.gamma) * dX
+    return np.sqrt(cfg.eta) * cfg.gamma * x * cfg.dt + math.sqrt(cfg.gamma) * dX
 
 
-def _dissipative_kraus(x, z, dv, gamma: float, eta: float, dt: float):
+def _dissipative_kraus(x, z, dv, gamma: float, eta, dt: float):
     """Measurement-operator (Kraus) dissipative sub-step; positivity-safe."""
     if gamma == 0.0:
         return x, z
     dy = dv / math.sqrt(gamma)
-    a = math.sqrt(eta * gamma)
+    a = np.sqrt(eta * gamma)
     p = 0.5 * (1.0 + z)  # ground population
     q = 0.5 * (1.0 - z)  # excited population
     c = 0.5 * x
@@ -259,10 +260,10 @@ def run_batch(
     ``pair_moments``, keeping only the last L dQ arrays; a lag of n_steps or
     more has no pairs.  Without lags the loop does no extra work.
 
-    ``fb.gain`` and ``fb.offset`` may be (G, 1) columns of a grid: the lanes
-    are then (G, n) with each trajectory's noise shared along the grid axis,
-    and every reduction runs along the last axis, so grid point g gets the
-    bytes a run with its scalar gain and offset gives.
+    ``fb.gain``, ``fb.offset`` and ``cfg.eta`` may be (G, 1) columns of a
+    grid: the lanes are then (G, n) with each trajectory's noise shared along
+    the grid axis, and every reduction runs along the last axis, so grid
+    point g gets the bytes a run with its scalar gain, offset and eta gives.
     """
     record = frozenset(record)
     unknown = record.difference(SERIES)
@@ -275,8 +276,9 @@ def run_batch(
     if any(lag < 0 or lag != int(lag) for lag in lags):
         raise ValueError(f"lags must be non-negative integers, got {lags}")
     n = len(rngs)
-    # (G, 1) gain/offset columns give the lanes a leading grid axis: (G, n).
-    lanes = np.broadcast_shapes(np.shape(fb.gain), np.shape(fb.offset), (n,))
+    # (G, 1) gain/offset/eta columns give the lanes a leading grid axis: (G, n).
+    lanes = np.broadcast_shapes(np.shape(fb.gain), np.shape(fb.offset), np.shape(cfg.eta),
+                                (n,))
     steps = cfg.n_steps
     dt = cfg.dt
     omega_r = cfg.omega_r

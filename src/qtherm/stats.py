@@ -13,7 +13,8 @@ final state.
 The generalized-Jarzynski efficacy is estimated two ways:
 
 * the trajectory route: equal-weight averages of the ground/excited-prepared
-  ensembles give the map coefficients C00(t), C11(t), and
+  ensembles (each reduced to a :class:`Preparation`) give the map
+  coefficients C00(t), C11(t), and
 
       gamma_q(t) = [e^{+beta/2} C00(t) + e^{-beta/2} C11(t)] / (2 cosh(beta/2));
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,45 +62,56 @@ class EfficacyResult:
         return float(np.mean((self.gamma_q[mask] - 1.0) ** 2))
 
 
+class Preparation(NamedTuple):
+    """One preparation ensemble's ground-population series, reduced over its
+    trajectories at each time."""
+
+    mean: np.ndarray  # (n_times,)
+    var: np.ndarray   # (n_times,) sample variance, ddof 1
+    n: int            # trajectories
+
+    @classmethod
+    def of(cls, p00: np.ndarray) -> "Preparation":
+        """Reduce an (n_traj, n_times) series of at least two trajectories."""
+        p00 = np.asarray(p00, dtype=float)
+        if p00.ndim != 2:
+            raise ValueError("a preparation ensemble is an (n_traj, n_times) series")
+        if p00.shape[0] < 2:
+            raise ValueError("each preparation needs at least two trajectories for an error bar")
+        return cls(p00.mean(axis=0), p00.var(axis=0, ddof=1), p00.shape[0])
+
+
 def efficacy_from_trajectories(
-    p00_ground: np.ndarray,
-    p00_excited: np.ndarray,
+    ground: Preparation,
+    excited: Preparation,
     beta: float,
     times: np.ndarray | None = None,
 ) -> EfficacyResult:
     """Trajectory-route efficacy from the two preparation ensembles.
 
-    ``p00_ground`` / ``p00_excited`` are (n_traj, n_times) ground-population
-    series of ensembles prepared in the ground / excited state with otherwise
-    identical configuration; each needs at least two trajectories.  gamma_q
-    is linear in C00 = mean_g + mean_e with slope tanh(beta/2), so its
-    standard error is tanh(beta/2) * sqrt(s_g^2/n_g + s_e^2/n_e), from the
-    sample variances (ddof 1) of the two independent ensembles.
+    ``ground`` / ``excited`` reduce the ensembles prepared in the ground /
+    excited state with otherwise identical configuration, on a common time
+    grid.  gamma_q is linear in C00 = mean_g + mean_e with slope
+    tanh(beta/2), so its standard error is
+    tanh(beta/2) * sqrt(s_g^2/n_g + s_e^2/n_e), from the sample variances of
+    the two independent ensembles.
     """
-    g = np.asarray(p00_ground, dtype=float)
-    e = np.asarray(p00_excited, dtype=float)
-    if g.ndim != 2 or e.ndim != 2 or g.shape[1] != e.shape[1]:
-        raise ValueError(
-            "preparation ensembles must be (n_traj, n_times) on a common grid"
-        )
-    if g.shape[0] < 2 or e.shape[0] < 2:
-        raise ValueError("each preparation needs at least two trajectories for an error bar")
-    n_times = g.shape[1]
+    n_times = ground.mean.shape[-1]
+    if excited.mean.shape != ground.mean.shape:
+        raise ValueError("preparation ensembles must be on a common time grid")
     if times is None:
         times = np.arange(n_times, dtype=float)
     times = np.asarray(times, dtype=float)
     if times.shape != (n_times,):
         raise ValueError("times length must match the series")
 
-    c00 = g.mean(axis=0) + e.mean(axis=0)
+    c00 = ground.mean + excited.mean
     # C11 = 2 - C00 exactly (populations sum to one trajectory by trajectory).
     gamma = (math.exp(0.5 * beta) * c00 + math.exp(-0.5 * beta) * (2.0 - c00)) / (
         2.0 * math.cosh(0.5 * beta)
     )
     k = abs(math.tanh(0.5 * beta))
-    stderr = k * np.sqrt(
-        g.var(axis=0, ddof=1) / g.shape[0] + e.var(axis=0, ddof=1) / e.shape[0]
-    )
+    stderr = k * np.sqrt(ground.var / ground.n + excited.var / excited.n)
 
     return EfficacyResult(
         times=times, gamma_q=gamma, stderr=stderr, c00=c00, c11=2.0 - c00

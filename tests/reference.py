@@ -26,7 +26,12 @@ from qtherm.bloch import BlochState, closed_rabi_probabilities, gibbs_weights
 from qtherm.config import SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.sme import _rotation_work
-from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_contrast
+from qtherm.stats import (
+    Preparation,
+    ZeroVarianceError,
+    efficacy_from_trajectories,
+    rabi_contrast,
+)
 
 #: Pre-renormalization |x| or |z| beyond this aborts ``ito_step``: the Euler
 #: step has left the physical region so far that dt is clearly too coarse.
@@ -199,7 +204,8 @@ def bootstrap_efficacy_stderr(g, e, beta, rng, n_boot=1000):
     for b in range(n_boot):
         ig = rng.integers(0, g.shape[0], g.shape[0])
         ie = rng.integers(0, e.shape[0], e.shape[0])
-        boots[b] = efficacy_from_trajectories(g[ig], e[ie], beta).gamma_q
+        boots[b] = efficacy_from_trajectories(Preparation.of(g[ig]), Preparation.of(e[ie]),
+                                              beta).gamma_q
     return boots.std(axis=0, ddof=1)
 
 

@@ -460,6 +460,31 @@ def test_jarzynski_rejects_a_single_trajectory_before_integrating(tmp_path, caps
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("eta_list, reason", [
+    ("", "--eta-list is empty"),
+    ("0.5,0.5", "names an output file twice"),
+    ("0.3,nan", "eta must be finite"),
+], ids=["empty", "same-file", "nan"])
+def test_jarzynski_rejects_a_bad_eta_list_before_integrating(eta_list, reason, tmp_path, capsys,
+                                                             monkeypatch):
+    calls = []
+    ensemble = qtherm.experiments.run_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(qtherm.experiments, "run_ensemble", counting)
+    argv = ["jarzynski", "--tau-us", "0.1", "--n-traj", "4", "--eta-list", eta_list,
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    assert calls == []
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_ensemble_rejects_a_single_trajectory_before_integrating(tmp_path, capsys,
                                                                 monkeypatch):
     # One trajectory has no sample variance, so P00(tau) and p00_mean have no

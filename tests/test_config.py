@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qtherm.config import MAX_GAMMA_DT, FeedbackConfig, SimConfig
@@ -35,3 +36,20 @@ def test_a_step_longer_than_a_quarter_decay_time_is_rejected():
     with pytest.raises(ValueError, match=r"^gamma\*dt must be <= 0\.25.*gamma = 200.*dt = 0\.02"):
         SimConfig(gamma=200.0)
     assert SimConfig(gamma=MAX_GAMMA_DT / 0.02).gamma * 0.02 == MAX_GAMMA_DT
+
+
+@pytest.mark.parametrize("value, message", [
+    (NAN, r"^eta must be finite, got \[0\.35, nan, 1\.0\]$"),
+    (1.5, r"^eta must be in \[0, 1\]$"),
+], ids=["nan", "above-one"])
+def test_a_bad_value_inside_an_eta_column_is_rejected_by_name(value, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(eta=np.array([[0.35], [value], [1.0]]))
+
+
+@pytest.mark.parametrize("eta", [np.array([0.35, 0.6]), np.ones((2, 2)), np.ones((0, 1))],
+                         ids=["flat", "square", "empty"])
+def test_eta_is_a_scalar_or_a_non_empty_column(eta):
+    with pytest.raises(ValueError, match=r"^eta must be a scalar or a \(G, 1\) column"):
+        SimConfig(eta=eta)
+    assert SimConfig(eta=np.array([[0.35], [1.0]])).eta.shape == (2, 1)

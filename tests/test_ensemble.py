@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import qtherm.experiments
 from qtherm.config import FeedbackConfig, SimConfig
-from qtherm.ensemble import CHUNK_SIZE, run_ensemble
-from qtherm.experiments import sweep_gain_offset
+from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _merge, _run_chunk, run_ensemble
+from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
 from qtherm.stats import pooled_pearson_r, rabi_contrast
 from reference import per_point_sweep_contrast
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
@@ -127,6 +129,61 @@ def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
         for name in ("p00", "dq"):
             assert np.array_equal(lanes.series[name][g], one.series[name]), name
         assert np.array_equal(lanes.initial_labels, one.initial_labels)
+
+
+def protocol_arrays(prot) -> dict[str, np.ndarray]:
+    """Every array of an ``EfficacyProtocol``, its trajectory route's included."""
+    tr = prot.trajectory_route
+    return {**{f.name: getattr(prot, f.name) for f in fields(prot)
+               if f.name != "trajectory_route"},
+            **{"trajectory_route." + f.name: getattr(tr, f.name) for f in fields(tr)}}
+
+
+def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
+    """Five efficiencies in uneven blocks (3 + 2) and two chunks per
+    ensemble: every per-eta protocol equals its own scalar call, field by
+    field, on one worker or two."""
+    n_traj, etas = 7, [0.0, 0.35, 0.6, 0.9, 1.0]
+    sim = SimConfig(seed=8, tau=0.3, dt=0.005)
+    fb = FeedbackConfig(mode="optimal")
+    want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj) for eta in etas]
+    monkeypatch.setattr(qtherm.experiments, "CHUNK_SIZE", 3 * n_traj)
+    blocks = []
+    run = qtherm.experiments.run_ensemble
+    monkeypatch.setattr(qtherm.experiments, "run_ensemble",
+                        lambda sim, *a, **kw: blocks.append(len(sim.eta))
+                        or run(sim, *a, chunk_size=4, **kw))
+    column = sim.with_(eta=np.reshape(etas, (-1, 1)))
+    for workers in (1, 2):
+        got = run_efficacy_protocol(column, fb, n_traj, workers=workers)
+        assert len(got) == len(etas)
+        for eta, g, w in zip(etas, got, want):
+            g, w = protocol_arrays(g), protocol_arrays(w)
+            for name in w:
+                assert np.array_equal(g[name], w[name]), (workers, eta, name)
+    assert blocks == [3, 2, 3, 2] * 2
+
+
+def test_merge_takes_a_lone_chunk_as_it_is_and_joins_several(paper_cfg):
+    sim = paper_cfg(tau=0.2, seed=4)
+    fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
+    a, b = (_run_chunk(sim, fb, start, count, ("p00", "dq"), (0, 2))
+            for start, count in ((0, 5), (5, 3)))
+    one = _merge(sim, fb, 5, [a])
+    two = _merge(sim, fb, 8, [a, b])
+    for f in fields(EnsembleResult)[4:]:
+        got_one, got_two = getattr(one, f.name), getattr(two, f.name)
+        parts = [getattr(a, f.name), getattr(b, f.name)]
+        if f.metadata.get("merge") == "sum":
+            assert np.array_equal(got_one, parts[0]), f.name
+            assert np.array_equal(got_two, parts[0] + parts[1]), f.name
+        elif f.name == "series":
+            for k in parts[0]:
+                assert got_one[k] is parts[0][k], k
+                assert np.array_equal(got_two[k], np.concatenate([p[k] for p in parts], axis=-2))
+        else:
+            assert got_one is parts[0], f.name
+            assert np.array_equal(got_two, np.concatenate(parts, axis=-1)), f.name
 
 
 @pytest.mark.parametrize("fb", [

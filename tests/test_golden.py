@@ -1,4 +1,4 @@
-"""Golden digests of the engine's results and of the data files three CLI commands write.
+"""Golden digests of the engine's results and of the data files four CLI commands write.
 
 The SHA-256 of every data file (``manifest.json`` is outside the determinism
 contract and is skipped) pins the output bytes of a fixed (seed, config).
@@ -35,6 +35,16 @@ GOLDEN = {
             "summary.json": "99cf94bc74dbe1b4d7b7cce3c2a57c550ad2e3c5bada1cd10abdf9cc873c67ac",
             "timeseries.csv": "ca30fedbb6cd4d82c7cb1027766b4c4ecbcbaa8de01e2d6c94b9d8126064187c",
             "trajectories.csv": "ca7f63bb5f873545737b162429c37e04cc9a7d819e8b7f60d330fba749620a9d",
+        },
+    ),
+    "jarzynski": (
+        ["jarzynski", "--feedback", "optimal", "--tau-us", "0.5", "--dt-ns", "5",
+         "--n-traj", "64", "--eta-list", "0.35,0.6,1"],
+        {
+            "efficacy_eta0.35.csv": "9316f42d7963485f94666f356526132c835e992e0ea18b70881ec73a8b18c5a7",
+            "efficacy_eta0.6.csv": "fa1e4d223433c9073e6a66a6a03950d45d313f00cbd4560c8c59037964e4efb4",
+            "efficacy_eta1.csv": "ac46b79e9c7fc20c8be72aa1a13d99a61ba65e6f6cbce5a2ac30a017f823024d",
+            "summary.json": "447c6637ff1d5750dd9365c0e65f3201f577fee6b9144a10a49bc9214a905f10",
         },
     ),
     "sweep": (

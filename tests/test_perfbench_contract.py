@@ -4,8 +4,8 @@
 ``perfbench/layer_trace.py`` patches module attributes by name, so renaming
 one of those names, or a flag a workload passes, breaks the benchmark.  These
 tests run the probe on each workload's exact command line and on the two
-commands no workload runs, one traced command that uses the process pool and
-one traced sweep, so such a change fails here first.
+commands no workload runs, one traced command that uses the process pool, one
+traced sweep and one traced jarzynski, so such a change fails here first.
 """
 
 import importlib.util
@@ -86,3 +86,17 @@ def test_traced_sweep_builds_each_noise_stream_once_per_block(tmp_path):
     assert metrics["trace.missing_traj"] == 0
     assert metrics["sme.streams"] == n_traj * blocks < points * n_traj
     assert metrics["experiments.ensembles"] == blocks
+
+
+def test_traced_jarzynski_builds_each_noise_stream_once_per_block(tmp_path):
+    n_traj, etas = 300, ("0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9")
+    blocks = -(-len(etas) // (CHUNK_SIZE // min(n_traj, CHUNK_SIZE)))
+    layers = tmp_path / "layers.json"
+    done = probe("trace", str(layers), "jarzynski", "--n-traj", str(n_traj), "--tau-us", "0.2",
+                 "--dt-ns", "5", "--feedback", "optimal", "--eta-list", ",".join(etas),
+                 "--out-dir", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(layers.read_text())
+    assert metrics["trace.missing_traj"] == 0
+    assert metrics["sme.streams"] == 2 * n_traj * blocks < 2 * len(etas) * n_traj
+    assert metrics["experiments.ensembles"] == 2 * blocks

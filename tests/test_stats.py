@@ -10,6 +10,7 @@ from qtherm.experiments import run_efficacy_protocol
 from qtherm.sme import SERIES
 from qtherm.stats import (
     InsufficientSpanError,
+    Preparation,
     ZeroVarianceError,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
@@ -131,7 +132,7 @@ def test_efficacy_identity_map():
     p_g = 0.5 + 0.5 * np.cos(2 * math.pi * times)
     g = np.tile(p_g, (40, 1))
     e = 1.0 - g
-    res = efficacy_from_trajectories(g, e, beta=3.5, times=times)
+    res = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e), beta=3.5, times=times)
     assert np.allclose(res.gamma_q, 1.0, atol=1e-12)
     assert res.gamma_q[0] == 1.0
     assert np.allclose(res.c00 + res.c11, 2.0, atol=1e-12)
@@ -143,17 +144,19 @@ def test_efficacy_decayed_map_value():
     beta = 3.5
     g = np.ones((30, 5))
     e = np.ones((30, 5))
-    res = efficacy_from_trajectories(g, e, beta=beta)
+    res = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e), beta=beta)
     assert np.allclose(res.gamma_q, 1.0 + math.tanh(beta / 2.0), atol=1e-12)
 
 
 def test_efficacy_shape_validation():
     with pytest.raises(ValueError):
-        efficacy_from_trajectories(np.ones((3, 4)), np.ones((3, 5)), 3.5)
+        efficacy_from_trajectories(Preparation.of(np.ones((3, 4))),
+                                   Preparation.of(np.ones((3, 5))), 3.5)
     with pytest.raises(ValueError):
-        efficacy_from_trajectories(np.ones(4), np.ones(4), 3.5)
+        efficacy_from_trajectories(Preparation.of(np.ones(4)), Preparation.of(np.ones(4)), 3.5)
     with pytest.raises(ValueError, match="at least two trajectories"):
-        efficacy_from_trajectories(np.ones((1, 4)), np.ones((3, 4)), 3.5)
+        efficacy_from_trajectories(Preparation.of(np.ones((1, 4))),
+                                   Preparation.of(np.ones((3, 4))), 3.5)
 
 
 def test_efficacy_stderr_closed_form_by_hand():
@@ -162,7 +165,8 @@ def test_efficacy_stderr_closed_form_by_hand():
     # variance 0.08 and the excited rows (0, 0, 1, 1) have 1/3.
     g = np.array([[1.0, 0.2], [1.0, 0.6]])
     e = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    res = efficacy_from_trajectories(g, e, beta=2.0 * math.log(3.0))
+    res = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e),
+                                     beta=2.0 * math.log(3.0))
     assert res.stderr[0] == 0.0
     assert res.stderr[1] == pytest.approx(0.8 * math.sqrt(0.08 / 2 + (1 / 3) / 4), rel=1e-12)
 
@@ -174,7 +178,7 @@ def test_closed_form_efficacy_error_matches_the_bootstrap():
     g = rng.random((300, 41)) ** np.linspace(0.5, 3.0, 41)
     e = 1.0 - rng.random((250, 41)) ** np.linspace(3.0, 0.5, 41)
     g[:, 0], e[:, 0] = 1.0, 0.0
-    closed = efficacy_from_trajectories(g, e, beta=3.5).stderr
+    closed = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e), beta=3.5).stderr
     boot = bootstrap_efficacy_stderr(g, e, beta=3.5, rng=np.random.default_rng(7))
     assert closed[0] == 0.0
     ratio = boot[1:] / closed[1:]
