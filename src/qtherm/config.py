@@ -44,6 +44,15 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be finite, got {shown!r}")
 
 
+def _require_scalar_or_column(obj, names: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first field of ``obj`` that is neither a
+    scalar nor a non-empty (G, 1) column (a grid run as lanes)."""
+    for name in names:
+        shape = np.shape(getattr(obj, name))
+        if shape and not (len(shape) == 2 and shape[0] > 0 and shape[1] == 1):
+            raise ValueError(f"{name} must be a scalar or a (G, 1) column, got shape {shape}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation protocol.
@@ -95,9 +104,8 @@ class SimConfig:
         _require_finite(self, ("gamma", "omega_r", "eta", "dt", "tau", "phi", "beta"))
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
+        _require_scalar_or_column(self, ("eta",))
         eta = np.asarray(self.eta)
-        if eta.ndim != 0 and not (eta.ndim == 2 and eta.shape[0] > 0 and eta.shape[1] == 1):
-            raise ValueError(f"eta must be a scalar or a (G, 1) column, got shape {eta.shape}")
         if not ((eta >= 0.0) & (eta <= 1.0)).all():
             raise ValueError("eta must be in [0, 1]")
         if self.dt <= 0:
@@ -159,6 +167,7 @@ class FeedbackConfig:
 
     def __post_init__(self) -> None:
         _require_finite(self, ("gain", "offset", "delay_steps"))
+        _require_scalar_or_column(self, ("gain", "offset"))
         if self.mode not in FEEDBACK_MODES:
             raise ValueError(
                 f"mode must be one of {FEEDBACK_MODES}, got {self.mode!r}"

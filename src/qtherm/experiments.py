@@ -117,7 +117,7 @@ def run_efficacy_protocol(
     n_traj: int = 500,
     *,
     workers: int = 1,
-) -> EfficacyProtocol | list[EfficacyProtocol]:
+) -> list[EfficacyProtocol]:
     """Simulate both preparations and estimate gamma_q(t) along both routes.
 
     The trajectory route averages the conditional populations (Methods
@@ -127,10 +127,10 @@ def run_efficacy_protocol(
     protocol; fewer than two give no error bar and are rejected before any
     ensemble runs.
 
-    A (G, 1) column ``sim.eta`` returns G protocols, one per efficiency, each
-    with the bytes of its own scalar-eta call.  The efficiencies run as lanes
-    on shared noise, in blocks of at most ``CHUNK_SIZE`` lanes, and each
-    ensemble's recorded series are reduced before the next one starts.
+    Returns a list of one protocol per row of ``sim.eta`` (one for a scalar),
+    each with the bytes of its own scalar-eta call.  The efficiencies run as
+    lanes on shared noise, in blocks of at most ``CHUNK_SIZE`` lanes, and
+    each ensemble's recorded series are reduced before the next one starts.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
@@ -168,4 +168,4 @@ def run_efficacy_protocol(
             wd_route_gamma=gamma_wd,
             wd_route_stderr=err_wd,
         ))
-    return protocols if np.ndim(sim.eta) else protocols[0]
+    return protocols

@@ -74,7 +74,7 @@ class RunManifest:
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / MANIFEST_NAME
-        payload = {
+        write_json(path, {
             "command": self.command,
             "version": self.version,
             "seed": self.seed,
@@ -83,12 +83,14 @@ class RunManifest:
             "wall_seconds": round(self.wall_seconds, 3),
             "outputs": self.outputs,
             "config": self.config,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        })
         return path
 
 
+# Both writers create the output directory, so a command that rejects its
+# input before writing leaves none behind.
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -103,4 +105,5 @@ def _fmt(v):
 
 
 def write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

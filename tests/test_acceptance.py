@@ -319,7 +319,7 @@ def test_criterion_09_generalized_jarzynski():
     z_eta1 = z_eta1_traj = float("nan")
     for eta in eta_list:
         cfg = SimConfig(seed=77, tau=1.0, dt=0.005, eta=eta, beta=3.5)
-        prot = run_efficacy_protocol(cfg, fb, n_traj=500)
+        [prot] = run_efficacy_protocol(cfg, fb, n_traj=500)
         tr = prot.trajectory_route
         gamma0_exact &= tr.gamma_q[0] == 1.0 and prot.wd_route_gamma[0] == 1.0
         msd[eta] = tr.mean_sq_deviation(1.0)

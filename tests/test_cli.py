@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -228,6 +229,28 @@ def test_verify_passes_quickly(tmp_path):
     assert manifest["config"]["sim"]["initial_state"] == 0
 
 
+def test_a_check_outside_its_bound_fails_verify(tmp_path, capsys, monkeypatch):
+    # An oracle with 80% of the true z amplitude misses every sampled mean.
+    evolve = cli.lindblad_evolve
+
+    def shrunk(*args, **kwargs):
+        sol = evolve(*args, **kwargs)
+        return dataclasses.replace(sol, z=0.8 * sol.z)
+
+    monkeypatch.setattr(cli, "lindblad_evolve", shrunk)
+    assert main(["verify", "--out-dir", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["passed"], summary["total"]) == (5, 6)
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["oracle-agreement"]
+    max_z, (lo, hi) = failed[0]["measured"]["max_z"], failed[0]["bound"]["max_z"]
+    assert math.isfinite(max_z) and (lo, hi) == (0.0, 5.0) and max_z > hi
+    out = capsys.readouterr().out
+    assert f"[FAIL] oracle-agreement: max_z = {max_z:.3g} in [0, 5]" in out
+    assert out.count("[PASS]") == 5 and "verify: 5/6 checks passed" in out
+    assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == ["summary.json"]
+
+
 def test_verify_always_starts_from_the_ground_state(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[numerics]\ninitial_state = 1\n")
@@ -273,6 +296,18 @@ def test_runtime_errors_end_in_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--tau-us", "5", "--gain-grid", "nan"],
+    ["ensemble", "--n-traj", "1"],
+    ["jarzynski", "--eta-list", ""],
+], ids=["sweep-nan-grid", "ensemble-one-trajectory", "jarzynski-empty-eta-list"])
+def test_a_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_assemble_defaults_come_from_the_dataclasses(monkeypatch):
@@ -367,7 +402,7 @@ UNREAD = {
     "jarzynski": ("eta", "initial_state"),
     "sweep": ("gain", "offset"),
     "verify": ("beta", "tau_us", "initial_state", "mode", "gain", "offset",
-               "delay_ns", "phi", "n_traj"),
+               "delay_ns", "phi", "n_traj", "workers"),
 }
 
 

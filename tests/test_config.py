@@ -53,3 +53,13 @@ def test_eta_is_a_scalar_or_a_non_empty_column(eta):
     with pytest.raises(ValueError, match=r"^eta must be a scalar or a \(G, 1\) column"):
         SimConfig(eta=eta)
     assert SimConfig(eta=np.array([[0.35], [1.0]])).eta.shape == (2, 1)
+
+
+@pytest.mark.parametrize("field", ["gain", "offset"])
+@pytest.mark.parametrize("value", [np.array([0.0, 34.0]), np.ones((2, 2)), np.ones((0, 1))],
+                         ids=["flat", "square", "empty"])
+def test_gain_and_offset_are_scalars_or_non_empty_columns(field, value):
+    # A flat gain would give each trajectory its own loop instead of a grid.
+    with pytest.raises(ValueError, match=rf"^{field} must be a scalar or a \(G, 1\) column"):
+        FeedbackConfig(mode="phase_locked", **{field: value})
+    assert FeedbackConfig(**{field: np.array([[0.0], [34.0]])}).__dict__[field].shape == (2, 1)

@@ -146,7 +146,7 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
     n_traj, etas = 7, [0.0, 0.35, 0.6, 0.9, 1.0]
     sim = SimConfig(seed=8, tau=0.3, dt=0.005)
     fb = FeedbackConfig(mode="optimal")
-    want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj) for eta in etas]
+    want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj)[0] for eta in etas]
     monkeypatch.setattr(qtherm.experiments, "CHUNK_SIZE", 3 * n_traj)
     blocks = []
     run = qtherm.experiments.run_ensemble
