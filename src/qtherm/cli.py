@@ -39,13 +39,13 @@ _FEEDBACK_ALIASES = {"pll": "phase_locked", "phase_locked": "phase_locked",
 
 class _Param(NamedTuple):
     """One user parameter.  ``convert`` maps its value onto the target field;
-    the flag is ``--key-with-dashes`` unless named, and None means INI only."""
+    the flag is ``--key-with-dashes`` unless named."""
 
     section: str
     type: Callable
     target: str  # "sim.<field>", "fb.<field>" or "run.<field>"
     convert: Callable | None = None
-    flag: str | None = ""
+    flag: str = ""
     choices: Sequence[str] | None = None
 
 
@@ -71,7 +71,6 @@ PARAMS = {
     "gain": _Param("feedback", float, "fb.gain"),
     "offset": _Param("feedback", float, "fb.offset"),
     "delay_ns": _Param("feedback", float, "fb.delay_steps"),
-    "phi": _Param("feedback", float, "sim.phi", flag=None),
     "n_traj": _Param("run", int, "run.n_traj"),
     "workers": _Param("run", int, "run.workers"),
     "out_dir": _Param("run", Path, "run.out_dir"),
@@ -137,9 +136,12 @@ class _Run(NamedTuple):
 def _parse_config_file(path: str, params: dict[str, _Param]) -> dict:
     """Values of the keys in ``params``; every other key is checked against
     ``PARAMS`` and left out."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ValueError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(path):
+            raise ValueError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: " + " ".join(str(exc).split())) from exc
     sections = {p.section for p in PARAMS.values()}
     values: dict = {}
     for section in parser.sections():
@@ -171,10 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="INI config file")
         for key, param in command.params().items():
-            if param.flag is not None:
-                p.add_argument(param.flag or "--" + key.replace("_", "-"), dest=key,
-                               type=param.type, choices=param.choices,
-                               help=f"[{param.section}] {key} in the config file")
+            p.add_argument(param.flag or "--" + key.replace("_", "-"), dest=key,
+                           type=param.type, choices=param.choices,
+                           help=f"[{param.section}] {key} in the config file")
         for key, default in command.lists.items():
             p.add_argument("--" + key.replace("_", "-"), default=default, dest=key,
                            type=float_list)

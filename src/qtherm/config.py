@@ -30,8 +30,7 @@ THERMAL = "thermal"
 MAX_GAMMA_DT = 0.25
 
 #: Feedback modes. "phase_locked" multiplies the homodyne record with a
-#: reference oscillator; "optimal" rotates the state back onto the
-#: closed-evolution phase at every step.
+#: reference oscillator; "optimal" undoes each completed step's heat angle.
 FEEDBACK_MODES = ("none", "phase_locked", "optimal")
 
 
@@ -75,9 +74,6 @@ class SimConfig:
         ``gamma*dt`` at most ``MAX_GAMMA_DT``.
     tau : float
         Protocol duration (us).
-    phi : float or None
-        Drive/reference phase (rad).  None selects the convention phi = 0
-        for a ground-state preparation and phi = pi for an excited one.
     seed : int
         Base RNG seed; trajectory k uses the stream (seed, k).
     initial_state : 0, 1 or "thermal"
@@ -95,13 +91,12 @@ class SimConfig:
     eta: float = 0.35
     dt: float = 0.02
     tau: float = 8.0
-    phi: float | None = None
     seed: int = 1
     initial_state: Union[int, str] = 0
     beta: float = 3.5
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("gamma", "omega_r", "eta", "dt", "tau", "phi", "beta"))
+        _require_finite(self, ("gamma", "omega_r", "eta", "dt", "tau", "beta"))
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         _require_scalar_or_column(self, ("eta",))
@@ -148,7 +143,8 @@ class FeedbackConfig:
         One of ``FEEDBACK_MODES``.
     gain : float
         Phase-locked reference gain A (1/us): the feedback drive is
-        ``Omega_F = A * (cos(omega_r*t + phi) + B) * dV``.  Since dV is
+        ``Omega_F = A * (cos(omega_r*t + phi) + B) * dV``, with phi = 0 for
+        a ground preparation and pi for an excited one.  Since dV is
         dimensionless, A in these units matches the experimental multiplier
         convention; the loop-analysis optimum is ``sqrt(eta)/dt`` (about 29.6
         at eta = 0.35, dt = 20 ns, empirically 34).
@@ -157,7 +153,7 @@ class FeedbackConfig:
         offset may also be (G, 1) columns: a grid of G loops run as lanes.
     delay_steps : int
         Loop delay in integration steps (dt units); the drive computed at
-        step i is applied at step i + delay_steps.
+        step i is applied at step i + delay_steps (optimal: at least i + 1).
     """
 
     mode: str = "none"
@@ -180,19 +176,6 @@ class FeedbackConfig:
 
 
 NO_FEEDBACK = FeedbackConfig(mode="none")
-
-
-def resolve_phi(sim: SimConfig, initial_labels) -> np.ndarray:
-    """Reference phase of each trajectory, from its preparation label.
-
-    SimConfig.phi if set, else the preparation convention (0 for a ground
-    start, pi for an excited one), which makes the phase-locked target
-    ``z = cos(omega_r*t + phi)`` the closed-evolution z.
-    """
-    labels = np.asarray(initial_labels)
-    if sim.phi is not None:
-        return np.full(labels.shape, float(sim.phi))
-    return np.where(labels == 0, 0.0, math.pi)
 
 
 def delay_steps_for(delay_ns: float, dt_us: float) -> int:

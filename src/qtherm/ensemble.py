@@ -63,10 +63,12 @@ def run_ensemble(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     record, lags = tuple(record), tuple(lags)
     chunks = [(sim, fb, s, c, record, lags) for s, c in _chunk_bounds(n_traj, chunk_size)]
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             futures = [pool.submit(_run_chunk, *chunk) for chunk in chunks]
             batches = [f.result() for f in futures]
     else:

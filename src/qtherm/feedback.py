@@ -13,10 +13,10 @@ Two controllers are implemented:
   the loop analysis predicts an optimum near ``A = sqrt(eta)/dt`` with
   ``B = -1``.
 
-* **Optimal unitary feedback** (requires real-time state knowledge): rotate
-  the state so its oscillation phase ``atan2(-x, z)`` matches the phase of
-  closed evolution, ``omega_r*t + phi``.  Being a rotation it never changes
-  purity, which is exactly why it cannot fully restore unitarity at eta < 1.
+* **Optimal unitary feedback** (requires real-time state knowledge): undo
+  each completed step's heat angle, ``Omega_F*dt = -theta_Q``, the turn of
+  the phase ``atan2(-x, z)`` in its dissipative sub-step.  Being a rotation
+  it never changes purity, so it cannot fully restore unitarity at eta < 1.
 
 Both controllers can run through a :class:`DelayLine` that delays the applied
 drive by a whole number of integration steps.  At zero delay the
@@ -31,20 +31,15 @@ from collections import deque
 import numpy as np
 
 
-def _wrap_angle(a):
-    """Wrap angle(s) to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(a), 2.0 * np.pi)
-
-
 def pll_drive(dv, t: float, omega_r: float, gain: float, offset: float, phi):
     """Phase-locked feedback drive (rad/us); array-friendly in dv and phi."""
     return gain * (np.cos(omega_r * t + phi) + offset) * dv
 
 
-def optimal_drive(x, z, t: float, omega_r: float, phi, dt: float):
-    """Optimal feedback drive (rad/us) for state arrays at time ``t``."""
-    theta = _wrap_angle(omega_r * t + phi - np.arctan2(-x, z))
-    return theta / dt
+def optimal_drive(x_mid, z_mid, x, z, dt: float):
+    """Optimal feedback drive (rad/us): minus the heat angle per ``dt``, the
+    shortest turn of ``atan2(-x, z)`` from (x_mid, z_mid) to (x, z)."""
+    return -np.arctan2(x_mid * z - z_mid * x, z_mid * z + x_mid * x) / dt
 
 
 class DelayLine:

@@ -29,6 +29,7 @@ def version_string() -> str:
             capture_output=True,
             text=True,
             timeout=5.0,
+            cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0 and out.stdout.strip():
             return f"{__version__}+{out.stdout.strip()}"
@@ -45,7 +46,6 @@ def config_snapshot(sim: SimConfig, fb: FeedbackConfig) -> dict:
             "eta": sim.eta,
             "dt_us": sim.dt,
             "tau_us": sim.tau,
-            "phi": sim.phi,
             "seed": sim.seed,
             "initial_state": sim.initial_state,
             "beta": sim.beta,

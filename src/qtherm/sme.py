@@ -28,8 +28,8 @@ zero-delay phase-locked loop) must act on the post-measurement state, as in
 homodyne-mediated feedback (Wiseman & Milburn, PRL 70, 548 (1993)).  Its
 rotation therefore follows step i's dissipative sub-step and is booked as
 feedback work; rotating first would precede the back-action it is meant to
-cancel.  Feedback known before the step (delayed, or computed from the state
-as the optimal law is) joins the drive in sub-step 1.
+cancel.  Feedback known before the step (delayed, or the optimal law's,
+computed from the previous step's heat angle) joins the drive in sub-step 1.
 
 :func:`split_step` is the one implementation of this step: an array kernel
 that :func:`run_batch` calls once per step on every lane of a batch.
@@ -57,8 +57,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .bloch import gibbs_weights
-from .config import THERMAL, FeedbackConfig, SimConfig, resolve_phi
-from .feedback import DelayLine, _wrap_angle, optimal_drive, pll_drive
+from .config import THERMAL, FeedbackConfig, SimConfig
+from .feedback import DelayLine, optimal_drive, pll_drive
 
 
 def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
@@ -297,7 +297,7 @@ def run_batch(
 
     z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
     x = np.zeros(lanes)
-    phi0 = resolve_phi(cfg, labels)
+    phi0 = np.where(labels == 0, 0.0, math.pi)
 
     grid = lanes[:-1]
     p00_sum, p00_sqsum = np.zeros((2, *grid, steps + 1))
@@ -325,14 +325,11 @@ def run_batch(
     pe_init = 0.5 * (1.0 - z)
 
     # The phase-locked line delays the drive computed from dV[i] by
-    # delay_steps.  The optimal law is incremental (it undoes the heat angle
-    # theta_Q of one completed step, the Methods' Omega_F*dt = -theta_Q), so
-    # its loop latency is delay_steps with a floor of one step: theta_Q of
-    # step i is only known once step i has been integrated.  At zero
-    # configured delay the drive instead realigns the full phase onto the
-    # closed-evolution target, which is the same law with self-correction.
-    incremental = fb.mode == "optimal" and fb.delay_steps > 0
-    line = DelayLine(max(fb.delay_steps - 1, 0) if incremental else fb.delay_steps)
+    # delay_steps.  The optimal law undoes the heat angle theta_Q of one
+    # completed step (the Methods' Omega_F*dt = -theta_Q), so its loop
+    # latency is delay_steps with a floor of one step: theta_Q of step i is
+    # only known once step i has been integrated.
+    line = DelayLine(max(fb.delay_steps - 1, 0) if fb.mode == "optimal" else fb.delay_steps)
     # A zero-delay phase-locked drive multiplies dV[i] itself.
     same_increment = fb.mode == "phase_locked" and fb.delay_steps == 0
     om_pending = np.zeros(n)
@@ -345,17 +342,14 @@ def run_batch(
             om_f = 0.0
         elif fb.mode == "phase_locked":
             om_f = line.push(pll_drive(dv, t, omega_r, fb.gain, fb.offset, phi0))
-        elif incremental:
+        else:  # optimal
             om_f = line.push(om_pending)
-        else:  # optimal, zero delay: rotate onto the target phase
-            om_f = optimal_drive(x, z, t, omega_r, phi0, dt)
 
         x, z, dw, dwf, dq, x_mid, z_mid = split_step(
             x, z, dv, omega_r, om_f, cfg, feedback_after=same_increment
         )
-        if incremental:
-            theta_q = _wrap_angle(np.arctan2(-x, z) - np.arctan2(-x_mid, z_mid))
-            om_pending = -theta_q / dt
+        if fb.mode == "optimal":
+            om_pending = optimal_drive(x_mid, z_mid, x, z, dt)
 
         w_tot += dw
         wf_tot += dwf

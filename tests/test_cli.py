@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qtherm
 import qtherm.experiments
 from qtherm import cli
 from qtherm.cli import main
 from qtherm.config import FeedbackConfig, SimConfig
+from qtherm.io import version_string
 
 
 def read_csv(path: Path):
@@ -206,6 +208,33 @@ def test_config_errors(tmp_path, capsys):
     assert "integer step count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "gamma_per_us = 1.7\n",
+    "[physics]\neta = 0.5\neta = 0.6\n",
+    "[physics]\neta = 0.5\n[physics]\nbeta = 2\n",
+], ids=["no-section", "key-twice", "section-twice"])
+def test_a_malformed_config_file_ends_in_one_error_line(text, tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert main(["ensemble", "--config", str(ini), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ini}: ") and err.count("\n") == 1
+
+
+def test_a_percent_sign_in_a_config_value_is_taken_literally(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nout_dir = runs/o_%x\n")
+    values = cli._parse_config_file(str(ini), cli.COMMANDS["ensemble"].params())
+    assert values["out_dir"] == Path("runs/o_%x")
+
+
+def test_the_manifest_version_names_the_package_checkout(tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(qtherm.__file__).resolve().parent)
+    want = version_string()
+    monkeypatch.chdir(tmp_path)
+    assert version_string() == want
+
+
 def test_verify_passes_quickly(tmp_path):
     assert main(["verify", "--out-dir", str(tmp_path)]) == 0
     # It reports each check's measured values and bounds next to a manifest.
@@ -289,8 +318,9 @@ def test_manifest_records_integrated_config(argv, want, tmp_path):
         ["sweep", "--tau-us", "1"],              # InsufficientSpanError
         ["ensemble", "--gamma-per-us", "500"],   # gamma*dt = 10 > MAX_GAMMA_DT
         ["ensemble", "--gamma-per-us", "nan"],   # non-finite config value
+        ["ensemble", "--workers", "0"],
     ],
-    ids=["n-traj-0", "short-window", "blowup", "nan-gamma"],
+    ids=["n-traj-0", "short-window", "blowup", "nan-gamma", "workers-0"],
 )
 def test_runtime_errors_end_in_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -320,8 +350,8 @@ def test_assemble_defaults_come_from_the_dataclasses(monkeypatch):
     assert (sim.gamma, sim.dt, fb.gain) == (2.5, 0.01, 20.0)
 
 
-#: A non-default value of every user parameter: (flag or None for INI-only,
-#: text as typed, expected value of the field it targets).
+#: A non-default value of every user parameter: (flag, text as typed,
+#: expected value of the field it targets).
 PARAM_SAMPLES = {
     "gamma_per_us": ("--gamma-per-us", "2.5", 2.5),
     "omega_mhz": ("--omega-mhz", "2", 4.0 * math.pi),
@@ -335,7 +365,6 @@ PARAM_SAMPLES = {
     "gain": ("--gain", "20", 20.0),
     "offset": ("--offset", "-0.5", -0.5),
     "delay_ns": ("--delay-ns", "100", 5),
-    "phi": (None, "0.5", 0.5),
     "n_traj": ("--n-traj", "50", 50),
     "workers": ("--workers", "2", 2),
     "out_dir": ("--out-dir", "elsewhere", Path("elsewhere")),
@@ -352,29 +381,28 @@ def test_each_parameter_reaches_its_field(key, tmp_path):
     extra = ["--feedback", "optimal"] if key == "delay_ns" else []
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{param.section}]\n{key} = {text}\n")
-    routes = [["--config", str(ini)]] + ([[f"{flag}={text}"]] if flag else [])
-    for route in routes:
+    for route in (["--config", str(ini)], [f"{flag}={text}"]):
         args = cli._build_parser().parse_args(["ensemble"] + extra + route)
         sim, fb, run = cli._assemble(args)
         assert getattr({"sim": sim, "fb": fb, "run": run}[group], name) == want
 
 
 def test_readme_config_example_holds_exactly_the_parameters(tmp_path):
-    # README says its INI example shows all the keys; a commented-out key
-    # (phi) counts.  The example must also be a file the CLI accepts.
+    # README says its INI example shows all the keys.  The example must also
+    # be a file the CLI accepts.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     section, keys = None, {}
     for line in example.splitlines():
         if m := re.fullmatch(r"\[(\w+)\]", line):
             section = m.group(1)
-        elif m := re.match(r"#? ?(\w+) = ", line):
+        elif m := re.match(r"(\w+) = ", line):
             keys[m.group(1)] = section
     assert keys == {key: param.section for key, param in cli.PARAMS.items()}
     ini = tmp_path / "run.ini"
     ini.write_text(example)
-    assert set(cli._parse_config_file(str(ini), cli.COMMANDS["ensemble"].params())) == (
-        set(cli.PARAMS) - {"phi"})
+    assert set(cli._parse_config_file(str(ini), cli.COMMANDS["ensemble"].params())) == set(
+        cli.PARAMS)
 
 
 def test_sample_final_is_not_a_parameter(tmp_path, capsys):
@@ -402,13 +430,13 @@ UNREAD = {
     "jarzynski": ("eta", "initial_state"),
     "sweep": ("gain", "offset"),
     "verify": ("beta", "tau_us", "initial_state", "mode", "gain", "offset",
-               "delay_ns", "phi", "n_traj", "workers"),
+               "delay_ns", "n_traj", "workers"),
 }
 
 
 @pytest.mark.parametrize(
     "command, key",
-    [(c, k) for c, keys in UNREAD.items() for k in keys if PARAM_SAMPLES[k][0]],
+    [(c, k) for c, keys in UNREAD.items() for k in keys],
 )
 def test_a_flag_the_command_does_not_read_ends_in_exit_2(command, key):
     flag, text, _ = PARAM_SAMPLES[key]
@@ -424,9 +452,8 @@ def test_each_command_offers_the_flags_it_reads(command):
     read = [key for key in PARAM_SAMPLES if key not in UNREAD[command]]
     for key in read:
         flag, text, _ = PARAM_SAMPLES[key]
-        if flag is not None:
-            args = parser.parse_args([command, f"{flag}={text}"])
-            assert getattr(args, key) is not None
+        args = parser.parse_args([command, f"{flag}={text}"])
+        assert getattr(args, key) is not None
     assert set(cli.COMMANDS[command].reads) == set(read)
 
 

@@ -17,7 +17,6 @@ INF = math.inf
         (SimConfig, "omega_r", NAN),
         (SimConfig, "dt", NAN),
         (SimConfig, "tau", INF),
-        (SimConfig, "phi", NAN),
         (SimConfig, "beta", NAN),
         (SimConfig, "beta", INF),
         (FeedbackConfig, "gain", NAN),

@@ -1,8 +1,10 @@
+from concurrent.futures import Future
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import qtherm.ensemble
 import qtherm.experiments
 from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _merge, _run_chunk, run_ensemble
@@ -20,6 +22,37 @@ def test_worker_count_does_not_change_results(paper_cfg):
     assert np.array_equal(one.w, three.w)
     assert np.array_equal(one.q, three.q)
     assert np.array_equal(one.outcomes, three.outcomes)
+
+
+def test_workers_are_checked_and_the_pool_has_at_most_one_per_chunk(paper_cfg, monkeypatch):
+    cfg = paper_cfg(tau=0.2, seed=6)
+    with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+        run_ensemble(cfg, n_traj=4, workers=0)
+    sizes = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size, runs work inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(qtherm.ensemble, "ProcessPoolExecutor", InlinePool)
+    pooled = run_ensemble(cfg, n_traj=96, workers=5000, chunk_size=32)
+    assert sizes == [3]
+    serial = run_ensemble(cfg, n_traj=96, chunk_size=32)
+    assert np.array_equal(pooled.w, serial.w)
+    assert np.array_equal(pooled.p00_sum, serial.p00_sum)
 
 
 def test_per_trajectory_values_independent_of_chunking(paper_cfg):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from qtherm.feedback import DelayLine, optimal_drive, pll_drive
 from qtherm.sme import SERIES
 from reference import rotate
 
-# optimal_drive(x, z, 0.0, omega_r, phi, DT) * DT is the rotation angle that
-# puts the state on the target phase phi.
+# optimal_drive(x_mid, z_mid, x, z, DT) * DT is the rotation angle that undoes
+# the turn of the phase atan2(-x, z) from (x_mid, z_mid) to (x, z).
 DT = 0.02
 
 
@@ -51,29 +52,34 @@ def test_phase_locked_matches_derived_law(paper_cfg):
 
 
 def test_optimal_control_on_target():
-    s = rotate(GROUND, 0.8)
-    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 0.8, DT) * DT
+    # A sub-step that only shrinks the Bloch vector leaves the phase alone.
+    mid = rotate(GROUND, 0.8)
+    theta = optimal_drive(mid.x, mid.z, 0.6 * mid.x, 0.6 * mid.z, DT) * DT
     assert theta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_optimal_control_corrects_lag():
-    s = rotate(GROUND, 0.7)
-    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 0.8, DT) * DT
-    assert theta == pytest.approx(0.1, abs=1e-12)
+    mid = rotate(GROUND, 0.8)
+    s = rotate(BlochState(0.0, 0.7), 0.9)
+    theta = optimal_drive(mid.x, mid.z, s.x, s.z, DT) * DT
+    assert theta == pytest.approx(-0.1, abs=1e-12)
     corrected = rotate(s, theta)
     assert math.atan2(-corrected.x, corrected.z) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_optimal_control_is_pure_rotation():
+    mid = rotate(GROUND, 2.0)
     s = BlochState(0.21, -0.4)
-    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 2.0, DT) * DT
+    theta = optimal_drive(mid.x, mid.z, s.x, s.z, DT) * DT
     assert purity(rotate(s, theta)) == pytest.approx(purity(s), abs=1e-15)
 
 
 def test_optimal_control_wraps_angle():
-    s = rotate(GROUND, 0.1)
-    theta = optimal_drive(s.x, s.z, 0.0, 2 * math.pi, 0.1 + 2.0 * math.pi, DT) * DT
-    assert theta == pytest.approx(0.0, abs=1e-12)
+    # A turn of +0.1 across the branch cut at pi is undone by -0.1, not 2*pi - 0.1.
+    mid = rotate(GROUND, math.pi - 0.05)
+    s = rotate(GROUND, -math.pi + 0.05)
+    theta = optimal_drive(mid.x, mid.z, s.x, s.z, DT) * DT
+    assert theta == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_delay_line_passthrough_and_latency():
@@ -120,6 +126,22 @@ def test_optimal_feedback_keeps_pure_state_locked(paper_cfg):
     err = np.angle(np.exp(1j * (np.arctan2(-x, z) - target)))
     assert np.sqrt((err**2).mean()) < 0.4
     assert abs(err.mean()) < 0.05
+
+
+def test_optimal_feedback_has_a_one_step_latency_floor(paper_cfg):
+    # The heat angle of step i is known only once step i is integrated, so a
+    # configured delay of zero steps runs exactly as a delay of one.
+    cfg = paper_cfg(tau=0.4, seed=5, initial_state="thermal", beta=1.0)
+    runs = [run_ensemble(cfg, FeedbackConfig(mode="optimal", delay_steps=d), 64,
+                         record=SERIES, lags=(0, 1, 3), chunk_size=32)
+            for d in (0, 1)]
+    for f in dataclasses.fields(runs[0]):
+        a, b = (getattr(r, f.name) for r in runs)
+        if f.name == "series":
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+        elif f.name != "fb":
+            assert np.array_equal(a, b), f.name
 
 
 def test_feedback_sustains_oscillation(paper_cfg):

@@ -25,7 +25,7 @@ GOLDEN = {
         ["trajectory", "--tau-us", "1"],
         {
             "trajectory.csv": "864eb746bfe83f729413418133b35791b2b354d5221617799e54646ae23531d1",
-            "trajectory_config.json": "0b6958cc9462b29d163e4465de2f3bc22ad0fa6ef0721a711cda2338667719bd",
+            "trajectory_config.json": "419f5128389db8578ba5763a0ffc5c7906dca5dc4bbe0af6ab8294802a55f8bb",
         },
     ),
     "ensemble": (
@@ -41,10 +41,10 @@ GOLDEN = {
         ["jarzynski", "--feedback", "optimal", "--tau-us", "0.5", "--dt-ns", "5",
          "--n-traj", "64", "--eta-list", "0.35,0.6,1"],
         {
-            "efficacy_eta0.35.csv": "9316f42d7963485f94666f356526132c835e992e0ea18b70881ec73a8b18c5a7",
-            "efficacy_eta0.6.csv": "fa1e4d223433c9073e6a66a6a03950d45d313f00cbd4560c8c59037964e4efb4",
-            "efficacy_eta1.csv": "ac46b79e9c7fc20c8be72aa1a13d99a61ba65e6f6cbce5a2ac30a017f823024d",
-            "summary.json": "447c6637ff1d5750dd9365c0e65f3201f577fee6b9144a10a49bc9214a905f10",
+            "efficacy_eta0.35.csv": "b67f8dfa15604ffcaad4572cef08030db3051256c481ec8fb3e18798e6e76966",
+            "efficacy_eta0.6.csv": "c494a147e00037eede7f0101ba086a45a3a7672e88a9d9476bf98137dc57c978",
+            "efficacy_eta1.csv": "5ac6e41365fafb9b4401e5078bc249418ceab8498f49b12b22a836882b0a05cc",
+            "summary.json": "d59a5f693b944f75434c5a657dc7d695c1bed9f508bfeac7c49bf2dca6630b84",
         },
     ),
     "sweep": (
@@ -70,7 +70,7 @@ def test_data_file_digests(name, tmp_path):
     assert got == want
 
 
-ENGINE_DIGEST = "9de0bc5708e28630a6c3c518d0d41cd0c735e6fe06eb474fd1257bae08d11fe4"
+ENGINE_DIGEST = "e19bdd67c48fbdc12aa4b78e7877b439fec1e9e332a933355e0b421827b5eec8"
 
 ENGINE_FIELDS = ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean",
                  "initial_labels", "w", "wf", "q", "final_x", "final_z",

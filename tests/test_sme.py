@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qtherm.bloch import EXCITED, GROUND, BlochState
-from qtherm.config import FeedbackConfig, resolve_phi
+from qtherm.config import FeedbackConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.feedback import pll_drive
 from qtherm.oracle import lindblad_evolve
@@ -271,12 +271,11 @@ def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
     rngs = [rng_for_trajectory(cfg.seed, k) for k in range(50)]
     batch = run_batch(cfg, fb, rngs, record=("x", "z", "dw", "dwf", "dq", "dv"))
-    phi = resolve_phi(cfg, 0)
     s = batch.series
     for i in range(cfg.n_steps):
         x, z, dv = s["x"][:, i], s["z"][:, i], s["dv"][:, i]
         heat = split_step(x, z, dv, cfg.omega_r, 0.0, cfg)
-        theta_f = pll_drive(dv, i * cfg.dt, cfg.omega_r, fb.gain, fb.offset, phi) * cfg.dt
+        theta_f = pll_drive(dv, i * cfg.dt, cfg.omega_r, fb.gain, fb.offset, 0.0) * cfg.dt
         z3 = heat.z * np.cos(theta_f) + heat.x * np.sin(theta_f)
         x3 = heat.x * np.cos(theta_f) - heat.z * np.sin(theta_f)
         assert s["x"][:, i + 1] == pytest.approx(x3, abs=1e-15)
