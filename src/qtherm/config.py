@@ -117,6 +117,9 @@ class SimConfig:
             raise ValueError(
                 f"tau/dt must be an integer step count, got {self.tau}/{self.dt}"
             )
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.initial_state not in (0, 1, THERMAL):
             raise ValueError(
                 f"initial_state must be 0, 1 or {THERMAL!r}, got {self.initial_state!r}"

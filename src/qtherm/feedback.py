@@ -26,14 +26,24 @@ applies it after that step's measurement back-action (see :mod:`qtherm.sme`).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 
-def pll_drive(dv, t: float, omega_r: float, gain: float, offset: float, phi):
-    """Phase-locked feedback drive (rad/us); array-friendly in dv and phi."""
-    return gain * (np.cos(omega_r * t + phi) + offset) * dv
+#: Reference phase phi of the phase-locked loop, indexed by preparation label.
+_PHASES = np.array([0.0, math.pi])
+
+
+def pll_drive(dv, t: float, omega_r: float, gain: float, offset: float, labels):
+    """Phase-locked feedback drive (rad/us) of each lane.
+
+    A lane's preparation label picks its reference phase: phi = 0 for a
+    ground start (label 0), pi for an excited one (label 1).  The reference
+    is evaluated once per phase, not once per lane.
+    """
+    return gain * (np.cos(omega_r * t + _PHASES)[labels] + offset) * dv
 
 
 def optimal_drive(x_mid, z_mid, x, z, dt: float):

@@ -50,8 +50,9 @@ regardless of how they are chunked across workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -60,12 +61,107 @@ from .bloch import gibbs_weights
 from .config import THERMAL, FeedbackConfig, SimConfig
 from .feedback import DelayLine, optimal_drive, pll_drive
 
+# numpy.random.SeedSequence's hash (O'Neill's seed_seq_fe), fixed by NEP 19.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+#: Trajectory indices seeded together.  It divides 2**32, so every index of
+#: a block splits into the same number of 32-bit spawn-key words.
+_SEED_BLOCK = 2048
+
+
+def _words32(n) -> list[int]:
+    """The little-endian 32-bit words SeedSequence splits an integer into."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's ``hashmix``: hash one word, then advance the constant."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=8)
+def _seed_words(seed: int, block: int) -> np.ndarray:
+    """(_SEED_BLOCK, 4) uint64: row j is ``SeedSequence(seed, spawn_key=(k,))
+    .generate_state(4, np.uint64)`` for k = block*_SEED_BLOCK + j.
+
+    The hash is written once and runs on Python ints while its input is the
+    same for the whole block (the seed words, zero-padded to the pool size as
+    numpy pads them beside a spawn key) and on uint64 arrays, masked to 32
+    bits, once the spawn-key words enter.
+    """
+    run = _words32(seed)
+    run += [0] * (_POOL - len(run))
+    key = _words32(block * _SEED_BLOCK)
+    key[0] = key[0] + np.arange(_SEED_BLOCK, dtype=np.uint64)
+    entropy = run + key
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL:]:
+        for i_dst in range(_POOL):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL]) for i in range(8)]
+    words = np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+    words.flags.writeable = False
+    # numpy.random loads lazily: processes that build no stream never import it.
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return words
+
+
+class _SeedWords:
+    """A seed sequence whose PCG64 seed words are already known."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError("only PCG64's four uint64 seed words are stored")
+        return self.words
+
 
 def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
-    """The RNG stream of trajectory ``index``; depends on (seed, index) only."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+    """The RNG stream of trajectory ``index``; depends on (seed, index) only.
+
+    It is ``Generator(PCG64(SeedSequence(seed, spawn_key=(index,))))`` bit for
+    bit: NumPy keeps SeedSequence's output fixed under its stream-compatibility
+    policy (NEP 19), and ``_seed_words`` reproduces that hash.  The seed words
+    of a whole block of indices are derived in one numpy pass and cached per
+    (seed, block), so each call only wraps its four words in a ``PCG64``.
+    """
+    words = _seed_words(seed, index // _SEED_BLOCK)[index % _SEED_BLOCK]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def homodyne_increment(x, dX, cfg: SimConfig):
@@ -108,9 +204,12 @@ def _rotation_work(x, z, theta_d, theta_f):
     # Work splits in proportion to the angles (exact for generators that are
     # fixed fractions of the total); at theta == 0 exactly, fall back to the
     # instantaneous commutator rates, which is the continuous limit.
-    theta_arr = np.asarray(theta, dtype=float)
-    safe = np.where(theta_arr == 0.0, 1.0, theta_arr)
-    dw = np.where(theta_arr == 0.0, -0.5 * x * theta_d, dpe * (theta_d / safe))
+    zero = np.asarray(theta) == 0.0
+    if zero.any():
+        safe = np.where(zero, 1.0, theta)
+        dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
+    else:
+        dw = dpe * (theta_d / theta)
     dwf = dpe - dw
     return x1, z1, dw, dwf
 
@@ -297,7 +396,6 @@ def run_batch(
 
     z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
     x = np.zeros(lanes)
-    phi0 = np.where(labels == 0, 0.0, math.pi)
 
     grid = lanes[:-1]
     p00_sum, p00_sqsum = np.zeros((2, *grid, steps + 1))
@@ -341,7 +439,7 @@ def run_batch(
         if fb.mode == "none":
             om_f = 0.0
         elif fb.mode == "phase_locked":
-            om_f = line.push(pll_drive(dv, t, omega_r, fb.gain, fb.offset, phi0))
+            om_f = line.push(pll_drive(dv, t, omega_r, fb.gain, fb.offset, labels))
         else:  # optimal
             om_f = line.push(om_pending)
 

@@ -328,6 +328,13 @@ def test_runtime_errors_end_in_one_error_line(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_negative_seed_is_rejected_by_name(tmp_path, capsys):
+    argv = ["ensemble", "--seed", "-1", "--n-traj", "10", "--tau-us", "0.1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--tau-us", "5", "--gain-grid", "nan"],
     ["ensemble", "--n-traj", "1"],

@@ -30,6 +30,13 @@ def test_non_finite_values_are_rejected_by_name(make, field, value):
         make(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1"], ids=["negative", "bool", "float", "str"])
+def test_a_seed_that_is_not_a_non_negative_int_is_rejected_by_name(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        SimConfig(seed=seed)
+    assert SimConfig(seed=np.int64(3)).seed == 3
+
+
 def test_a_step_longer_than_a_quarter_decay_time_is_rejected():
     # gamma*dt = 200 /us * 0.02 us = 4, sixteen times MAX_GAMMA_DT.
     with pytest.raises(ValueError, match=r"^gamma\*dt must be <= 0\.25.*gamma = 200.*dt = 0\.02"):

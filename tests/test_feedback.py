@@ -24,7 +24,7 @@ def purity(s: BlochState) -> float:
 def test_phase_locked_zero_signal(paper_cfg):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0)
     cfg = paper_cfg()
-    assert pll_drive(0.0, 1.3, cfg.omega_r, fb.gain, fb.offset, 0.0) == 0.0
+    assert pll_drive(0.0, 1.3, cfg.omega_r, fb.gain, fb.offset, 0) == 0.0
 
 
 def test_phase_locked_reference_zero_crossing(paper_cfg):
@@ -32,7 +32,7 @@ def test_phase_locked_reference_zero_crossing(paper_cfg):
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0)
     cfg = paper_cfg()
     t = 2.0 * math.pi / cfg.omega_r  # full reference period
-    om = pll_drive(0.73, t, cfg.omega_r, fb.gain, fb.offset, 0.0)
+    om = pll_drive(0.73, t, cfg.omega_r, fb.gain, fb.offset, 0)
     assert om == pytest.approx(0.0, abs=1e-12)
 
 
@@ -46,7 +46,7 @@ def test_phase_locked_matches_derived_law(paper_cfg):
     for _ in range(50):
         t = rng.uniform(0, 8)
         dv = rng.normal(0, 0.2)
-        got = pll_drive(dv, t, cfg.omega_r, fb.gain, fb.offset, 0.0)
+        got = pll_drive(dv, t, cfg.omega_r, fb.gain, fb.offset, 0)
         want = math.sqrt(cfg.eta) * (math.cos(cfg.omega_r * t) - 1.0) * dv / cfg.dt
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -244,6 +245,49 @@ def test_simulate_trajectory_record_shape(paper_cfg):
     assert s["dv"][3] == homodyne_increment(s["x"][3], s["dx"][3], cfg)
 
 
+def numpy_stream(seed, index):
+    """The stream rng_for_trajectory must reproduce, built the plain way."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+    )
+
+
+# One to five 32-bit seed words, and indices at block edges, the side keys
+# and the switch to two-word spawn keys.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5]
+STREAM_INDICES = [0, 1, 2047, 2048, 0x5A3B, 0x0FF5E7, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trajectory_stream_is_numpys_seed_sequence_stream(seed):
+    for index in STREAM_INDICES:
+        got, want = rng_for_trajectory(seed, index), numpy_stream(seed, index)
+        assert got.bit_generator.state == want.bit_generator.state, index
+        assert np.array_equal(got.normal(size=8), want.normal(size=8)), index
+
+
+def test_trajectory_stream_survives_pickle():
+    rng = rng_for_trajectory(7, 3000)
+    rng.normal(size=5)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert copy.normal() == rng.normal()
+
+
+def test_trajectory_streams_do_not_depend_on_call_order():
+    # More seeds than the block cache holds, visited twice in different orders.
+    keys = [(seed, index) for seed in range(20) for index in (5, 2048 + 5)]
+    first = {key: rng_for_trajectory(*key).random() for key in keys}
+    again = {key: rng_for_trajectory(*key).random() for key in reversed(keys)}
+    assert again == first
+    assert first == {key: numpy_stream(*key).random() for key in keys}
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (1, -1)])
+def test_a_negative_stream_key_is_rejected(seed, index):
+    with pytest.raises(ValueError, match="non-negative"):
+        rng_for_trajectory(seed, index)
+
+
 def test_batch_matches_scalar_path(paper_cfg):
     # run_batch with k-indexed streams is the definition of the ensemble;
     # a one-lane batch on stream k must be exactly its width-1 slice.
@@ -275,7 +319,7 @@ def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg):
     for i in range(cfg.n_steps):
         x, z, dv = s["x"][:, i], s["z"][:, i], s["dv"][:, i]
         heat = split_step(x, z, dv, cfg.omega_r, 0.0, cfg)
-        theta_f = pll_drive(dv, i * cfg.dt, cfg.omega_r, fb.gain, fb.offset, 0.0) * cfg.dt
+        theta_f = pll_drive(dv, i * cfg.dt, cfg.omega_r, fb.gain, fb.offset, 0) * cfg.dt
         z3 = heat.z * np.cos(theta_f) + heat.x * np.sin(theta_f)
         x3 = heat.x * np.cos(theta_f) - heat.z * np.sin(theta_f)
         assert s["x"][:, i + 1] == pytest.approx(x3, abs=1e-15)
