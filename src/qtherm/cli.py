@@ -29,7 +29,7 @@ from .ensemble import run_ensemble
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 from .io import RunManifest, config_snapshot, write_csv, write_json
 from .oracle import ensemble_vs_oracle, lindblad_evolve
-from .sme import SERIES, rng_for_trajectory
+from .sme import SERIES, side_stream
 from .stats import InsufficientSpanError, ZeroVarianceError, pooled_pearson_r, rabi_contrast
 from .bloch import GROUND, closed_rabi_probabilities
 
@@ -365,7 +365,7 @@ def cmd_verify(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
     cfg_o = sim.with_(dt=0.005, tau=4.0)
     res_o = run_ensemble(cfg_o, n_traj=2000, record=("p00",))
     comb = np.arange(0, cfg_o.n_steps + 1, int(round(0.1 / cfg_o.dt)))
-    rng = rng_for_trajectory(sim.seed, 0x0FF5E7)
+    rng = side_stream(sim.seed, 0x0FF5E7)
     p00 = res_o.series["p00"][:, comb]
     hits = (rng.random(p00.shape) < p00).mean(axis=0)
     sol = lindblad_evolve(GROUND, cfg_o, t_grid=res_o.times[comb])

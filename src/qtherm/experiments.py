@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import FeedbackConfig, SimConfig
 from .ensemble import CHUNK_SIZE, run_ensemble
-from .sme import rng_for_trajectory
+from .sme import side_stream
 from .stats import (
     EfficacyResult,
     Preparation,
@@ -138,9 +138,8 @@ def run_efficacy_protocol(
     # Independent projective outcomes at every time, one Bernoulli draw per
     # (trajectory, time re-run); this is what an experiment of that duration
     # would have measured.  Every eta draws the same uniforms, ground block
-    # first.  0x5A3B is also trajectory 23,099's key; moving it to a disjoint
-    # key is ROADMAP item 5, as it changes the efficacy bytes.
-    uniforms = rng_for_trajectory(sim.seed, 0x5A3B).random((2, n_traj, times.size))
+    # first.
+    uniforms = side_stream(sim.seed, 0x5A3B).random((2, n_traj, times.size))
 
     # Per preparation and eta: the reduced series and the sampled outcome
     # frequency (return probability for ground, survival for excited).  Each

@@ -41,16 +41,18 @@ columns add a leading grid axis: the lanes are (G, n_traj), every grid point
 integrates the same n_traj noise paths, and every per-step sum and per-lane
 array gains that axis.
 
-Trajectories are independent: trajectory k draws all its randomness from the
-stream (seed, k), in the fixed order [thermal-preparation uniform,] noise
-path, final-outcome uniform, so ensembles are reproducible bit-for-bit
-regardless of how they are chunked across workers.
+Trajectories are independent: trajectory k draws all its randomness from its
+own stream, in the fixed order [thermal-preparation uniform,] noise path,
+final-outcome uniform, so ensembles are reproducible bit-for-bit regardless
+of how they are chunked across workers.  Every stream comes from numpy's
+SeedSequence: trajectory k from the key (seed, 0, k // 2048), as row
+k % 2048 of that block's seed words, and each side stream (sampled
+projective outcomes) from (seed, 1, tag), so no two share a key.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
@@ -61,76 +63,18 @@ from .bloch import gibbs_weights
 from .config import THERMAL, FeedbackConfig, SimConfig
 from .feedback import DelayLine, optimal_drive, pll_drive
 
-# numpy.random.SeedSequence's hash (O'Neill's seed_seq_fe), fixed by NEP 19.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-#: Trajectory indices seeded together.  It divides 2**32, so every index of
-#: a block splits into the same number of 32-bit spawn-key words.
+#: Trajectory indices seeded together: one SeedSequence per block of them.
 _SEED_BLOCK = 2048
-
-
-def _words32(n) -> list[int]:
-    """The little-endian 32-bit words SeedSequence splits an integer into."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's ``hashmix``: hash one word, then advance the constant."""
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * mult & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
 
 
 @lru_cache(maxsize=8)
 def _seed_words(seed: int, block: int) -> np.ndarray:
-    """(_SEED_BLOCK, 4) uint64: row j is ``SeedSequence(seed, spawn_key=(k,))
-    .generate_state(4, np.uint64)`` for k = block*_SEED_BLOCK + j.
-
-    The hash is written once and runs on Python ints while its input is the
-    same for the whole block (the seed words, zero-padded to the pool size as
-    numpy pads them beside a spawn key) and on uint64 arrays, masked to 32
-    bits, once the spawn-key words enter.
-    """
-    run = _words32(seed)
-    run += [0] * (_POOL - len(run))
-    key = _words32(block * _SEED_BLOCK)
-    key[0] = key[0] + np.arange(_SEED_BLOCK, dtype=np.uint64)
-    entropy = run + key
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL:]:
-        for i_dst in range(_POOL):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
-
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL]) for i in range(8)]
-    words = np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+    """(_SEED_BLOCK, 4) uint64: row j holds the PCG64 seed words of trajectory
+    ``block*_SEED_BLOCK + j``, all drawn from ``SeedSequence(seed,
+    spawn_key=(0, block))`` in one call.  Read-only, as it is cached."""
+    words = np.random.SeedSequence(seed, spawn_key=(0, block)).generate_state(
+        4 * _SEED_BLOCK, np.uint64
+    ).reshape(_SEED_BLOCK, 4)
     words.flags.writeable = False
     # numpy.random loads lazily: processes that build no stream never import it.
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
@@ -154,14 +98,19 @@ class _SeedWords:
 def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
     """The RNG stream of trajectory ``index``; depends on (seed, index) only.
 
-    It is ``Generator(PCG64(SeedSequence(seed, spawn_key=(index,))))`` bit for
-    bit: NumPy keeps SeedSequence's output fixed under its stream-compatibility
-    policy (NEP 19), and ``_seed_words`` reproduces that hash.  The seed words
-    of a whole block of indices are derived in one numpy pass and cached per
-    (seed, block), so each call only wraps its four words in a ``PCG64``.
+    Trajectory k's PCG64 takes row ``k % 2048`` of the seed words that
+    ``SeedSequence(seed, spawn_key=(0, k // 2048))`` generates for its whole
+    block.  The words are cached per (seed, block), so each call only wraps
+    its four words in a ``PCG64``.  Side streams use the keys (seed, 1, tag)
+    (:func:`side_stream`), so none of them meets a trajectory's.
     """
     words = _seed_words(seed, index // _SEED_BLOCK)[index % _SEED_BLOCK]
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def side_stream(seed: int, tag: int) -> np.random.Generator:
+    """The stream of key (seed, 1, tag), for draws outside the trajectories."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, tag)))
 
 
 def homodyne_increment(x, dX, cfg: SimConfig):

@@ -26,7 +26,7 @@ from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
 from qtherm.oracle import ensemble_vs_oracle, lindblad_evolve
-from qtherm.sme import rng_for_trajectory
+from qtherm.sme import side_stream
 from qtherm.stats import pooled_pearson_r, rabi_contrast
 from reference import binned_first_law_check, closed_two_point_sample
 
@@ -56,7 +56,7 @@ def test_criterion_01_first_law(paper_run):
     # Variable-duration protocol: one random duration per trajectory, an
     # independent projective outcome at that duration, binned against the
     # path-dependent delta_00 + P~W + P~Q.
-    rng = rng_for_trajectory(cfg.seed, 0xC1)
+    rng = side_stream(cfg.seed, 0xC1)
     n = res.n_traj
     tau_idx = rng.integers(1, cfg.n_steps + 1, n)
     rows = np.arange(n)
@@ -101,7 +101,7 @@ def test_criterion_03_oracle_equivalence():
     # Projective transition probabilities with binomial errors under the
     # oracle null (the state-derived spread vanishes as t -> 0, which would
     # make a z-score there measure discretization instead of physics).
-    rng = rng_for_trajectory(cfg.seed, 0xBEEF)
+    rng = side_stream(cfg.seed, 0xBEEF)
     p00 = res.series["p00"][:, comb]
     hits = (rng.random(p00.shape) < p00).mean(axis=0)
     sem = np.sqrt(sol.p00 * (1.0 - sol.p00) / res.n_traj)

@@ -115,17 +115,18 @@ def test_optimal_feedback_keeps_pure_state_locked(paper_cfg):
     # evolution to within one step's heat kick.
     cfg = paper_cfg(eta=1.0, tau=2.0, seed=11)
     fb = FeedbackConfig(mode="optimal")
-    res = run_ensemble(cfg, fb, 1, record=SERIES)
-    x, z = res.series["x"][0], res.series["z"][0]
+    res = run_ensemble(cfg, fb, 64, record=("x", "z"))
+    x, z = res.series["x"], res.series["z"]
     pur = 0.5 * (1.0 + x**2 + z**2)
     assert np.abs(pur - 1.0).max() < 1e-9
     # Post-step phase error carries one heat kick (std up to
-    # 2*sqrt(gamma*dt) ~ 0.37 near the excited pole); check it stays a
-    # zero-mean residual rather than a drift.
+    # 2*sqrt(gamma*dt) ~ 0.37 near the excited pole) on every path; check it
+    # stays a zero-mean residual rather than a drift.  One path's mean has a
+    # spread of about 0.023, so the zero mean is judged on all 64 pooled.
     target = cfg.omega_r * res.times
     err = np.angle(np.exp(1j * (np.arctan2(-x, z) - target)))
-    assert np.sqrt((err**2).mean()) < 0.4
-    assert abs(err.mean()) < 0.05
+    assert np.sqrt((err**2).mean(axis=1)).max() < 0.4
+    assert abs(err.mean()) < 0.01
 
 
 def test_optimal_feedback_has_a_one_step_latency_floor(paper_cfg):

@@ -24,7 +24,7 @@ GOLDEN = {
     "trajectory": (
         ["trajectory", "--tau-us", "1"],
         {
-            "trajectory.csv": "864eb746bfe83f729413418133b35791b2b354d5221617799e54646ae23531d1",
+            "trajectory.csv": "75115aca344ce4102e3b4a43ddebb946f5d104c3e1ae02f1f420765390c9beed",
             "trajectory_config.json": "419f5128389db8578ba5763a0ffc5c7906dca5dc4bbe0af6ab8294802a55f8bb",
         },
     ),
@@ -32,27 +32,27 @@ GOLDEN = {
         ["ensemble", "--n-traj", "64", "--tau-us", "1", "--feedback", "pll",
          "--delay-ns", "100"],
         {
-            "summary.json": "99cf94bc74dbe1b4d7b7cce3c2a57c550ad2e3c5bada1cd10abdf9cc873c67ac",
-            "timeseries.csv": "ca30fedbb6cd4d82c7cb1027766b4c4ecbcbaa8de01e2d6c94b9d8126064187c",
-            "trajectories.csv": "ca7f63bb5f873545737b162429c37e04cc9a7d819e8b7f60d330fba749620a9d",
+            "summary.json": "86697724eade06fc2e68e46ffc664635a8776b2206b1e2e89cb065d994ce092e",
+            "timeseries.csv": "5d3f391e4889820410b93f53355ef8eb69511a2f702807f5d531989b8fcda936",
+            "trajectories.csv": "cd8eb6d374db7c882b4cb14a06b2b37102c7cdad6cae575d1269074ca590ca43",
         },
     ),
     "jarzynski": (
         ["jarzynski", "--feedback", "optimal", "--tau-us", "0.5", "--dt-ns", "5",
          "--n-traj", "64", "--eta-list", "0.35,0.6,1"],
         {
-            "efficacy_eta0.35.csv": "b67f8dfa15604ffcaad4572cef08030db3051256c481ec8fb3e18798e6e76966",
-            "efficacy_eta0.6.csv": "c494a147e00037eede7f0101ba086a45a3a7672e88a9d9476bf98137dc57c978",
-            "efficacy_eta1.csv": "5ac6e41365fafb9b4401e5078bc249418ceab8498f49b12b22a836882b0a05cc",
-            "summary.json": "d59a5f693b944f75434c5a657dc7d695c1bed9f508bfeac7c49bf2dca6630b84",
+            "efficacy_eta0.35.csv": "0d72ce6f4d56c7e7c2041d0c80af1df68e0dbc7023106e49de824b8180107192",
+            "efficacy_eta0.6.csv": "83d32d2528faf7b0abc50fd01941b8dfba6b4e2917e17e0081f99261b2aa7d4c",
+            "efficacy_eta1.csv": "c5faed9fb3f90d837a0e5d5de70922232d3371b100ec83fbe65d716278681e3d",
+            "summary.json": "991a17b1ac619835cb004d3c83c440c30c42855e80f4bfae507a4440b2b681f8",
         },
     ),
     "sweep": (
         ["sweep", "--n-traj", "64", "--tau-us", "5", "--feedback", "pll",
          "--gain-grid", "20,35", "--offset-grid=-1,-0.5"],
         {
-            "summary.json": "680d0f6af42bb6b9a5691e8e120a46d5c388d5233fe9c930e321789db565f1b5",
-            "sweep.csv": "319adb43b9df4abb52c137f25743b339755b07144903826efd877704d7ee4d41",
+            "summary.json": "5ffe97f315e49b953006645d3e0dcec6ec275ff26902dab86a6bfc9f94a04f55",
+            "sweep.csv": "e2f77b7cf1c4e33b9a724886e4a8a32aecd0803e5a1c904bca3a7119490a4031",
         },
     ),
 }
@@ -70,7 +70,7 @@ def test_data_file_digests(name, tmp_path):
     assert got == want
 
 
-ENGINE_DIGEST = "e19bdd67c48fbdc12aa4b78e7877b439fec1e9e332a933355e0b421827b5eec8"
+ENGINE_DIGEST = "dfcaa630eb2758aa689db90403a174b1d4d4b2005c05820c1357d6b388c29a85"
 
 ENGINE_FIELDS = ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean",
                  "initial_labels", "w", "wf", "q", "final_x", "final_z",

@@ -14,6 +14,7 @@ from qtherm.sme import (
     homodyne_increment,
     rng_for_trajectory,
     run_batch,
+    side_stream,
     split_step,
 )
 from reference import NumericalBlowupError, ito_step
@@ -245,15 +246,30 @@ def test_simulate_trajectory_record_shape(paper_cfg):
     assert s["dv"][3] == homodyne_increment(s["x"][3], s["dx"][3], cfg)
 
 
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 four given seed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        return self.words
+
+
 def numpy_stream(seed, index):
-    """The stream rng_for_trajectory must reproduce, built the plain way."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+    """The stream rng_for_trajectory must reproduce, built the plain way:
+    row index % 2048 of the words SeedSequence(seed, spawn_key=(0, index // 2048))
+    generates seeds a PCG64."""
+    words = np.random.SeedSequence(seed, spawn_key=(0, index // 2048)).generate_state(
+        8192, np.uint64
     )
+    row = index % 2048
+    return np.random.Generator(np.random.PCG64(_Words(words[4 * row:4 * row + 4])))
 
 
-# One to five 32-bit seed words, and indices at block edges, the side keys
-# and the switch to two-word spawn keys.
+# One to five 32-bit seed words; indices at block edges, the side-stream
+# tags and large indices.
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5]
 STREAM_INDICES = [0, 1, 2047, 2048, 0x5A3B, 0x0FF5E7, 2**32 - 1, 2**32]
 
@@ -280,6 +296,17 @@ def test_trajectory_streams_do_not_depend_on_call_order():
     again = {key: rng_for_trajectory(*key).random() for key in reversed(keys)}
     assert again == first
     assert first == {key: numpy_stream(*key).random() for key in keys}
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_side_stream_is_numpys_seed_sequence_stream(seed):
+    for tag in (0xC1, 0xBEEF, 0x5A3B, 0x0FF5E7):
+        got = side_stream(seed, tag)
+        want = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, tag)))
+        )
+        assert got.bit_generator.state == want.bit_generator.state, tag
+        assert np.array_equal(got.normal(size=8), want.normal(size=8)), tag
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (1, -1)])
