@@ -40,10 +40,13 @@ def pll_drive(dv, t: float, omega_r: float, gain: float, offset: float, labels):
     """Phase-locked feedback drive (rad/us) of each lane.
 
     A lane's preparation label picks its reference phase: phi = 0 for a
-    ground start (label 0), pi for an excited one (label 1).  The reference
-    is evaluated once per phase, not once per lane.
+    ground start (label 0), pi for an excited one (label 1).  The factor
+    ``gain * (cos(omega_r*t + phi) + offset)`` is evaluated once per phase
+    (per grid point and phase for a (G, 1) gain or offset), then gathered
+    per lane; each lane gets the same operations in the same order as if it
+    were evaluated lane by lane.
     """
-    return gain * (np.cos(omega_r * t + _PHASES)[labels] + offset) * dv
+    return (gain * (np.cos(omega_r * t + _PHASES) + offset))[..., labels] * dv
 
 
 def optimal_drive(x_mid, z_mid, x, z, dt: float):

@@ -8,10 +8,10 @@ allowed to differ between reruns.
 
 from __future__ import annotations
 
-import csv
 import json
 import subprocess
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -90,18 +90,12 @@ class RunManifest:
 # Both writers create the output directory, so a command that rejects its
 # input before writing leaves none behind.
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """RFC 4180 CSV of numbers and plain names: each field as ``str`` writes
+    it (for a float, its shortest round-trip repr), none quoted, lines ended
+    by CRLF.  Rows are formatted one at a time as they are written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in chain([header], rows))
 
 
 def write_json(path: Path, payload: dict) -> None:

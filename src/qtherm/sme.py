@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -202,14 +202,18 @@ def split_step(
     return SplitStep(x2, z2, dw, dwf, dq, x1, z1)
 
 
+#: Noise paths ``run_batch`` draws before storing them into the lanes.
+_DRAW_ROWS = 256
+
 #: Names ``record`` accepts: state series have n_steps + 1 columns, per-step
 #: series (homodyne increment dV, its noise dX and the ledger) have n_steps.
 STATE_SERIES = ("p00", "x", "z")
 STEP_SERIES = ("dw", "dwf", "dq", "dv", "dx")
 SERIES = STATE_SERIES + STEP_SERIES
 
-#: ``EnsembleResult`` fields that ``ensemble._merge`` adds in chunk order;
-#: every other array field holds one entry per trajectory and is concatenated.
+#: ``EnsembleResult`` fields that ``ensemble._merge`` adds block by block in
+#: chunk order; every other array field holds one entry per trajectory and is
+#: concatenated.
 _SUM = {"merge": "sum"}
 
 
@@ -219,7 +223,9 @@ class EnsembleResult:
 
     ``run_batch`` returns one per batch and ``ensemble._merge`` combines them:
     sums add, per-trajectory arrays and series join along the trajectory axis.
-    The five per-step sums are stored; the means derive from them.
+    A batch holds its sums per reduction block, along a leading block axis;
+    the merged result holds their total, from which the means derive.  The
+    five per-step sums are stored, not the means.
     ``pair_moments`` row k pools the pairs (a, b) = (dWF[i + L], dQ[i]) at
     lag L = ``lags[k]`` over every lane and aligned step, as the sums
     (count, a, b, a^2, b^2, a*b); ``stats.pooled_pearson_r`` derives r.
@@ -299,6 +305,7 @@ def run_batch(
     rngs: list[np.random.Generator],
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
+    block: int | None = None,
 ) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
 
@@ -307,6 +314,11 @@ def run_batch(
     step loop pools the moments of the pairs (dWF[i + L], dQ[i]) into
     ``pair_moments``, keeping only the last L dQ arrays; a lag of n_steps or
     more has no pairs.  Without lags the loop does no extra work.
+
+    ``block`` lanes form one reduction block (the whole batch by default):
+    every per-step sum and pair moment is reduced per block, and the result
+    holds them along a leading block axis, so each block rounds exactly as a
+    batch of its own trajectories would.
 
     ``fb.gain``, ``fb.offset`` and ``cfg.eta`` may be (G, 1) columns of a
     grid: the lanes are then (G, n) with each trajectory's noise shared along
@@ -324,6 +336,7 @@ def run_batch(
     if any(lag < 0 or lag != int(lag) for lag in lags):
         raise ValueError(f"lags must be non-negative integers, got {lags}")
     n = len(rngs)
+    block = max(n, 1) if block is None else block
     # (G, 1) gain/offset/eta columns give the lanes a leading grid axis: (G, n).
     lanes = np.broadcast_shapes(np.shape(fb.gain), np.shape(fb.offset), np.shape(cfg.eta),
                                 (n,))
@@ -332,38 +345,69 @@ def run_batch(
     omega_r = cfg.omega_r
     sqrt_dt = math.sqrt(dt)
 
-    # Per-trajectory draws, in the fixed stream order.
+    # Per-trajectory draws, in the fixed stream order.  Noise paths are drawn
+    # as rows and stored transposed, _DRAW_ROWS at a time: a path written
+    # straight into its column would touch one cache line per step.
     labels = np.empty(n, dtype=np.int8)
     noise = np.empty((steps, n))
+    rows = np.empty((max(1, min(n, _DRAW_ROWS)), steps))
     p_exc_thermal = gibbs_weights(cfg.beta)[1] if cfg.initial_state == THERMAL else None
-    for k, rng in enumerate(rngs):
-        if p_exc_thermal is None:
-            labels[k] = int(cfg.initial_state)
-        else:
-            labels[k] = 1 if rng.random() < p_exc_thermal else 0
-        noise[:, k] = rng.normal(0.0, sqrt_dt, steps)
+    for start in range(0, n, len(rows)):
+        part = rngs[start:start + len(rows)]
+        for j, rng in enumerate(part):
+            if p_exc_thermal is None:
+                labels[start + j] = int(cfg.initial_state)
+            else:
+                labels[start + j] = 1 if rng.random() < p_exc_thermal else 0
+            rows[j] = rng.normal(0.0, sqrt_dt, steps)
+        noise[:, start:start + len(part)] = rows[:len(part)].T
 
     z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
     x = np.zeros(lanes)
 
+    # Reduction blocks: ``full`` blocks of ``block`` lanes, then a short one
+    # of ``tail`` lanes if block does not divide n.
     grid = lanes[:-1]
-    p00_sum, p00_sqsum = np.zeros((2, *grid, steps + 1))
-    dw_sum, dwf_sum, dq_sum = np.zeros((3, *grid, steps))
+    full, tail = divmod(n, block)
+    n_blocks = full + (tail > 0)
+    cut = full * block
+    view = (*grid, full, block)
+    to_front = (len(grid), *range(len(grid)), len(grid) + 1)
+
+    def per_block(reduce, out, i, *arrays):
+        """``out[:, ..., i]`` = ``reduce`` over each block's lanes of ``arrays``.
+
+        A lone block reduces the lanes as they are; full blocks go through
+        one (blocks, *grid, block) view, the short last block on its own.
+        """
+        if n_blocks == 1:
+            out[..., i] = reduce(*arrays)
+            return
+        out[:full, ..., i] = reduce(*(a[..., :cut].reshape(view).transpose(to_front)
+                                      for a in arrays))
+        if tail:
+            out[full, ..., i] = reduce(*(a[..., cut:] for a in arrays))
+
+    p00_sum, p00_sqsum = np.zeros((2, n_blocks, *grid, steps + 1))
+    dw_sum, dwf_sum, dq_sum = np.zeros((3, n_blocks, *grid, steps))
     w_tot, wf_tot, q_tot = np.zeros((3, *lanes))
 
-    # Per lag and step, the lane sums of the pairs' moments; dQ waits in a line.
-    moments = np.zeros((len(lags), 6, *grid, steps))
-    dq_lines = [DelayLine(min(lag, steps)) for lag in lags]
-    for k, lag in enumerate(lags):
-        moments[k, 0, ..., lag:] = n  # pair count
+    # Per lag, block and step, the sums (count, dWF[i], dQ[i - lag], dWF^2,
+    # dQ^2, dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2
+    # once, and per lag only the cross term, with dQ[i - lag] from a line.
+    paired = [(k, lag) for k, lag in enumerate(lags) if lag < steps]
+    moments = np.zeros((len(lags), 6, n_blocks, *grid, steps))
+    dwf_sq, dq_sq = np.zeros((2, n_blocks, *grid, steps))
+    dq_lines = [DelayLine(lag) for _, lag in paired]
 
     state_series = {k: np.empty((*lanes, steps + 1)) for k in STATE_SERIES if k in record}
     step_series = {k: np.empty((*lanes, steps)) for k in STEP_SERIES if k in record}
+    lane_sum = partial(np.add.reduce, axis=-1)
 
     def snapshot(i: int) -> None:
         p00 = 0.5 * (1.0 + z)
-        p00_sum[..., i] = p00.sum(axis=-1)
-        p00_sqsum[..., i] = (p00 * p00).sum(axis=-1)
+        per_block(lane_sum, p00_sum, i, p00)
+        per_block(lane_sum, p00_sqsum, i, p00 * p00)
         now = {"p00": p00, "x": x, "z": z}
         for name, arr in state_series.items():
             arr[..., i] = now[name]
@@ -401,19 +445,28 @@ def run_batch(
         w_tot += dw
         wf_tot += dwf
         q_tot += dq
-        dw_sum[..., i] = dw.sum(axis=-1)
-        dwf_sum[..., i] = dwf.sum(axis=-1)
-        dq_sum[..., i] = dq.sum(axis=-1)
-        for k, lag in enumerate(lags):
-            dq_then = dq_lines[k].push(dq)  # dQ[i - lag]
-            if i >= lag:
-                moments[k, 1:, ..., i] = (dwf_sum[..., i], dq_then.sum(axis=-1),
-                                          np.vecdot(dwf, dwf), np.vecdot(dq_then, dq_then),
-                                          np.vecdot(dwf, dq_then))
+        per_block(lane_sum, dw_sum, i, dw)
+        per_block(lane_sum, dwf_sum, i, dwf)
+        per_block(lane_sum, dq_sum, i, dq)
+        if paired:
+            per_block(np.vecdot, dwf_sq, i, dwf, dwf)
+            per_block(np.vecdot, dq_sq, i, dq, dq)
+            for (k, lag), dq_line in zip(paired, dq_lines):
+                dq_then = dq_line.push(dq)  # dQ[i - lag]
+                if i >= lag:
+                    per_block(np.vecdot, moments[k, 5], i, dwf, dq_then)
         now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
         for name, arr in step_series.items():
             arr[..., i] = now[name]
         snapshot(i + 1)
+
+    # The other pair sums are the per-step reductions, aligned by the lag.
+    for k, lag in paired:
+        m = moments[k, ..., lag:]
+        m[0, :full] = block
+        m[0, full:] = tail
+        m[1], m[3] = dwf_sum[..., lag:], dwf_sq[..., lag:]
+        m[2], m[4] = dq_sum[..., :steps - lag], dq_sq[..., :steps - lag]
 
     pe_final = 0.5 * (1.0 - z)
     residuals = np.abs((pe_final - pe_init) - (w_tot + wf_tot + q_tot))
@@ -442,4 +495,3 @@ def run_batch(
         outcomes=outcomes,
         series={**state_series, **step_series},
     )
-

@@ -14,7 +14,7 @@ import qtherm.experiments
 from qtherm import cli
 from qtherm.cli import main
 from qtherm.config import FeedbackConfig, SimConfig
-from qtherm.io import version_string
+from qtherm.io import version_string, write_csv
 
 
 def read_csv(path: Path):
@@ -23,6 +23,24 @@ def read_csv(path: Path):
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
     return header, np.array(rows)
+
+
+def test_csv_writer_matches_the_csv_module_and_writes_numpy_scalars_as_numbers(tmp_path):
+    header = ("traj", "label", "value", "tiny", "big")
+    rows = [(0, 1, 0.1, 5e-324, 1e16), (1, 0, -0.0, -2.5e-8, -1e16), (2**70, -3, 1.0, 0.0, 1e300)]
+    write_csv(tmp_path / "py.csv", header, rows)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert (tmp_path / "py.csv").read_bytes() == want.read_bytes()
+    # numpy scalars are written as the plain numbers they hold, never as
+    # their repr (``np.float64(0.1)`` under numpy 2).
+    types = (np.int64, np.int8, np.float64, np.float64, np.float64)
+    scalars = (tuple(t(v) for t, v in zip(types, row)) for row in rows[:2])
+    write_csv(tmp_path / "np.csv", header, scalars)
+    with open(want, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows[:2]])
+    assert (tmp_path / "np.csv").read_bytes() == want.read_bytes()
 
 
 def test_trajectory_outputs_and_determinism(tmp_path):

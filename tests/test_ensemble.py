@@ -200,23 +200,31 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
 def test_merge_takes_a_lone_chunk_as_it_is_and_joins_several(paper_cfg):
     sim = paper_cfg(tau=0.2, seed=4)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
-    a, b = (_run_chunk(sim, fb, start, count, ("p00", "dq"), (0, 2))
+    a, b = (_run_chunk(sim, fb, start, count, ("p00", "dq"), (0, 2), 5)
             for start, count in ((0, 5), (5, 3)))
+    ab = _run_chunk(sim, fb, 0, 8, ("p00", "dq"), (0, 2), 5)  # both chunks, one batch
     one = _merge(sim, fb, 5, [a])
     two = _merge(sim, fb, 8, [a, b])
+    joined = _merge(sim, fb, 8, [ab])
     for f in fields(EnsembleResult)[4:]:
         got_one, got_two = getattr(one, f.name), getattr(two, f.name)
         parts = [getattr(a, f.name), getattr(b, f.name)]
         if f.metadata.get("merge") == "sum":
-            assert np.array_equal(got_one, parts[0]), f.name
-            assert np.array_equal(got_two, parts[0] + parts[1]), f.name
+            # A batch holds its sums per chunk, along a leading block axis.
+            assert [len(p) for p in parts] == [1, 1], f.name
+            assert np.array_equal(getattr(ab, f.name), np.concatenate(parts)), f.name
+            assert np.array_equal(got_one, parts[0][0]), f.name
+            assert np.array_equal(got_two, parts[0][0] + parts[1][0]), f.name
+            assert np.array_equal(getattr(joined, f.name), got_two), f.name
         elif f.name == "series":
             for k in parts[0]:
                 assert got_one[k] is parts[0][k], k
                 assert np.array_equal(got_two[k], np.concatenate([p[k] for p in parts], axis=-2))
+                assert np.array_equal(joined.series[k], got_two[k]), k
         else:
             assert got_one is parts[0], f.name
             assert np.array_equal(got_two, np.concatenate(parts, axis=-1)), f.name
+            assert np.array_equal(getattr(joined, f.name), got_two), f.name
 
 
 @pytest.mark.parametrize("fb", [

@@ -37,6 +37,17 @@ GOLDEN = {
             "trajectories.csv": "cd8eb6d374db7c882b4cb14a06b2b37102c7cdad6cae575d1269074ca590ca43",
         },
     ),
+    # Recorded before the chunks were batched two to a pool task: three
+    # chunks (the last one short) in two batches, pooled, with pair moments.
+    "ensemble_batched": (
+        ["ensemble", "--n-traj", "4500", "--tau-us", "0.5", "--feedback", "pll",
+         "--delay-ns", "100", "--workers", "2"],
+        {
+            "summary.json": "f721e613caf1c36a3c6184604e8fba913b65020365104efe798dfd7c18b2dce8",
+            "timeseries.csv": "572aee26f4f9829b452c4c49d4bde2fe523dbcdffdd280313f8790def2b98965",
+            "trajectories.csv": "70203cd7baf6f6bc8a2e2a8ab087c6abd1eef9d1dc43cad45b7ed787ec041f01",
+        },
+    ),
     "jarzynski": (
         ["jarzynski", "--feedback", "optimal", "--tau-us", "0.5", "--dt-ns", "5",
          "--n-traj", "64", "--eta-list", "0.35,0.6,1"],

@@ -2,12 +2,14 @@
 that must hold for every input, searched with hypothesis."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qtherm.ensemble
 from qtherm.config import MAX_GAMMA_DT, FeedbackConfig, SimConfig
 from qtherm.ensemble import CHUNK_SIZE, run_ensemble
 from qtherm.sme import _dissipative_kraus, split_step
@@ -68,6 +70,7 @@ PER_TRAJECTORY = ("w", "wf", "q", "final_x", "final_z", "residuals", "outcomes")
     n_traj=st.integers(1, 12),
     chunk_size=st.integers(1, 12),
     workers=st.sampled_from([1, 2]),
+    batch_chunks=st.sampled_from([1, 3, None]),  # None: the default BATCH_LANES
     fb=st.sampled_from([
         FeedbackConfig(),
         FeedbackConfig(mode="phase_locked"),
@@ -76,23 +79,29 @@ PER_TRAJECTORY = ("w", "wf", "q", "final_x", "final_z", "residuals", "outcomes")
         FeedbackConfig(mode="optimal", delay_steps=1),
     ]),
 )
-@example(n_traj=12, chunk_size=5, workers=2, fb=FeedbackConfig(mode="optimal", delay_steps=1))
+@example(n_traj=12, chunk_size=5, workers=2, batch_chunks=None,
+         fb=FeedbackConfig(mode="optimal", delay_steps=1))
 def test_per_trajectory_results_do_not_depend_on_chunks_or_workers(
-    n_traj, chunk_size, workers, fb
+    n_traj, chunk_size, workers, batch_chunks, fb
 ):
     sim = SimConfig(tau=0.1, seed=11, initial_state="thermal")
     lags = (0, 1, 3, 6)  # five steps: lag 6 has no pairs
     want = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=CHUNK_SIZE)
-    got = run_ensemble(sim, fb, n_traj, lags=lags, workers=workers, chunk_size=chunk_size)
+    cap = qtherm.ensemble.BATCH_LANES if batch_chunks is None else batch_chunks * chunk_size
+    with mock.patch.object(qtherm.ensemble, "BATCH_LANES", cap):
+        got = run_ensemble(sim, fb, n_traj, lags=lags, workers=workers, chunk_size=chunk_size)
     for name in PER_TRAJECTORY:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # The pair moments are chunk sums added in chunk order: bitwise equal at
-    # a fixed chunk size, and equal to rounding at any other.  Rounding is
-    # judged against each sum's Cauchy-Schwarz bound (of sum |a| by
+    # The sums are chunk sums added in chunk order: bitwise equal at a fixed
+    # chunk size, however the chunks are batched (here against one chunk per
+    # batch), and equal to rounding at any other chunk size.  Rounding is
+    # judged against each pair moment's Cauchy-Schwarz bound (of sum |a| by
     # sqrt(count * sum a^2), of sum |ab| by sqrt(sum a^2 * sum b^2)), as the
     # signed sums may cancel to near zero.
-    serial = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=chunk_size)
-    assert np.array_equal(got.pair_moments, serial.pair_moments)
+    with mock.patch.object(qtherm.ensemble, "BATCH_LANES", chunk_size):
+        serial = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=chunk_size)
+    for name in ("p00_sum", "p00_sqsum", "dw_sum", "dwf_sum", "dq_sum", "pair_moments"):
+        assert np.array_equal(getattr(got, name), getattr(serial, name)), name
     count, _, _, saa, sbb, _ = want.pair_moments.T
     bound = np.stack([count, np.sqrt(count * saa), np.sqrt(count * sbb), saa, sbb,
                       np.sqrt(saa * sbb)], axis=1)
