@@ -32,7 +32,12 @@ CHUNK_SIZE = 2048
 
 #: Most lanes (grid points x trajectories) one batch integrates, unless a
 #: single chunk holds more: larger batches spend less interpreter time per
-#: lane, smaller ones less memory per worker.
+#: lane, smaller ones less memory per worker.  One worker process running a
+#: PLL batch with lags (0, 5) peaked at 46.1, 54.6, 63.0 and 71.6 MiB RSS
+#: for 2,048, 4,096, 6,144 and 8,192 lanes; 4,096 is the largest of these
+#: under the ~62 MiB that the ensemble command's main process peaks at, so
+#: a run's largest RSS does not grow.  Its CPU gain on the ensemble_pll
+#: benchmark is in BENCH_17.json, measured with two workers only.
 BATCH_LANES = 4096
 
 

@@ -202,9 +202,6 @@ def split_step(
     return SplitStep(x2, z2, dw, dwf, dq, x1, z1)
 
 
-#: Noise paths ``run_batch`` draws before storing them into the lanes.
-_DRAW_ROWS = 256
-
 #: Names ``record`` accepts: state series have n_steps + 1 columns, per-step
 #: series (homodyne increment dV, its noise dX and the ledger) have n_steps.
 STATE_SERIES = ("p00", "x", "z")
@@ -223,9 +220,11 @@ class EnsembleResult:
 
     ``run_batch`` returns one per batch and ``ensemble._merge`` combines them:
     sums add, per-trajectory arrays and series join along the trajectory axis.
-    A batch holds its sums per reduction block, along a leading block axis;
-    the merged result holds their total, from which the means derive.  The
-    five per-step sums are stored, not the means.
+    The five per-step sums and ``pair_moments`` are stored, not the means.
+    A ``run_batch`` result holds them per reduction block, along a leading
+    block axis; only the merged result holds their totals, so the means,
+    ``p00_sem`` and ``stats.pooled_pearson_r`` are valid only on a result
+    that has been through ``ensemble._merge``.
     ``pair_moments`` row k pools the pairs (a, b) = (dWF[i + L], dQ[i]) at
     lag L = ``lags[k]`` over every lane and aligned step, as the sums
     (count, a, b, a^2, b^2, a*b); ``stats.pooled_pearson_r`` derives r.
@@ -241,6 +240,7 @@ class EnsembleResult:
     fb: FeedbackConfig
     n_traj: int
     lags: tuple[int, ...]                         # ascending, distinct
+    # Sums: merged shape shown; a run_batch result has a leading blocks axis.
     p00_sum: np.ndarray = field(metadata=_SUM)    # (steps+1,) ground population
     p00_sqsum: np.ndarray = field(metadata=_SUM)  # (steps+1,)
     dw_sum: np.ndarray = field(metadata=_SUM)     # (steps,) per-step work
@@ -345,22 +345,16 @@ def run_batch(
     omega_r = cfg.omega_r
     sqrt_dt = math.sqrt(dt)
 
-    # Per-trajectory draws, in the fixed stream order.  Noise paths are drawn
-    # as rows and stored transposed, _DRAW_ROWS at a time: a path written
-    # straight into its column would touch one cache line per step.
+    # Per-trajectory draws, in the fixed stream order.
     labels = np.empty(n, dtype=np.int8)
     noise = np.empty((steps, n))
-    rows = np.empty((max(1, min(n, _DRAW_ROWS)), steps))
     p_exc_thermal = gibbs_weights(cfg.beta)[1] if cfg.initial_state == THERMAL else None
-    for start in range(0, n, len(rows)):
-        part = rngs[start:start + len(rows)]
-        for j, rng in enumerate(part):
-            if p_exc_thermal is None:
-                labels[start + j] = int(cfg.initial_state)
-            else:
-                labels[start + j] = 1 if rng.random() < p_exc_thermal else 0
-            rows[j] = rng.normal(0.0, sqrt_dt, steps)
-        noise[:, start:start + len(part)] = rows[:len(part)].T
+    for k, rng in enumerate(rngs):
+        if p_exc_thermal is None:
+            labels[k] = int(cfg.initial_state)
+        else:
+            labels[k] = 1 if rng.random() < p_exc_thermal else 0
+        noise[:, k] = rng.normal(0.0, sqrt_dt, steps)
 
     z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
     x = np.zeros(lanes)
@@ -375,16 +369,12 @@ def run_batch(
     to_front = (len(grid), *range(len(grid)), len(grid) + 1)
 
     def per_block(reduce, out, i, *arrays):
-        """``out[:, ..., i]`` = ``reduce`` over each block's lanes of ``arrays``.
-
-        A lone block reduces the lanes as they are; full blocks go through
-        one (blocks, *grid, block) view, the short last block on its own.
-        """
-        if n_blocks == 1:
-            out[..., i] = reduce(*arrays)
-            return
-        out[:full, ..., i] = reduce(*(a[..., :cut].reshape(view).transpose(to_front)
-                                      for a in arrays))
+        """``out[:, ..., i]`` = ``reduce`` over each block's lanes of ``arrays``:
+        full blocks through one (blocks, *grid, block) view, the short last
+        block on its own."""
+        if full:
+            out[:full, ..., i] = reduce(*(a[..., :cut].reshape(view).transpose(to_front)
+                                          for a in arrays))
         if tail:
             out[full, ..., i] = reduce(*(a[..., cut:] for a in arrays))
 
