@@ -38,7 +38,8 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
     """Raise ValueError naming the first field of ``obj`` that is NaN or infinite."""
     for name in names:
         value = getattr(obj, name)
-        if value is not None and not np.isfinite(value).all():
+        # A Python int is finite at any size; np.isfinite rejects one beyond int64.
+        if value is not None and not isinstance(value, int) and not np.isfinite(value).all():
             shown = value if np.ndim(value) == 0 else np.ravel(value).tolist()
             raise ValueError(f"{name} must be finite, got {shown!r}")
 
@@ -184,6 +185,8 @@ NO_FEEDBACK = FeedbackConfig(mode="none")
 
 def delay_steps_for(delay_ns: float, dt_us: float) -> int:
     """Loop delay in whole steps for a delay given in nanoseconds."""
+    if not math.isfinite(delay_ns):
+        raise ValueError(f"delay_ns must be finite, got {delay_ns!r}")
     steps = delay_ns * 1e-3 / dt_us
     if abs(steps - round(steps)) > 1e-6:
         raise ValueError(

@@ -410,7 +410,8 @@ def run_batch(
     # completed step (the Methods' Omega_F*dt = -theta_Q), so its loop
     # latency is delay_steps with a floor of one step: theta_Q of step i is
     # only known once step i has been integrated.
-    line = DelayLine(max(fb.delay_steps - 1, 0) if fb.mode == "optimal" else fb.delay_steps)
+    delay = min(fb.delay_steps, steps)  # a longer line gives only zeros inside the run
+    line = DelayLine(max(delay - 1, 0) if fb.mode == "optimal" else delay)
     # A zero-delay phase-locked drive multiplies dV[i] itself.
     same_increment = fb.mode == "phase_locked" and fb.delay_steps == 0
     om_pending = np.zeros(n)

@@ -337,8 +337,11 @@ def test_manifest_records_integrated_config(argv, want, tmp_path):
         ["ensemble", "--gamma-per-us", "500"],   # gamma*dt = 10 > MAX_GAMMA_DT
         ["ensemble", "--gamma-per-us", "nan"],   # non-finite config value
         ["ensemble", "--workers", "0"],
+        ["ensemble", "--feedback", "pll", "--delay-ns", "inf"],
+        ["ensemble", "--feedback", "pll", "--delay-ns", "nan"],
     ],
-    ids=["n-traj-0", "short-window", "blowup", "nan-gamma", "workers-0"],
+    ids=["n-traj-0", "short-window", "blowup", "nan-gamma", "workers-0", "inf-delay",
+         "nan-delay"],
 )
 def test_runtime_errors_end_in_one_error_line(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -351,6 +354,26 @@ def test_a_negative_seed_is_rejected_by_name(tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("delay", ["inf", "nan"])
+def test_a_non_finite_delay_is_rejected_by_name(delay, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["ensemble", "--feedback", "pll", "--delay-ns", delay, "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: delay_ns must be finite, got {float(delay)!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delay", ["1e30", "2e13"])
+def test_a_delay_far_beyond_the_run_writes_the_data_of_one_as_long_as_the_run(delay, tmp_path):
+    # 1e30 ns is more steps than int64 holds, 2e13 ns is 10^12 steps; the
+    # run is five steps (100 ns).
+    argv = ["ensemble", "--n-traj", "20", "--tau-us", "0.1", "--feedback", "pll"]
+    for ns, out in ((delay, tmp_path / "far"), ("100", tmp_path / "run")):
+        assert main(argv + ["--delay-ns", ns, "--out-dir", str(out)]) == 0
+    for name in ("timeseries.csv", "trajectories.csv"):
+        assert (tmp_path / "far" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -136,8 +136,25 @@ def test_optimal_feedback_has_a_one_step_latency_floor(paper_cfg):
     runs = [run_ensemble(cfg, FeedbackConfig(mode="optimal", delay_steps=d), 64,
                          record=SERIES, lags=(0, 1, 3), chunk_size=32)
             for d in (0, 1)]
-    for f in dataclasses.fields(runs[0]):
-        a, b = (getattr(r, f.name) for r in runs)
+    assert_same_run(*runs)
+
+
+@pytest.mark.parametrize("mode", ["phase_locked", "optimal"])
+def test_a_delay_beyond_the_run_runs_as_one_of_the_run_length(paper_cfg, mode):
+    # Every drive such a loop returns inside the run is zero, so a delay of
+    # 10^12 steps must give the bits of a delay of n_steps without holding
+    # 10^12 entries.
+    cfg = paper_cfg(tau=0.2, seed=5, initial_state="thermal", beta=1.0)
+    runs = [run_ensemble(cfg, FeedbackConfig(mode=mode, delay_steps=d), 16,
+                         record=SERIES, lags=(0, 1, 3))
+            for d in (cfg.n_steps, 10**12)]
+    assert_same_run(*runs)
+
+
+def assert_same_run(one, two):
+    """Every field of two results but the feedback config is bitwise equal."""
+    for f in dataclasses.fields(one):
+        a, b = getattr(one, f.name), getattr(two, f.name)
         if f.name == "series":
             assert a.keys() == b.keys()
             assert all(np.array_equal(a[k], b[k]) for k in a)

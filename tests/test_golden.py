@@ -7,7 +7,11 @@ feedback laws and a thermal preparation, chunked and run on one and two
 workers.  A change that alters seeded output on purpose updates these
 digests and says so; any other change must leave them alone.  The digests
 were recorded with numpy 2.4 on x86-64 Linux; a different libm may round
-differently.
+differently.  The ``jarzynski`` and ``ENGINE_DIGEST`` digests, which cover
+optimal feedback, also hold only at numpy's AVX-512 dispatch level:
+``np.arctan2`` in ``feedback.optimal_drive`` differs by 1 ulp at the AVX2
+level, and ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` makes
+those two digests fail.
 """
 
 import hashlib

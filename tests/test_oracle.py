@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtherm.bloch import EXCITED, GROUND
+from qtherm.bloch import EXCITED, GROUND, BlochState
 from qtherm.oracle import GridMismatchError, ensemble_vs_oracle, lindblad_evolve
 from reference import closed_two_point_sample
 
@@ -41,6 +41,73 @@ def test_lindblad_custom_grid(paper_cfg):
     for t, z in zip(grid, sol.z):
         i = int(round(t / cfg.dt))
         assert z == pytest.approx(full.z[i], abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_lindblad_rejects_a_non_finite_grid(paper_cfg, bad):
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        lindblad_evolve(GROUND, paper_cfg(), t_grid=np.array([0.0, bad, 2.0]))
+
+
+def _generator(cfg):
+    """A and b of the unconditional equations du/dt = A u + b, u = (z, x)."""
+    a = np.array([[-cfg.gamma, cfg.omega_r], [-cfg.omega_r, -0.5 * cfg.gamma]])
+    return a, np.array([cfg.gamma, 0.0])
+
+
+def _evolve_by(expm, cfg, initial, times):
+    """u_ss + expm(t) (u0 - u_ss) at each time, from expm(t) of shape (T, 2, 2)."""
+    a, b = _generator(cfg)
+    u_ss = -np.linalg.solve(a, b)
+    return u_ss + expm(times) @ (np.array([initial.z, initial.x]) - u_ss)
+
+
+@pytest.mark.parametrize("gamma, omega", [(1.7, 2.0 * math.pi), (8.0, 1.0)],
+                         ids=["underdamped", "overdamped"])
+def test_lindblad_is_the_matrix_exponential(paper_cfg, gamma, omega):
+    cfg = paper_cfg(gamma=gamma, omega_r=omega)
+    w, v = np.linalg.eig(_generator(cfg)[0])
+
+    def expm(t):
+        return np.real((v * np.exp(np.multiply.outer(t, w))[:, None, :]) @ np.linalg.inv(v))
+
+    initial = BlochState(0.6, -0.8)
+    sol = lindblad_evolve(initial, cfg)
+    want = _evolve_by(expm, cfg, initial, sol.times)
+    assert np.abs(sol.z - want[:, 0]).max() < 1e-12
+    assert np.abs(sol.x - want[:, 1]).max() < 1e-12
+
+
+def test_lindblad_at_the_critical_point(paper_cfg):
+    # omega = gamma/4: A has the double eigenvalue mu = -3 gamma/4, and
+    # exp(A t) = e^{mu t} (I + t (A - mu I)).
+    cfg = paper_cfg(omega_r=1.7 / 4)
+    a, _ = _generator(cfg)
+    mu = -0.75 * cfg.gamma
+
+    def expm(t):
+        return np.exp(mu * t)[:, None, None] * (np.eye(2) + np.multiply.outer(t, a - mu * np.eye(2)))
+
+    initial = BlochState(0.6, -0.8)
+    sol = lindblad_evolve(initial, cfg)
+    want = _evolve_by(expm, cfg, initial, sol.times)
+    assert np.abs(sol.z - want[:, 0]).max() < 1e-12
+    assert np.abs(sol.x - want[:, 1]).max() < 1e-12
+
+
+def test_lindblad_without_drive_or_decay_stays_put(paper_cfg):
+    initial = BlochState(0.6, -0.8)
+    sol = lindblad_evolve(initial, paper_cfg(gamma=0.0, omega_r=0.0))
+    assert (sol.z == initial.z).all() and (sol.x == initial.x).all()
+
+
+def test_lindblad_reaches_the_fixed_point_at_long_times(paper_cfg):
+    cfg = paper_cfg(gamma=8.0, omega_r=1.0)
+    sol = lindblad_evolve(EXCITED, cfg, t_grid=np.array([0.0, 1000.0]))
+    assert np.isfinite(sol.z).all() and np.isfinite(sol.x).all()
+    den = cfg.gamma**2 + 2.0 * cfg.omega_r**2
+    assert sol.z[-1] == pytest.approx(cfg.gamma**2 / den, abs=1e-15)
+    assert sol.x[-1] == pytest.approx(-2.0 * cfg.omega_r * cfg.gamma / den, abs=1e-15)
 
 
 def test_two_point_sample_trivial_limits():

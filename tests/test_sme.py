@@ -88,8 +88,9 @@ def test_ito_step_mean_matches_drift(paper_cfg):
 
 
 def test_ito_step_mean_matches_lindblad_at_fine_dt(paper_cfg):
-    # Against the RK4 oracle the comparison needs a dt where the first-order
-    # truncation sits below the statistical error (at 20 ns it would not).
+    # Against the exact oracle the comparison needs a dt where the Ito step's
+    # first-order truncation sits below the statistical error (at 20 ns it
+    # would not).
     cfg = paper_cfg(dt=0.002, tau=0.002)
     rng = np.random.default_rng(5)
     s0 = BlochState(0.5, 0.2)
