@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .config import FeedbackConfig, SimConfig, delay_steps_for
-from .ensemble import run_ensemble
+from .ensemble import CHUNK_SIZE, run_ensemble
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 from .io import RunManifest, config_snapshot, write_csv, write_json
 from .oracle import ensemble_vs_oracle, lindblad_evolve
@@ -198,8 +198,11 @@ def _assemble(args) -> tuple[SimConfig, FeedbackConfig, _Run]:
         group, name = param.target.split(".")
         targets[group][name] = param.convert(value) if param.convert else value
     delay_ns = targets["fb"].pop("delay_steps", None)
+    if delay_ns is not None and not math.isfinite(delay_ns):
+        raise ValueError(f"delay_ns must be finite, got {delay_ns!r}")
     sim = SimConfig(**targets["sim"])
     fb = FeedbackConfig(**targets["fb"])
+    # Whole steps matter only to a run with feedback.
     if fb.mode != "none" and delay_ns is not None:
         fb = fb.with_(delay_steps=delay_steps_for(delay_ns, sim.dt))
     return sim, fb, _Run(**targets["run"])
@@ -383,8 +386,8 @@ def cmd_verify(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
     r1 = run_ensemble(sim.with_(tau=2.0), n_traj=1, record=("z", "dv")).series
     r2 = run_ensemble(sim.with_(tau=2.0), n_traj=1, record=("z", "dv")).series
     rerun_diff = max(np.abs(r1[k][0] - r2[k][0]).max() for k in ("z", "dv"))
-    e1 = run_ensemble(sim.with_(tau=1.0), n_traj=300, workers=1, chunk_size=128)
-    e2 = run_ensemble(sim.with_(tau=1.0), n_traj=300, workers=3, chunk_size=128)
+    e1 = run_ensemble(sim.with_(tau=1.0), n_traj=CHUNK_SIZE + 300, workers=1)
+    e2 = run_ensemble(sim.with_(tau=1.0), n_traj=CHUNK_SIZE + 300, workers=2)
     workers_diff = max(np.abs(e1.p00_mean - e2.p00_mean).max(), np.abs(e1.w - e2.w).max())
     check("determinism", rerun_max_diff=(rerun_diff, 0.0, 0.0),
           workers_max_diff=(workers_diff, 0.0, 0.0))

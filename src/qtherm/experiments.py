@@ -22,6 +22,11 @@ from .stats import (
 #: one batch; more lanes per step save interpreter overhead but cost memory.
 SWEEP_LANES = 8192
 
+#: Most lanes (efficiencies x trajectories) an efficacy ensemble integrates:
+#: each one records its (lanes, steps) p00 series, so larger blocks cost
+#: peak memory without saving time.
+EFFICACY_LANES = 2048
+
 
 def _lane_blocks(rows: np.ndarray, n_traj: int, max_lanes: int) -> list[np.ndarray]:
     """``rows`` (grid points run as lanes) cut into the fewest near-equal
@@ -129,7 +134,7 @@ def run_efficacy_protocol(
 
     Returns a list of one protocol per row of ``sim.eta`` (one for a scalar),
     each with the bytes of its own scalar-eta call.  The efficiencies run as
-    lanes on shared noise, in blocks of at most ``CHUNK_SIZE`` lanes, and
+    lanes on shared noise, in blocks of at most ``EFFICACY_LANES`` lanes, and
     each ensemble's recorded series are reduced before the next one starts.
     """
     if n_traj < 2:
@@ -147,7 +152,7 @@ def run_efficacy_protocol(
     reduced: list[list[tuple[Preparation, np.ndarray]]] = [[], []]
     for label, u in enumerate(uniforms):
         prep = sim.with_(initial_state=label, seed=sim.seed + label)
-        for block in _lane_blocks(np.reshape(sim.eta, (-1, 1)), n_traj, CHUNK_SIZE):
+        for block in _lane_blocks(np.reshape(sim.eta, (-1, 1)), n_traj, EFFICACY_LANES):
             series = run_ensemble(prep.with_(eta=block), fb, n_traj, record=("p00",),
                                   workers=workers).series["p00"]
             reduced[label] += [

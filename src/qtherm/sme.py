@@ -43,10 +43,11 @@ array gains that axis.
 
 Trajectories are independent: trajectory k draws all its randomness from its
 own stream, in the fixed order [thermal-preparation uniform,] noise path,
-final-outcome uniform, so ensembles are reproducible bit-for-bit regardless
-of how they are chunked across workers.  Every stream comes from numpy's
-SeedSequence: trajectory k from the key (seed, 0, k // 2048), as row
-k % 2048 of that block's seed words, and each side stream (sampled
+final-outcome uniform, so each trajectory's values are reproducible
+bit-for-bit however the trajectories are batched, and an ensemble's sums
+too, since ``ensemble`` reduces them over fixed chunks.  Every stream comes
+from numpy's SeedSequence: trajectory k from the key (seed, 0, k // 2048),
+as row k % 2048 of that block's seed words, and each side stream (sampled
 projective outcomes) from (seed, 1, tag), so no two share a key.
 """
 
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -208,9 +209,8 @@ STATE_SERIES = ("p00", "x", "z")
 STEP_SERIES = ("dw", "dwf", "dq", "dv", "dx")
 SERIES = STATE_SERIES + STEP_SERIES
 
-#: ``EnsembleResult`` fields that ``ensemble._merge`` adds block by block in
-#: chunk order; every other array field holds one entry per trajectory and is
-#: concatenated.
+#: ``EnsembleResult`` fields that ``ensemble._merge`` adds in chunk order;
+#: every other array field holds one entry per trajectory and is concatenated.
 _SUM = {"merge": "sum"}
 
 
@@ -220,11 +220,8 @@ class EnsembleResult:
 
     ``run_batch`` returns one per batch and ``ensemble._merge`` combines them:
     sums add, per-trajectory arrays and series join along the trajectory axis.
-    The five per-step sums and ``pair_moments`` are stored, not the means.
-    A ``run_batch`` result holds them per reduction block, along a leading
-    block axis; only the merged result holds their totals, so the means,
-    ``p00_sem`` and ``stats.pooled_pearson_r`` are valid only on a result
-    that has been through ``ensemble._merge``.
+    The five per-step sums and ``pair_moments`` are stored, and the means
+    derive from them.
     ``pair_moments`` row k pools the pairs (a, b) = (dWF[i + L], dQ[i]) at
     lag L = ``lags[k]`` over every lane and aligned step, as the sums
     (count, a, b, a^2, b^2, a*b); ``stats.pooled_pearson_r`` derives r.
@@ -240,7 +237,6 @@ class EnsembleResult:
     fb: FeedbackConfig
     n_traj: int
     lags: tuple[int, ...]                         # ascending, distinct
-    # Sums: merged shape shown; a run_batch result has a leading blocks axis.
     p00_sum: np.ndarray = field(metadata=_SUM)    # (steps+1,) ground population
     p00_sqsum: np.ndarray = field(metadata=_SUM)  # (steps+1,)
     dw_sum: np.ndarray = field(metadata=_SUM)     # (steps,) per-step work
@@ -305,7 +301,6 @@ def run_batch(
     rngs: list[np.random.Generator],
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
-    block: int | None = None,
 ) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
 
@@ -314,11 +309,6 @@ def run_batch(
     step loop pools the moments of the pairs (dWF[i + L], dQ[i]) into
     ``pair_moments``, keeping only the last L dQ arrays; a lag of n_steps or
     more has no pairs.  Without lags the loop does no extra work.
-
-    ``block`` lanes form one reduction block (the whole batch by default):
-    every per-step sum and pair moment is reduced per block, and the result
-    holds them along a leading block axis, so each block rounds exactly as a
-    batch of its own trajectories would.
 
     ``fb.gain``, ``fb.offset`` and ``cfg.eta`` may be (G, 1) columns of a
     grid: the lanes are then (G, n) with each trajectory's noise shared along
@@ -336,7 +326,6 @@ def run_batch(
     if any(lag < 0 or lag != int(lag) for lag in lags):
         raise ValueError(f"lags must be non-negative integers, got {lags}")
     n = len(rngs)
-    block = max(n, 1) if block is None else block
     # (G, 1) gain/offset/eta columns give the lanes a leading grid axis: (G, n).
     lanes = np.broadcast_shapes(np.shape(fb.gain), np.shape(fb.offset), np.shape(cfg.eta),
                                 (n,))
@@ -359,45 +348,26 @@ def run_batch(
     z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
     x = np.zeros(lanes)
 
-    # Reduction blocks: ``full`` blocks of ``block`` lanes, then a short one
-    # of ``tail`` lanes if block does not divide n.
     grid = lanes[:-1]
-    full, tail = divmod(n, block)
-    n_blocks = full + (tail > 0)
-    cut = full * block
-    view = (*grid, full, block)
-    to_front = (len(grid), *range(len(grid)), len(grid) + 1)
-
-    def per_block(reduce, out, i, *arrays):
-        """``out[:, ..., i]`` = ``reduce`` over each block's lanes of ``arrays``:
-        full blocks through one (blocks, *grid, block) view, the short last
-        block on its own."""
-        if full:
-            out[:full, ..., i] = reduce(*(a[..., :cut].reshape(view).transpose(to_front)
-                                          for a in arrays))
-        if tail:
-            out[full, ..., i] = reduce(*(a[..., cut:] for a in arrays))
-
-    p00_sum, p00_sqsum = np.zeros((2, n_blocks, *grid, steps + 1))
-    dw_sum, dwf_sum, dq_sum = np.zeros((3, n_blocks, *grid, steps))
+    p00_sum, p00_sqsum = np.zeros((2, *grid, steps + 1))
+    dw_sum, dwf_sum, dq_sum = np.zeros((3, *grid, steps))
     w_tot, wf_tot, q_tot = np.zeros((3, *lanes))
 
-    # Per lag, block and step, the sums (count, dWF[i], dQ[i - lag], dWF^2,
-    # dQ^2, dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2
-    # once, and per lag only the cross term, with dQ[i - lag] from a line.
+    # Per lag and step, the sums (count, dWF[i], dQ[i - lag], dWF^2, dQ^2,
+    # dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2 once,
+    # and per lag only the cross term, with dQ[i - lag] from a line.
     paired = [(k, lag) for k, lag in enumerate(lags) if lag < steps]
-    moments = np.zeros((len(lags), 6, n_blocks, *grid, steps))
-    dwf_sq, dq_sq = np.zeros((2, n_blocks, *grid, steps))
+    moments = np.zeros((len(lags), 6, *grid, steps))
+    dwf_sq, dq_sq = np.zeros((2, *grid, steps))
     dq_lines = [DelayLine(lag) for _, lag in paired]
 
     state_series = {k: np.empty((*lanes, steps + 1)) for k in STATE_SERIES if k in record}
     step_series = {k: np.empty((*lanes, steps)) for k in STEP_SERIES if k in record}
-    lane_sum = partial(np.add.reduce, axis=-1)
 
     def snapshot(i: int) -> None:
         p00 = 0.5 * (1.0 + z)
-        per_block(lane_sum, p00_sum, i, p00)
-        per_block(lane_sum, p00_sqsum, i, p00 * p00)
+        p00_sum[..., i] = p00.sum(axis=-1)
+        p00_sqsum[..., i] = (p00 * p00).sum(axis=-1)
         now = {"p00": p00, "x": x, "z": z}
         for name, arr in state_series.items():
             arr[..., i] = now[name]
@@ -436,16 +406,16 @@ def run_batch(
         w_tot += dw
         wf_tot += dwf
         q_tot += dq
-        per_block(lane_sum, dw_sum, i, dw)
-        per_block(lane_sum, dwf_sum, i, dwf)
-        per_block(lane_sum, dq_sum, i, dq)
+        dw_sum[..., i] = dw.sum(axis=-1)
+        dwf_sum[..., i] = dwf.sum(axis=-1)
+        dq_sum[..., i] = dq.sum(axis=-1)
         if paired:
-            per_block(np.vecdot, dwf_sq, i, dwf, dwf)
-            per_block(np.vecdot, dq_sq, i, dq, dq)
+            dwf_sq[..., i] = np.vecdot(dwf, dwf)
+            dq_sq[..., i] = np.vecdot(dq, dq)
             for (k, lag), dq_line in zip(paired, dq_lines):
                 dq_then = dq_line.push(dq)  # dQ[i - lag]
                 if i >= lag:
-                    per_block(np.vecdot, moments[k, 5], i, dwf, dq_then)
+                    moments[k, 5, ..., i] = np.vecdot(dwf, dq_then)
         now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
         for name, arr in step_series.items():
             arr[..., i] = now[name]
@@ -454,8 +424,7 @@ def run_batch(
     # The other pair sums are the per-step reductions, aligned by the lag.
     for k, lag in paired:
         m = moments[k, ..., lag:]
-        m[0, :full] = block
-        m[0, full:] = tail
+        m[0] = n
         m[1], m[3] = dwf_sum[..., lag:], dwf_sq[..., lag:]
         m[2], m[4] = dq_sum[..., :steps - lag], dq_sq[..., :steps - lag]
 

@@ -358,11 +358,13 @@ def test_a_negative_seed_is_rejected_by_name(tmp_path, capsys):
 
 @pytest.mark.parametrize("delay", ["inf", "nan"])
 def test_a_non_finite_delay_is_rejected_by_name(delay, tmp_path, capsys):
-    out = tmp_path / "out"
-    argv = ["ensemble", "--feedback", "pll", "--delay-ns", delay, "--out-dir", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: delay_ns must be finite, got {float(delay)!r}\n"
-    assert not out.exists()
+    # With feedback off the delay is never used, but it is still checked.
+    for mode in ("pll", "none"):
+        out = tmp_path / mode
+        argv = ["ensemble", "--feedback", mode, "--delay-ns", delay, "--out-dir", str(out)]
+        assert main(argv) == 2, mode
+        assert capsys.readouterr().err == f"error: delay_ns must be finite, got {float(delay)!r}\n"
+        assert not out.exists(), mode
 
 
 @pytest.mark.parametrize("delay", ["1e30", "2e13"])

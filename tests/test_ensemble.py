@@ -9,15 +9,17 @@ import qtherm.experiments
 from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _merge, _run_chunk, run_ensemble
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
+from qtherm.sme import rng_for_trajectory, run_batch
 from qtherm.stats import pooled_pearson_r, rabi_contrast
 from reference import per_point_sweep_contrast
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
 
-def test_worker_count_does_not_change_results(paper_cfg):
+def test_worker_count_does_not_change_results(paper_cfg, monkeypatch):
     cfg = paper_cfg(tau=1.0, seed=77)
-    one = run_ensemble(cfg, n_traj=300, workers=1, chunk_size=128)
-    three = run_ensemble(cfg, n_traj=300, workers=3, chunk_size=128)
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 128)
+    one = run_ensemble(cfg, n_traj=300, workers=1)
+    three = run_ensemble(cfg, n_traj=300, workers=3)
     assert np.array_equal(one.p00_mean, three.p00_mean)
     assert np.array_equal(one.w, three.w)
     assert np.array_equal(one.q, three.q)
@@ -48,17 +50,20 @@ def test_workers_are_checked_and_the_pool_has_at_most_one_per_chunk(paper_cfg, m
             return future
 
     monkeypatch.setattr(qtherm.ensemble, "ProcessPoolExecutor", InlinePool)
-    pooled = run_ensemble(cfg, n_traj=96, workers=5000, chunk_size=32)
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 32)
+    pooled = run_ensemble(cfg, n_traj=96, workers=5000)
     assert sizes == [3]
-    serial = run_ensemble(cfg, n_traj=96, chunk_size=32)
+    serial = run_ensemble(cfg, n_traj=96)
     assert np.array_equal(pooled.w, serial.w)
     assert np.array_equal(pooled.p00_sum, serial.p00_sum)
 
 
-def test_per_trajectory_values_independent_of_chunking(paper_cfg):
+def test_per_trajectory_values_independent_of_chunking(paper_cfg, monkeypatch):
     cfg = paper_cfg(tau=0.5, seed=3)
-    a = run_ensemble(cfg, n_traj=100, chunk_size=32)
-    b = run_ensemble(cfg, n_traj=100, chunk_size=1000)
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 32)
+    a = run_ensemble(cfg, n_traj=100)
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 1000)
+    b = run_ensemble(cfg, n_traj=100)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.final_z, b.final_z)
     assert np.array_equal(a.residuals, b.residuals)
@@ -152,10 +157,11 @@ def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
     assert np.array_equal(got.contrast, want)
 
     grid = fb.with_(gain=np.array([[25.0], [45.0]]), offset=np.array([[-1.25], [-0.75]]))
-    lanes = run_ensemble(sim, grid, 50, record=("p00", "dq"), lags=(0, 2), chunk_size=16)
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 16)
+    lanes = run_ensemble(sim, grid, 50, record=("p00", "dq"), lags=(0, 2))
     for g, (a, b) in enumerate([(25.0, -1.25), (45.0, -0.75)]):
         one = run_ensemble(sim, fb.with_(gain=a, offset=b), 50, record=("p00", "dq"),
-                           lags=(0, 2), chunk_size=16)
+                           lags=(0, 2))
         for name in ("p00_sum", "p00_sqsum", "dw_sum", "dwf_sum", "dq_sum", "pair_moments",
                      "w", "wf", "q", "final_x", "final_z", "residuals", "outcomes"):
             assert np.array_equal(getattr(lanes, name)[g], getattr(one, name)), name
@@ -180,12 +186,12 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
     sim = SimConfig(seed=8, tau=0.3, dt=0.005)
     fb = FeedbackConfig(mode="optimal")
     want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj)[0] for eta in etas]
-    monkeypatch.setattr(qtherm.experiments, "CHUNK_SIZE", 3 * n_traj)
+    monkeypatch.setattr(qtherm.experiments, "EFFICACY_LANES", 3 * n_traj)
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 4)
     blocks = []
     run = qtherm.experiments.run_ensemble
     monkeypatch.setattr(qtherm.experiments, "run_ensemble",
-                        lambda sim, *a, **kw: blocks.append(len(sim.eta))
-                        or run(sim, *a, chunk_size=4, **kw))
+                        lambda sim, *a, **kw: blocks.append(len(sim.eta)) or run(sim, *a, **kw))
     column = sim.with_(eta=np.reshape(etas, (-1, 1)))
     for workers in (1, 2):
         got = run_efficacy_protocol(column, fb, n_traj, workers=workers)
@@ -200,31 +206,36 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
 def test_merge_takes_a_lone_chunk_as_it_is_and_joins_several(paper_cfg):
     sim = paper_cfg(tau=0.2, seed=4)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
-    a, b = (_run_chunk(sim, fb, start, count, ("p00", "dq"), (0, 2), 5)
+    a, b = (_run_chunk(sim, fb, start, count, ("p00", "dq"), (0, 2))
             for start, count in ((0, 5), (5, 3)))
-    ab = _run_chunk(sim, fb, 0, 8, ("p00", "dq"), (0, 2), 5)  # both chunks, one batch
     one = _merge(sim, fb, 5, [a])
     two = _merge(sim, fb, 8, [a, b])
-    joined = _merge(sim, fb, 8, [ab])
     for f in fields(EnsembleResult)[4:]:
         got_one, got_two = getattr(one, f.name), getattr(two, f.name)
         parts = [getattr(a, f.name), getattr(b, f.name)]
         if f.metadata.get("merge") == "sum":
-            # A batch holds its sums per chunk, along a leading block axis.
-            assert [len(p) for p in parts] == [1, 1], f.name
-            assert np.array_equal(getattr(ab, f.name), np.concatenate(parts)), f.name
-            assert np.array_equal(got_one, parts[0][0]), f.name
-            assert np.array_equal(got_two, parts[0][0] + parts[1][0]), f.name
-            assert np.array_equal(getattr(joined, f.name), got_two), f.name
+            assert np.array_equal(got_one, parts[0]), f.name
+            assert np.array_equal(got_two, parts[0] + parts[1]), f.name
         elif f.name == "series":
             for k in parts[0]:
                 assert got_one[k] is parts[0][k], k
                 assert np.array_equal(got_two[k], np.concatenate([p[k] for p in parts], axis=-2))
-                assert np.array_equal(joined.series[k], got_two[k]), k
         else:
             assert got_one is parts[0], f.name
             assert np.array_equal(got_two, np.concatenate(parts, axis=-1)), f.name
-            assert np.array_equal(getattr(joined, f.name), got_two), f.name
+
+
+def test_a_batch_result_needs_no_merge(paper_cfg):
+    """Within one chunk, ``run_batch``'s own means, error bars and r carry the
+    bits of the ensemble's."""
+    sim = paper_cfg(tau=0.2, seed=4)
+    fb = FeedbackConfig(mode="phase_locked", delay_steps=2)
+    batch = run_batch(sim, fb, [rng_for_trajectory(sim.seed, k) for k in range(40)],
+                      lags=(0, 2))
+    whole = run_ensemble(sim, fb, 40, lags=(0, 2))
+    for name in ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean", "pair_moments"):
+        assert np.array_equal(getattr(batch, name), getattr(whole, name)), name
+    assert pooled_pearson_r(batch, 2) == pooled_pearson_r(whole, 2)
 
 
 @pytest.mark.parametrize("fb", [

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qtherm.ensemble
 from qtherm.bloch import GROUND, BlochState
 from qtherm.config import FeedbackConfig
 from qtherm.ensemble import run_ensemble
@@ -129,12 +130,13 @@ def test_optimal_feedback_keeps_pure_state_locked(paper_cfg):
     assert abs(err.mean()) < 0.01
 
 
-def test_optimal_feedback_has_a_one_step_latency_floor(paper_cfg):
+def test_optimal_feedback_has_a_one_step_latency_floor(paper_cfg, monkeypatch):
     # The heat angle of step i is known only once step i is integrated, so a
     # configured delay of zero steps runs exactly as a delay of one.
     cfg = paper_cfg(tau=0.4, seed=5, initial_state="thermal", beta=1.0)
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 32)
     runs = [run_ensemble(cfg, FeedbackConfig(mode="optimal", delay_steps=d), 64,
-                         record=SERIES, lags=(0, 1, 3), chunk_size=32)
+                         record=SERIES, lags=(0, 1, 3))
             for d in (0, 1)]
     assert_same_run(*runs)
 

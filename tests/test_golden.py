@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import qtherm.ensemble
 from qtherm.cli import main
 from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import run_ensemble
@@ -41,8 +42,10 @@ GOLDEN = {
             "trajectories.csv": "cd8eb6d374db7c882b4cb14a06b2b37102c7cdad6cae575d1269074ca590ca43",
         },
     ),
-    # Recorded before the chunks were batched two to a pool task: three
-    # chunks (the last one short) in two batches, pooled, with pair moments.
+    # Recorded when a chunk held 2,048 trajectories and a pool task up to two
+    # chunks: here two pool tasks, 4,096 + 404 trajectories, with pair
+    # moments.  Its per-step sums split 2,048 + 2,048 + 404 then, as a
+    # 4,096-lane sum splits; its pair moments happen to round the same.
     "ensemble_batched": (
         ["ensemble", "--n-traj", "4500", "--tau-us", "0.5", "--feedback", "pll",
          "--delay-ns", "100", "--workers", "2"],
@@ -108,12 +111,12 @@ def engine_cases():
     )
 
 
-def test_engine_digest():
+def test_engine_digest(monkeypatch):
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 128)
     h = hashlib.sha256()
     for sim, fb in engine_cases():
         for workers in (1, 2):
-            res = run_ensemble(sim, fb, 300, record=SERIES,
-                               workers=workers, chunk_size=128)
+            res = run_ensemble(sim, fb, 300, record=SERIES, workers=workers)
             for name in ENGINE_FIELDS:
                 h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
             for name in sorted(res.series):

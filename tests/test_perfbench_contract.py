@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from qtherm.ensemble import CHUNK_SIZE
-from qtherm.experiments import SWEEP_LANES
+from qtherm.experiments import EFFICACY_LANES, SWEEP_LANES
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -63,14 +63,15 @@ def test_setup_probe_reaches_the_engine_from_every_command(argv, tmp_path):
 
 
 def test_traced_pool_run_accounts_for_every_trajectory(tmp_path):
+    n_traj = CHUNK_SIZE + 52  # two chunks, so the pool runs
     layers = tmp_path / "layers.json"
-    done = probe("trace", str(layers), "ensemble", "--n-traj", "2100", "--tau-us", "0.1",
+    done = probe("trace", str(layers), "ensemble", "--n-traj", str(n_traj), "--tau-us", "0.1",
                  "--feedback", "pll", "--delay-ns", "40", "--workers", "2",
                  "--out-dir", str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     metrics = json.loads(layers.read_text())
     assert metrics["trace.missing_traj"] == 0
-    assert metrics["sme.streams"] == 2100
+    assert metrics["sme.streams"] == n_traj
     assert metrics["ensemble.series_mb"] == 0
     assert metrics["stats.pearson_s"] > 0
 
@@ -90,7 +91,7 @@ def test_traced_sweep_builds_each_noise_stream_once_per_block(tmp_path):
 
 def test_traced_jarzynski_builds_each_noise_stream_once_per_block(tmp_path):
     n_traj, etas = 300, ("0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9")
-    blocks = -(-len(etas) // (CHUNK_SIZE // min(n_traj, CHUNK_SIZE)))
+    blocks = -(-len(etas) // (EFFICACY_LANES // min(n_traj, CHUNK_SIZE)))
     layers = tmp_path / "layers.json"
     done = probe("trace", str(layers), "jarzynski", "--n-traj", str(n_traj), "--tau-us", "0.2",
                  "--dt-ns", "5", "--feedback", "optimal", "--eta-list", ",".join(etas),

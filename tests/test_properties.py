@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qtherm.ensemble
 from qtherm.config import MAX_GAMMA_DT, FeedbackConfig, SimConfig
-from qtherm.ensemble import CHUNK_SIZE, run_ensemble
+from qtherm.ensemble import run_ensemble
 from qtherm.sme import _dissipative_kraus, split_step
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -70,7 +70,6 @@ PER_TRAJECTORY = ("w", "wf", "q", "final_x", "final_z", "residuals", "outcomes")
     n_traj=st.integers(1, 12),
     chunk_size=st.integers(1, 12),
     workers=st.sampled_from([1, 2]),
-    batch_chunks=st.sampled_from([1, 3, None]),  # None: the default BATCH_LANES
     fb=st.sampled_from([
         FeedbackConfig(),
         FeedbackConfig(mode="phase_locked"),
@@ -79,27 +78,24 @@ PER_TRAJECTORY = ("w", "wf", "q", "final_x", "final_z", "residuals", "outcomes")
         FeedbackConfig(mode="optimal", delay_steps=1),
     ]),
 )
-@example(n_traj=12, chunk_size=5, workers=2, batch_chunks=None,
-         fb=FeedbackConfig(mode="optimal", delay_steps=1))
+@example(n_traj=12, chunk_size=5, workers=2, fb=FeedbackConfig(mode="optimal", delay_steps=1))
 def test_per_trajectory_results_do_not_depend_on_chunks_or_workers(
-    n_traj, chunk_size, workers, batch_chunks, fb
+    n_traj, chunk_size, workers, fb
 ):
     sim = SimConfig(tau=0.1, seed=11, initial_state="thermal")
     lags = (0, 1, 3, 6)  # five steps: lag 6 has no pairs
-    want = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=CHUNK_SIZE)
-    cap = qtherm.ensemble.BATCH_LANES if batch_chunks is None else batch_chunks * chunk_size
-    with mock.patch.object(qtherm.ensemble, "BATCH_LANES", cap):
-        got = run_ensemble(sim, fb, n_traj, lags=lags, workers=workers, chunk_size=chunk_size)
+    want = run_ensemble(sim, fb, n_traj, lags=lags, workers=1)
+    with mock.patch.object(qtherm.ensemble, "CHUNK_SIZE", chunk_size):
+        got = run_ensemble(sim, fb, n_traj, lags=lags, workers=workers)
+        serial = run_ensemble(sim, fb, n_traj, lags=lags, workers=1)
     for name in PER_TRAJECTORY:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     # The sums are chunk sums added in chunk order: bitwise equal at a fixed
-    # chunk size, however the chunks are batched (here against one chunk per
-    # batch), and equal to rounding at any other chunk size.  Rounding is
-    # judged against each pair moment's Cauchy-Schwarz bound (of sum |a| by
+    # chunk size, however many workers run the chunks (here against one),
+    # and equal to rounding at any other chunk size.  Rounding is judged
+    # against each pair moment's Cauchy-Schwarz bound (of sum |a| by
     # sqrt(count * sum a^2), of sum |ab| by sqrt(sum a^2 * sum b^2)), as the
     # signed sums may cancel to near zero.
-    with mock.patch.object(qtherm.ensemble, "BATCH_LANES", chunk_size):
-        serial = run_ensemble(sim, fb, n_traj, lags=lags, workers=1, chunk_size=chunk_size)
     for name in ("p00_sum", "p00_sqsum", "dw_sum", "dwf_sum", "dq_sum", "pair_moments"):
         assert np.array_equal(getattr(got, name), getattr(serial, name)), name
     count, _, _, saa, sbb, _ = want.pair_moments.T
@@ -107,3 +103,28 @@ def test_per_trajectory_results_do_not_depend_on_chunks_or_workers(
                       np.sqrt(saa * sbb)], axis=1)
     assert (np.abs(got.pair_moments - want.pair_moments) <= 1e-12 * bound).all()
     assert count.tolist() == [n_traj * max(sim.n_steps - lag, 0) for lag in lags]
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    mode=st.sampled_from(["none", "phase_locked", "optimal"]),
+    delay_steps=st.integers(0, 5),
+    eta=st.floats(0.0, 1.0),
+    gamma_dt=st.floats(0.0, MAX_GAMMA_DT),
+    omega_r=st.floats(0.0, 20.0),
+    gain=st.floats(-60.0, 60.0),
+    offset=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_trajectory_keeps_the_decomposition_bounded_and_the_first_law(
+    mode, delay_steps, eta, gamma_dt, omega_r, gain, offset, seed
+):
+    """From the ground state, P~W + P~Q + P~F for m = n = 0 is minus the
+    final excited population, so it lies in [-1, 0] for every trajectory."""
+    dt = 2.0**-6  # a power of two, so gamma * dt is gamma_dt exactly
+    sim = SimConfig(gamma=gamma_dt / dt, omega_r=omega_r, eta=eta, dt=dt, tau=1.0, seed=seed)
+    fb = FeedbackConfig(mode=mode, gain=gain, offset=offset, delay_steps=delay_steps)
+    res = run_ensemble(sim, fb, 64)
+    p = res.p_sum_00()
+    assert -1.0 - 1e-12 <= p.min() and p.max() <= 1e-12
+    assert res.residuals.max() <= 1e-12
