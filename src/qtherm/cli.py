@@ -305,7 +305,7 @@ def cmd_jarzynski(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
         tr = prot.trajectory_route
         write_csv(out / name,
                   ("t", "gamma_traj", "stderr_traj", "gamma_wd", "stderr_wd", "c00", "c11"),
-                  _columns(prot.times, tr.gamma_q, tr.stderr, prot.wd_route_gamma,
+                  _columns(tr.times, tr.gamma_q, tr.stderr, prot.wd_route_gamma,
                            prot.wd_route_stderr, tr.c00, tr.c11))
         summary["per_eta"][key] = {"gamma0": float(tr.gamma_q[0]),
                                    "msd_to_1us": tr.mean_sq_deviation(1.0)}
@@ -414,15 +414,15 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     """Run one command and write its ``manifest.json``: the configuration it
     integrated, the outputs it wrote and the seconds since its configs were
-    assembled.  A rejected input ends in one ``error:`` line, exit code 2
-    and no manifest."""
+    assembled.  A rejected input, or a run too large to allocate, ends in one
+    ``error:`` line, exit code 2 and no manifest."""
     args = _build_parser().parse_args(argv)
     try:
         sim, fb, run = _assemble(args)
         started = time.perf_counter()
         done = _HANDLERS[args.command](args, sim, fb, run)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     config = config_snapshot(sim, fb)
     for name, values in done.ran_over.items():

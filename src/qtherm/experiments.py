@@ -11,28 +11,23 @@ from .ensemble import CHUNK_SIZE, run_ensemble
 from .sme import side_stream
 from .stats import (
     EfficacyResult,
-    Preparation,
     contrast_window,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
     rabi_contrast,
 )
 
-#: Most lanes (grid points x trajectories of one chunk) a sweep integrates in
-#: one batch; more lanes per step save interpreter overhead but cost memory.
-SWEEP_LANES = 8192
-
-#: Most lanes (efficiencies x trajectories) an efficacy ensemble integrates:
-#: each one records its (lanes, steps) p00 series, so larger blocks cost
-#: peak memory without saving time.
-EFFICACY_LANES = 2048
+#: Most lanes (grid points x trajectories of one chunk) a sweep or efficacy
+#: ensemble integrates in one batch; more lanes per step save interpreter
+#: overhead but cost memory.
+GRID_LANES = 8192
 
 
-def _lane_blocks(rows: np.ndarray, n_traj: int, max_lanes: int) -> list[np.ndarray]:
+def _lane_blocks(rows: np.ndarray, n_traj: int) -> list[np.ndarray]:
     """``rows`` (grid points run as lanes) cut into the fewest near-equal
-    blocks whose batches hold at most ``max_lanes`` lanes (one row per block
+    blocks whose batches hold at most ``GRID_LANES`` lanes (one row per block
     if a chunk alone exceeds it)."""
-    per_block = max(1, max_lanes // int(np.clip(n_traj, 1, CHUNK_SIZE)))
+    per_block = max(1, GRID_LANES // int(np.clip(n_traj, 1, CHUNK_SIZE)))
     return np.array_split(rows, -(-len(rows) // per_block))
 
 
@@ -65,7 +60,7 @@ def sweep_gain_offset(
 ) -> SweepResult:
     """Phase-locked-feedback contrast for each (gain, offset) pair.
 
-    Grid points run as lanes, in blocks of at most ``SWEEP_LANES`` lanes:
+    Grid points run as lanes, in blocks of at most ``GRID_LANES`` lanes:
     each block is one ensemble that builds the n_traj noise streams once,
     and every grid point sees the same paths (paired comparisons), bit for
     bit as its own ensemble would.  Each point is scored by the steady-state
@@ -90,7 +85,7 @@ def sweep_gain_offset(
     # Row-major (gain, offset) pairs, cut into near-equal blocks.
     grid = np.stack(np.meshgrid(gains, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
     contrast = []
-    for block in _lane_blocks(grid, n_traj, SWEEP_LANES):
+    for block in _lane_blocks(grid, n_traj):
         res = run_ensemble(sim, fb.with_(gain=block[:, :1], offset=block[:, 1:]), n_traj,
                            workers=workers)
         contrast += [rabi_contrast(res.times, p00, sim.omega_r, window=window)
@@ -110,7 +105,6 @@ def sweep_gain_offset(
 class EfficacyProtocol:
     """Both efficacy estimates from one ground/excited preparation pair."""
 
-    times: np.ndarray
     trajectory_route: EfficacyResult
     wd_route_gamma: np.ndarray
     wd_route_stderr: np.ndarray
@@ -134,42 +128,34 @@ def run_efficacy_protocol(
 
     Returns a list of one protocol per row of ``sim.eta`` (one for a scalar),
     each with the bytes of its own scalar-eta call.  The efficiencies run as
-    lanes on shared noise, in blocks of at most ``EFFICACY_LANES`` lanes, and
-    each ensemble's recorded series are reduced before the next one starts.
+    lanes on shared noise, in blocks of at most ``GRID_LANES`` lanes; each
+    block runs both preparations, and each ensemble's recorded series are
+    reduced to sampled outcomes before the next one runs.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
-    times = sim.dt * np.arange(sim.n_steps + 1)
     # Independent projective outcomes at every time, one Bernoulli draw per
     # (trajectory, time re-run); this is what an experiment of that duration
     # would have measured.  Every eta draws the same uniforms, ground block
     # first.
-    uniforms = side_stream(sim.seed, 0x5A3B).random((2, n_traj, times.size))
-
-    # Per preparation and eta: the reduced series and the sampled outcome
-    # frequency (return probability for ground, survival for excited).  Each
-    # ensemble's series are reduced and freed before the next one runs.
-    reduced: list[list[tuple[Preparation, np.ndarray]]] = [[], []]
-    for label, u in enumerate(uniforms):
-        prep = sim.with_(initial_state=label, seed=sim.seed + label)
-        for block in _lane_blocks(np.reshape(sim.eta, (-1, 1)), n_traj, EFFICACY_LANES):
-            series = run_ensemble(prep.with_(eta=block), fb, n_traj, record=("p00",),
-                                  workers=workers).series["p00"]
-            reduced[label] += [
-                (Preparation.of(p00), (u < (p00 if label == 0 else 1.0 - p00)).mean(axis=0))
-                for p00 in series
-            ]
-            del series
+    uniforms = side_stream(sim.seed, 0x5A3B).random((2, n_traj, sim.n_steps + 1))
 
     protocols = []
-    for (ground, hits_g), (excited, hits_e) in zip(*reduced):
-        gamma_wd, err_wd = jarzynski_from_transitions(
-            hits_g, hits_e, sim.beta, n_traj, n_traj
-        )
-        protocols.append(EfficacyProtocol(
-            times=times,
-            trajectory_route=efficacy_from_trajectories(ground, excited, sim.beta, times=times),
-            wd_route_gamma=gamma_wd,
-            wd_route_stderr=err_wd,
-        ))
+    for block in _lane_blocks(np.reshape(sim.eta, (-1, 1)), n_traj):
+        # Per preparation: the ensemble and, row by row, its sampled outcome
+        # frequency (return probability for ground, survival for excited).
+        # The series is popped, so it is freed once reduced.
+        preps, hits = [], []
+        for label, u in enumerate(uniforms):
+            res = run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label, eta=block),
+                               fb, n_traj, record=("p00",), workers=workers)
+            preps.append(res)
+            hits.append([(u < (p00 if label == 0 else 1.0 - p00)).mean(axis=0)
+                         for p00 in res.series.pop("p00")])
+        tr = efficacy_from_trajectories(*preps, sim.beta)
+        gamma_wd, err_wd = jarzynski_from_transitions(*hits, sim.beta, n_traj, n_traj)
+        protocols += [EfficacyProtocol(EfficacyResult(tr.times, tr.gamma_q[i], tr.stderr[i],
+                                                      tr.c00[i], tr.c11[i]),
+                                       gamma_wd[i], err_wd[i])
+                      for i in range(len(block))]
     return protocols

@@ -13,7 +13,7 @@ final state.
 The generalized-Jarzynski efficacy is estimated two ways:
 
 * the trajectory route: equal-weight averages of the ground/excited-prepared
-  ensembles (each reduced to a :class:`Preparation`) give the map
+  ensembles (each ensemble's streamed ``p00_mean``) give the map
   coefficients C00(t), C11(t), and
 
       gamma_q(t) = [e^{+beta/2} C00(t) + e^{-beta/2} C11(t)] / (2 cosh(beta/2));
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,59 +61,34 @@ class EfficacyResult:
         return float(np.mean((self.gamma_q[mask] - 1.0) ** 2))
 
 
-class Preparation(NamedTuple):
-    """One preparation ensemble's ground-population series, reduced over its
-    trajectories at each time."""
-
-    mean: np.ndarray  # (n_times,)
-    var: np.ndarray   # (n_times,) sample variance, ddof 1
-    n: int            # trajectories
-
-    @classmethod
-    def of(cls, p00: np.ndarray) -> "Preparation":
-        """Reduce an (n_traj, n_times) series of at least two trajectories."""
-        p00 = np.asarray(p00, dtype=float)
-        if p00.ndim != 2:
-            raise ValueError("a preparation ensemble is an (n_traj, n_times) series")
-        if p00.shape[0] < 2:
-            raise ValueError("each preparation needs at least two trajectories for an error bar")
-        return cls(p00.mean(axis=0), p00.var(axis=0, ddof=1), p00.shape[0])
-
-
 def efficacy_from_trajectories(
-    ground: Preparation,
-    excited: Preparation,
-    beta: float,
-    times: np.ndarray | None = None,
+    ground: EnsembleResult, excited: EnsembleResult, beta: float
 ) -> EfficacyResult:
     """Trajectory-route efficacy from the two preparation ensembles.
 
-    ``ground`` / ``excited`` reduce the ensembles prepared in the ground /
+    ``ground`` / ``excited`` are the ensembles prepared in the ground /
     excited state with otherwise identical configuration, on a common time
-    grid.  gamma_q is linear in C00 = mean_g + mean_e with slope
-    tanh(beta/2), so its standard error is
-    tanh(beta/2) * sqrt(s_g^2/n_g + s_e^2/n_e), from the sample variances of
-    the two independent ensembles.
+    grid; only their ``times``, ``p00_mean``, ``p00_sem`` and ``n_traj`` are
+    read, and a leading grid axis carries through.  gamma_q is linear in
+    C00 = mean_g + mean_e with slope tanh(beta/2), so its standard error is
+    tanh(beta/2) * sqrt(sem_g^2 + sem_e^2), from the two independent
+    ensembles' standard errors.
     """
-    n_times = ground.mean.shape[-1]
-    if excited.mean.shape != ground.mean.shape:
+    if excited.p00_mean.shape != ground.p00_mean.shape:
         raise ValueError("preparation ensembles must be on a common time grid")
-    if times is None:
-        times = np.arange(n_times, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if times.shape != (n_times,):
-        raise ValueError("times length must match the series")
+    if min(ground.n_traj, excited.n_traj) < 2:
+        raise ValueError("each preparation needs at least two trajectories for an error bar")
 
-    c00 = ground.mean + excited.mean
+    c00 = ground.p00_mean + excited.p00_mean
     # C11 = 2 - C00 exactly (populations sum to one trajectory by trajectory).
     gamma = (math.exp(0.5 * beta) * c00 + math.exp(-0.5 * beta) * (2.0 - c00)) / (
         2.0 * math.cosh(0.5 * beta)
     )
     k = abs(math.tanh(0.5 * beta))
-    stderr = k * np.sqrt(ground.var / ground.n + excited.var / excited.n)
+    stderr = k * np.sqrt(ground.p00_sem**2 + excited.p00_sem**2)
 
     return EfficacyResult(
-        times=times, gamma_q=gamma, stderr=stderr, c00=c00, c11=2.0 - c00
+        times=ground.times, gamma_q=gamma, stderr=stderr, c00=c00, c11=2.0 - c00
     )
 
 

@@ -8,6 +8,9 @@ ensemble per grid point; the package runs grid points as batch lanes.
 ``two_point_work_distribution`` and ``jarzynski_average`` build the explicit
 three-point work distribution and average e^{-beta W} over it; the package
 evaluates that average in closed form (``jarzynski_from_transitions``).
+``two_pass_preparation`` reduces a recorded (n_traj, n_times) p00 series
+in two passes to what ``efficacy_from_trajectories`` reads of an ensemble;
+the package streams one-pass sums instead (``EnsembleResult.p00_sem``).
 ``bootstrap_efficacy_stderr`` resamples trajectories for the efficacy error
 that the package gives in closed form.  ``ito_step`` is the discretized SME
 as one unsplit Ito-Euler update, the reference for ``qtherm.sme.split_step``.
@@ -19,6 +22,7 @@ projective outcomes against the path-dependent P00 prediction (criterion 1).
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,12 +30,7 @@ from qtherm.bloch import BlochState, closed_rabi_probabilities, gibbs_weights
 from qtherm.config import SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.sme import _rotation_work
-from qtherm.stats import (
-    Preparation,
-    ZeroVarianceError,
-    efficacy_from_trajectories,
-    rabi_contrast,
-)
+from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_contrast
 
 #: Pre-renormalization |x| or |z| beyond this aborts ``ito_step``: the Euler
 #: step has left the physical region so far that dt is clearly too coarse.
@@ -191,6 +190,17 @@ def jarzynski_average(wd: WorkDistribution) -> float:
     return float(np.sum(wd.probabilities * np.exp(-wd.beta * wd.support)))
 
 
+def two_pass_preparation(p00, times=None) -> SimpleNamespace:
+    """What ``efficacy_from_trajectories`` reads of an ensemble, from its
+    recorded p00 series in two passes over the trajectory axis (the one
+    before the time axis); ``times`` defaults to the sample index."""
+    p00 = np.asarray(p00, dtype=float)
+    n = p00.shape[-2]
+    sem = p00.std(axis=-2, ddof=1) / math.sqrt(n) if n > 1 else np.nan * p00[..., 0, :]
+    times = np.arange(p00.shape[-1], dtype=float) if times is None else times
+    return SimpleNamespace(times=times, n_traj=n, p00_mean=p00.mean(axis=-2), p00_sem=sem)
+
+
 def bootstrap_efficacy_stderr(g, e, beta, rng, n_boot=1000):
     """Trajectory-bootstrap standard error of the trajectory-route gamma_q(t).
 
@@ -204,8 +214,8 @@ def bootstrap_efficacy_stderr(g, e, beta, rng, n_boot=1000):
     for b in range(n_boot):
         ig = rng.integers(0, g.shape[0], g.shape[0])
         ie = rng.integers(0, e.shape[0], e.shape[0])
-        boots[b] = efficacy_from_trajectories(Preparation.of(g[ig]), Preparation.of(e[ie]),
-                                              beta).gamma_q
+        boots[b] = efficacy_from_trajectories(two_pass_preparation(g[ig]),
+                                              two_pass_preparation(e[ie]), beta).gamma_q
     return boots.std(axis=0, ddof=1)
 
 

@@ -390,6 +390,21 @@ def test_a_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "--n-traj", "2"],
+    ["trajectory"],
+    ["jarzynski", "--n-traj", "2", "--eta-list", "0.5"],
+], ids=["ensemble", "trajectory", "jarzynski"])
+def test_a_run_too_large_to_allocate_ends_in_one_error_line(argv, tmp_path, capsys):
+    # 10^14 steps: the first per-step array needs over 700 TiB, more than any
+    # address space, so the allocation fails at once on every host.
+    out = tmp_path / "out"
+    assert main(argv + ["--tau-us", "0.1", "--dt-ns", "1e-12", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_assemble_defaults_come_from_the_dataclasses(monkeypatch):
     args = cli._build_parser().parse_args(["ensemble"])
     assert cli._assemble(args)[:2] == (SimConfig(), FeedbackConfig())

@@ -11,7 +11,7 @@ from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _merge, _run_chunk, run_
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
 from qtherm.sme import rng_for_trajectory, run_batch
 from qtherm.stats import pooled_pearson_r, rabi_contrast
-from reference import per_point_sweep_contrast
+from reference import per_point_sweep_contrast, two_pass_preparation
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
 
@@ -129,7 +129,7 @@ def test_grid_lanes_reproduce_the_per_point_sweep(monkeypatch):
     the lane contrasts equal one ensemble per point, on one worker or two."""
     n_traj = CHUNK_SIZE + 52
     gains, offsets = [20.0, 30.0, 40.0, 45.0, 50.0], [-1.0]
-    monkeypatch.setattr(qtherm.experiments, "SWEEP_LANES", 4 * CHUNK_SIZE)
+    monkeypatch.setattr(qtherm.experiments, "GRID_LANES", 4 * CHUNK_SIZE)
     blocks = []
     run_block = qtherm.experiments.run_ensemble
     monkeypatch.setattr(qtherm.experiments, "run_ensemble",
@@ -148,7 +148,7 @@ def test_grid_lanes_reproduce_the_per_point_sweep(monkeypatch):
 def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
     """Zero-delay feedback, thermal preparation and the Kraus step, in blocks of
     two points: every field of each grid point equals its own ensemble."""
-    monkeypatch.setattr(qtherm.experiments, "SWEEP_LANES", 100)
+    monkeypatch.setattr(qtherm.experiments, "GRID_LANES", 100)
     sim = SimConfig(seed=6, tau=3.0, initial_state="thermal", beta=1.0)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
     gains, offsets = [25.0, 35.0, 45.0], [-1.25, -0.75]
@@ -180,14 +180,14 @@ def protocol_arrays(prot) -> dict[str, np.ndarray]:
 
 def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
     """Five efficiencies in uneven blocks (3 + 2) and two chunks per
-    ensemble: every per-eta protocol equals its own scalar call, field by
-    field, on one worker or two."""
+    ensemble: every per-eta protocol equals its own scalar call under the
+    same chunk size, field by field, on one worker or two."""
     n_traj, etas = 7, [0.0, 0.35, 0.6, 0.9, 1.0]
     sim = SimConfig(seed=8, tau=0.3, dt=0.005)
     fb = FeedbackConfig(mode="optimal")
-    want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj)[0] for eta in etas]
-    monkeypatch.setattr(qtherm.experiments, "EFFICACY_LANES", 3 * n_traj)
     monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 4)
+    want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj)[0] for eta in etas]
+    monkeypatch.setattr(qtherm.experiments, "GRID_LANES", 3 * n_traj)
     blocks = []
     run = qtherm.experiments.run_ensemble
     monkeypatch.setattr(qtherm.experiments, "run_ensemble",
@@ -200,7 +200,29 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
             g, w = protocol_arrays(g), protocol_arrays(w)
             for name in w:
                 assert np.array_equal(g[name], w[name]), (workers, eta, name)
-    assert blocks == [3, 2, 3, 2] * 2
+    assert blocks == [3, 3, 2, 2] * 2
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.35, [[0.35], [0.6], [1.0]]],
+                         ids=["eta1", "eta0.35", "eta-grid"])
+def test_streamed_p00_sem_equals_the_two_pass_sem(eta, monkeypatch):
+    """The one-pass ``p00_sem`` under optimal feedback, over two chunks for
+    the grid, matches the ddof-1 spread of the recorded series.
+
+    The one-pass difference sum(p^2) - n mean^2 keeps the variance n sem^2
+    to the rounding of sum(p^2), about 1e-16, so that is what is compared.
+    Where the spread is that small (the ground preparation's first steps,
+    sem ~ 1e-8) the sem itself agrees to only ~1e-3 relative, <= 4.2e-11 here.
+    """
+    sim = SimConfig(seed=12, tau=0.5, dt=0.005, eta=np.asarray(eta, dtype=float))
+    if np.ndim(eta):
+        monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 40)
+    n = 64
+    res = run_ensemble(sim, FeedbackConfig(mode="optimal"), n, record=("p00",))
+    want = two_pass_preparation(res.series["p00"])
+    assert np.allclose(res.p00_mean, want.p00_mean, rtol=1e-9, atol=1e-15)
+    assert np.allclose(n * res.p00_sem**2, n * want.p00_sem**2, rtol=1e-9, atol=1e-15)
+    assert np.allclose(res.p00_sem, want.p00_sem, rtol=1e-9, atol=1e-10)
 
 
 def test_merge_takes_a_lone_chunk_as_it_is_and_joins_several(paper_cfg):

@@ -55,14 +55,16 @@ GOLDEN = {
             "trajectories.csv": "70203cd7baf6f6bc8a2e2a8ab087c6abd1eef9d1dc43cad45b7ed787ec041f01",
         },
     ),
+    # Re-recorded when the trajectory route began to read each preparation's
+    # streamed p00 mean and standard error: its columns moved by <= 3.0e-15.
     "jarzynski": (
         ["jarzynski", "--feedback", "optimal", "--tau-us", "0.5", "--dt-ns", "5",
          "--n-traj", "64", "--eta-list", "0.35,0.6,1"],
         {
-            "efficacy_eta0.35.csv": "0d72ce6f4d56c7e7c2041d0c80af1df68e0dbc7023106e49de824b8180107192",
-            "efficacy_eta0.6.csv": "83d32d2528faf7b0abc50fd01941b8dfba6b4e2917e17e0081f99261b2aa7d4c",
-            "efficacy_eta1.csv": "c5faed9fb3f90d837a0e5d5de70922232d3371b100ec83fbe65d716278681e3d",
-            "summary.json": "991a17b1ac619835cb004d3c83c440c30c42855e80f4bfae507a4440b2b681f8",
+            "efficacy_eta0.35.csv": "26b44f71f6eabddcead240302ba0d9573d7b27c47360eb38b0a3581195c68020",
+            "efficacy_eta0.6.csv": "0e16534b193c3c8b26c8cddd9c6980331f8a04da182598f1d73bca5b5e6f357f",
+            "efficacy_eta1.csv": "1f4761ddb5e3975bc1344a3b425114ce99ab66e58f8975223ebdabf80956820c",
+            "summary.json": "9bc11e0f3ca93f4026b542aa1e7544dd984dac26121d78012199fb56ee53a46b",
         },
     ),
     "sweep": (

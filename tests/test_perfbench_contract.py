@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from qtherm.ensemble import CHUNK_SIZE
-from qtherm.experiments import EFFICACY_LANES, SWEEP_LANES
+from qtherm.experiments import GRID_LANES
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -78,7 +78,7 @@ def test_traced_pool_run_accounts_for_every_trajectory(tmp_path):
 
 def test_traced_sweep_builds_each_noise_stream_once_per_block(tmp_path):
     n_traj, points = 300, 7 * 5  # the default gain and offset grids
-    blocks = -(-points // (SWEEP_LANES // min(n_traj, CHUNK_SIZE)))
+    blocks = -(-points // (GRID_LANES // min(n_traj, CHUNK_SIZE)))
     layers = tmp_path / "layers.json"
     done = probe("trace", str(layers), "sweep", "--n-traj", str(n_traj), "--tau-us", "5",
                  "--feedback", "pll", "--delay-ns", "100", "--out-dir", str(tmp_path / "out"))
@@ -91,7 +91,7 @@ def test_traced_sweep_builds_each_noise_stream_once_per_block(tmp_path):
 
 def test_traced_jarzynski_builds_each_noise_stream_once_per_block(tmp_path):
     n_traj, etas = 300, ("0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9")
-    blocks = -(-len(etas) // (EFFICACY_LANES // min(n_traj, CHUNK_SIZE)))
+    blocks = -(-len(etas) // (GRID_LANES // min(n_traj, CHUNK_SIZE)))
     layers = tmp_path / "layers.json"
     done = probe("trace", str(layers), "jarzynski", "--n-traj", str(n_traj), "--tau-us", "0.2",
                  "--dt-ns", "5", "--feedback", "optimal", "--eta-list", ",".join(etas),

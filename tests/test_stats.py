@@ -10,7 +10,6 @@ from qtherm.experiments import run_efficacy_protocol
 from qtherm.sme import SERIES
 from qtherm.stats import (
     InsufficientSpanError,
-    Preparation,
     ZeroVarianceError,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
@@ -23,6 +22,7 @@ from reference import (
     bootstrap_efficacy_stderr,
     jarzynski_average,
     pearson_r,
+    two_pass_preparation,
     two_point_work_distribution,
 )
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
@@ -132,7 +132,8 @@ def test_efficacy_identity_map():
     p_g = 0.5 + 0.5 * np.cos(2 * math.pi * times)
     g = np.tile(p_g, (40, 1))
     e = 1.0 - g
-    res = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e), beta=3.5, times=times)
+    res = efficacy_from_trajectories(two_pass_preparation(g, times),
+                                     two_pass_preparation(e, times), beta=3.5)
     assert np.allclose(res.gamma_q, 1.0, atol=1e-12)
     assert res.gamma_q[0] == 1.0
     assert np.allclose(res.c00 + res.c11, 2.0, atol=1e-12)
@@ -144,19 +145,18 @@ def test_efficacy_decayed_map_value():
     beta = 3.5
     g = np.ones((30, 5))
     e = np.ones((30, 5))
-    res = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e), beta=beta)
+    res = efficacy_from_trajectories(two_pass_preparation(g), two_pass_preparation(e),
+                                     beta=beta)
     assert np.allclose(res.gamma_q, 1.0 + math.tanh(beta / 2.0), atol=1e-12)
 
 
 def test_efficacy_shape_validation():
     with pytest.raises(ValueError):
-        efficacy_from_trajectories(Preparation.of(np.ones((3, 4))),
-                                   Preparation.of(np.ones((3, 5))), 3.5)
-    with pytest.raises(ValueError):
-        efficacy_from_trajectories(Preparation.of(np.ones(4)), Preparation.of(np.ones(4)), 3.5)
+        efficacy_from_trajectories(two_pass_preparation(np.ones((3, 4))),
+                                   two_pass_preparation(np.ones((3, 5))), 3.5)
     with pytest.raises(ValueError, match="at least two trajectories"):
-        efficacy_from_trajectories(Preparation.of(np.ones((1, 4))),
-                                   Preparation.of(np.ones((3, 4))), 3.5)
+        efficacy_from_trajectories(two_pass_preparation(np.ones((1, 4))),
+                                   two_pass_preparation(np.ones((3, 4))), 3.5)
 
 
 def test_efficacy_stderr_closed_form_by_hand():
@@ -165,7 +165,7 @@ def test_efficacy_stderr_closed_form_by_hand():
     # variance 0.08 and the excited rows (0, 0, 1, 1) have 1/3.
     g = np.array([[1.0, 0.2], [1.0, 0.6]])
     e = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    res = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e),
+    res = efficacy_from_trajectories(two_pass_preparation(g), two_pass_preparation(e),
                                      beta=2.0 * math.log(3.0))
     assert res.stderr[0] == 0.0
     assert res.stderr[1] == pytest.approx(0.8 * math.sqrt(0.08 / 2 + (1 / 3) / 4), rel=1e-12)
@@ -178,7 +178,8 @@ def test_closed_form_efficacy_error_matches_the_bootstrap():
     g = rng.random((300, 41)) ** np.linspace(0.5, 3.0, 41)
     e = 1.0 - rng.random((250, 41)) ** np.linspace(3.0, 0.5, 41)
     g[:, 0], e[:, 0] = 1.0, 0.0
-    closed = efficacy_from_trajectories(Preparation.of(g), Preparation.of(e), beta=3.5).stderr
+    closed = efficacy_from_trajectories(two_pass_preparation(g), two_pass_preparation(e),
+                                        beta=3.5).stderr
     boot = bootstrap_efficacy_stderr(g, e, beta=3.5, rng=np.random.default_rng(7))
     assert closed[0] == 0.0
     ratio = boot[1:] / closed[1:]
