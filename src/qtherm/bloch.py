@@ -83,7 +83,7 @@ def gibbs_weights(beta: float) -> tuple[float, float]:
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    # Z = 2 cosh(beta/2); weights e^{+beta/2}/Z and e^{-beta/2}/Z.
-    half = 0.5 * beta
-    z = 2.0 * math.cosh(half)
-    return math.exp(half) / z, math.exp(-half) / z
+    # e^{-/+beta/2} / (2 cosh(beta/2)), written with e^-beta <= 1 so that no
+    # beta overflows.
+    boltzmann = math.exp(-beta)
+    return 1.0 / (1.0 + boltzmann), boltzmann / (1.0 + boltzmann)

@@ -29,7 +29,7 @@ from .ensemble import CHUNK_SIZE, run_ensemble
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 from .io import RunManifest, config_snapshot, write_csv, write_json
 from .oracle import ensemble_vs_oracle, lindblad_evolve
-from .sme import SERIES, side_stream
+from .sme import SERIES
 from .stats import InsufficientSpanError, ZeroVarianceError, pooled_pearson_r, rabi_contrast
 from .bloch import GROUND, closed_rabi_probabilities
 
@@ -366,13 +366,11 @@ def cmd_verify(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
     # on a 0.1 us comb, binomial errors under the oracle null.  One chunk of
     # trajectories, so one process.
     cfg_o = sim.with_(dt=0.005, tau=4.0)
-    res_o = run_ensemble(cfg_o, n_traj=2000, record=("p00",))
+    res_o = run_ensemble(cfg_o, n_traj=2000, sample=True)
     comb = np.arange(0, cfg_o.n_steps + 1, int(round(0.1 / cfg_o.dt)))
-    rng = side_stream(sim.seed, 0x0FF5E7)
-    p00 = res_o.series["p00"][:, comb]
-    hits = (rng.random(p00.shape) < p00).mean(axis=0)
     sol = lindblad_evolve(GROUND, cfg_o, t_grid=res_o.times[comb])
     sem = np.sqrt(sol.p00 * (1.0 - sol.p00) / 2000)
+    hits = res_o.hits[comb] / 2000
     check("oracle-agreement",
           max_z=(ensemble_vs_oracle(res_o.times[comb], hits, sem, sol), 0.0, 5.0))
 

@@ -6,11 +6,11 @@ taken over the same fixed chunks of ``CHUNK_SIZE`` trajectories, so the
 result is bit-identical no matter how many workers execute them.  A chunk
 is one pool task (``_run_chunk``), one ``sme.run_batch`` call and one
 reduction block, and returns an :class:`EnsembleResult` (defined in
-``sme``, re-exported here); ``_merge`` adds the chunks' per-step sums and
-pair moments in chunk order and concatenates their per-trajectory arrays
-and series along the trajectory axis, which is the last axis (the one
-before the step axis for series), so that a leading grid axis (see
-``sme.run_batch``) merges the same way.
+``sme``, re-exported here); ``_merge`` combines the chunks' sums in chunk
+order and concatenates their per-trajectory arrays and series along the
+trajectory axis, which is the last axis (the one before the step axis for
+series), so that a leading grid axis (see ``sme.run_batch``) merges the
+same way.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ def _run_chunk(
     count: int,
     record: tuple[str, ...],
     lags: tuple[int, ...],
+    sample: bool = False,
 ) -> EnsembleResult:
     """One pool task: the chunk of trajectories [start, start + count)."""
     rngs = [rng_for_trajectory(sim.seed, start + k) for k in range(count)]
-    return run_batch(sim, fb, rngs, record=record, lags=lags)
+    return run_batch(sim, fb, rngs, record=record, lags=lags, sample=sample)
 
 
 def run_ensemble(
@@ -53,6 +54,7 @@ def run_ensemble(
     *,
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
+    sample: bool = False,
     workers: int = 1,
 ) -> EnsembleResult:
     """Simulate ``n_traj`` independent trajectories and reduce the results.
@@ -60,16 +62,17 @@ def run_ensemble(
     ``record`` names the per-trajectory series to keep (see sme.run_batch);
     mind the memory (n_traj * n_steps doubles per series).  ``lags`` names
     the lags whose (dWF, dQ) pair moments to pool, at no memory cost (see
-    sme.run_batch and stats.pooled_pearson_r).  ``workers`` > 1 distributes
-    the chunks over a process pool; results are identical to a single-worker
-    run.
+    sme.run_batch and stats.pooled_pearson_r).  ``sample`` counts the
+    sampled outcomes of every point into ``hits`` (see sme.run_batch).
+    ``workers`` > 1 distributes the chunks over a process pool; results are
+    identical to a single-worker run.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     record, lags = tuple(record), tuple(lags)
-    tasks = [(sim, fb, start, min(CHUNK_SIZE, n_traj - start), record, lags)
+    tasks = [(sim, fb, start, min(CHUNK_SIZE, n_traj - start), record, lags, sample)
              for start in range(0, n_traj, CHUNK_SIZE)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -86,16 +89,28 @@ def _merge(
 ) -> EnsembleResult:
     """One result from the chunk results, one rule per field group.
 
-    Per-step sums and pair moments are added in chunk order starting from
-    zeros; every other array, ``outcomes`` and each series are concatenated
-    in chunk order, except that a lone chunk's are taken as they are,
-    without a copy.  Every chunk accumulated the same ``lags``.
+    Per-step sums, pair moments and hit counts are added in chunk order
+    starting from zeros; centred sums of squares are folded in chunk order by
+    Chan, Golub & LeVeque, M2 = M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b)
+    with delta the gap of the two means.  Every other array, ``outcomes`` and
+    each series are concatenated in chunk order, except that a lone chunk's
+    are taken as they are, without a copy.  Every chunk accumulated the same
+    ``lags``.
     """
     merged: dict = {}
     for f in fields(EnsembleResult)[4:]:  # after sim, fb, n_traj, lags
         parts = [getattr(b, f.name) for b in batches]
-        if f.metadata.get("merge") == "sum":
+        rule = f.metadata.get("merge")
+        if rule == "sum":
             merged[f.name] = sum(parts, np.zeros_like(parts[0]))
+        elif rule == "m2":
+            m2, n_a, s_a = parts[0], batches[0].n_traj, getattr(batches[0], f.metadata["of"])
+            for b, m2_b in zip(batches[1:], parts[1:]):
+                n_b, s_b = b.n_traj, getattr(b, f.metadata["of"])
+                delta = s_b / n_b - s_a / n_a
+                m2 = m2 + m2_b + delta * delta * (n_a * n_b / (n_a + n_b))
+                n_a, s_a = n_a + n_b, s_a + s_b
+            merged[f.name] = m2
         elif len(parts) == 1:
             merged[f.name] = parts[0]
         elif f.name == "series":

@@ -8,7 +8,6 @@ import numpy as np
 
 from .config import FeedbackConfig, SimConfig
 from .ensemble import CHUNK_SIZE, run_ensemble
-from .sme import side_stream
 from .stats import (
     EfficacyResult,
     contrast_window,
@@ -120,40 +119,30 @@ def run_efficacy_protocol(
     """Simulate both preparations and estimate gamma_q(t) along both routes.
 
     The trajectory route averages the conditional populations (Methods
-    coefficients C00/C11); the work-distribution route uses per-time sampled
-    projective outcomes, statistically emulating separate experiments of every
-    duration.  N = 500 trajectories per preparation reproduces the paper's
-    protocol; fewer than two give no error bar and are rejected before any
-    ensemble runs.
+    coefficients C00/C11); the work-distribution route uses the projective
+    outcome each trajectory samples at every time, statistically emulating
+    separate experiments of every duration.  N = 500 trajectories per
+    preparation reproduces the paper's protocol; fewer than two give no
+    error bar and are rejected before any ensemble runs.
 
     Returns a list of one protocol per row of ``sim.eta`` (one for a scalar),
     each with the bytes of its own scalar-eta call.  The efficiencies run as
     lanes on shared noise, in blocks of at most ``GRID_LANES`` lanes; each
-    block runs both preparations, and each ensemble's recorded series are
-    reduced to sampled outcomes before the next one runs.
+    block runs both preparations, whose engine counts the sampled outcomes
+    as it runs, so no series is recorded.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
-    # Independent projective outcomes at every time, one Bernoulli draw per
-    # (trajectory, time re-run); this is what an experiment of that duration
-    # would have measured.  Every eta draws the same uniforms, ground block
-    # first.
-    uniforms = side_stream(sim.seed, 0x5A3B).random((2, n_traj, sim.n_steps + 1))
-
     protocols = []
     for block in _lane_blocks(np.reshape(sim.eta, (-1, 1)), n_traj):
-        # Per preparation: the ensemble and, row by row, its sampled outcome
-        # frequency (return probability for ground, survival for excited).
-        # The series is popped, so it is freed once reduced.
-        preps, hits = [], []
-        for label, u in enumerate(uniforms):
-            res = run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label, eta=block),
-                               fb, n_traj, record=("p00",), workers=workers)
-            preps.append(res)
-            hits.append([(u < (p00 if label == 0 else 1.0 - p00)).mean(axis=0)
-                         for p00 in res.series.pop("p00")])
+        # Per preparation, the sampled return (ground) or survival (excited)
+        # frequency is its hit count over n_traj.
+        preps = [run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label, eta=block),
+                              fb, n_traj, sample=True, workers=workers)
+                 for label in (0, 1)]
         tr = efficacy_from_trajectories(*preps, sim.beta)
-        gamma_wd, err_wd = jarzynski_from_transitions(*hits, sim.beta, n_traj, n_traj)
+        gamma_wd, err_wd = jarzynski_from_transitions(*(p.hits / n_traj for p in preps),
+                                                      sim.beta, n_traj, n_traj)
         protocols += [EfficacyProtocol(EfficacyResult(tr.times, tr.gamma_q[i], tr.stderr[i],
                                                       tr.c00[i], tr.c11[i]),
                                        gamma_wd[i], err_wd[i])

@@ -35,7 +35,8 @@ computed from the previous step's heat angle) joins the drive in sub-step 1.
 that :func:`run_batch` calls once per step on every lane of a batch.
 :func:`run_batch` returns an :class:`EnsembleResult`, the one result type of
 a batch and of a merged ensemble: per-step sums (the means derive from them),
-per-trajectory ledger totals, (dWF, dQ) pair moments and recorded series.
+per-trajectory ledger totals, (dWF, dQ) pair moments, sampled-outcome counts
+and recorded series.
 Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
 columns add a leading grid axis: the lanes are (G, n_traj), every grid point
 integrates the same n_traj noise paths, and every per-step sum and per-lane
@@ -43,12 +44,12 @@ array gains that axis.
 
 Trajectories are independent: trajectory k draws all its randomness from its
 own stream, in the fixed order [thermal-preparation uniform,] noise path,
-final-outcome uniform, so each trajectory's values are reproducible
-bit-for-bit however the trajectories are batched, and an ensemble's sums
-too, since ``ensemble`` reduces them over fixed chunks.  Every stream comes
-from numpy's SeedSequence: trajectory k from the key (seed, 0, k // 2048),
-as row k % 2048 of that block's seed words, and each side stream (sampled
-projective outcomes) from (seed, 1, tag), so no two share a key.
+outcome uniforms (the final outcome's, then, when sampling every point, one
+per earlier point, last to first), so each trajectory's values are
+reproducible bit-for-bit however the trajectories are batched, and an
+ensemble's sums too, since ``ensemble`` reduces them over fixed chunks.
+Trajectory k's stream comes from numpy's SeedSequence key (seed, 0, k // 2048),
+as row k % 2048 of that block's seed words.
 """
 
 from __future__ import annotations
@@ -102,16 +103,10 @@ def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
     Trajectory k's PCG64 takes row ``k % 2048`` of the seed words that
     ``SeedSequence(seed, spawn_key=(0, k // 2048))`` generates for its whole
     block.  The words are cached per (seed, block), so each call only wraps
-    its four words in a ``PCG64``.  Side streams use the keys (seed, 1, tag)
-    (:func:`side_stream`), so none of them meets a trajectory's.
+    its four words in a ``PCG64``.
     """
     words = _seed_words(seed, index // _SEED_BLOCK)[index % _SEED_BLOCK]
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
-def side_stream(seed: int, tag: int) -> np.random.Generator:
-    """The stream of key (seed, 1, tag), for draws outside the trajectories."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, tag)))
 
 
 def homodyne_increment(x, dX, cfg: SimConfig):
@@ -209,9 +204,11 @@ STATE_SERIES = ("p00", "x", "z")
 STEP_SERIES = ("dw", "dwf", "dq", "dv", "dx")
 SERIES = STATE_SERIES + STEP_SERIES
 
-#: ``EnsembleResult`` fields that ``ensemble._merge`` adds in chunk order;
-#: every other array field holds one entry per trajectory and is concatenated.
+#: ``EnsembleResult`` fields that ``ensemble._merge`` adds in chunk order, or
+#: merges as centred sums of squares of the named sum field; every other
+#: array field holds one entry per trajectory and is concatenated.
 _SUM = {"merge": "sum"}
+_M2 = {"merge": "m2", "of": "p00_sum"}
 
 
 @dataclass
@@ -220,11 +217,16 @@ class EnsembleResult:
 
     ``run_batch`` returns one per batch and ``ensemble._merge`` combines them:
     sums add, per-trajectory arrays and series join along the trajectory axis.
-    The five per-step sums and ``pair_moments`` are stored, and the means
-    derive from them.
+    The five per-step sums, ``p00_m2`` (the squared deviations of P00 from
+    its mean, summed about each batch's own mean so that no spread is too
+    small to keep) and ``pair_moments`` are stored; the means and
+    ``p00_sem`` derive from them.
     ``pair_moments`` row k pools the pairs (a, b) = (dWF[i + L], dQ[i]) at
     lag L = ``lags[k]`` over every lane and aligned step, as the sums
     (count, a, b, a^2, b^2, a*b); ``stats.pooled_pearson_r`` derives r.
+    ``hits[..., i]`` counts the trajectories whose outcome sampled at point i
+    equals their preparation label; it is empty unless the batch ran with
+    ``sample=True``, and its last point counts ``outcomes``.
     Per-trajectory arrays are indexed by trajectory index (0..n_traj-1);
     `w`, `wf`, `q` are the integrated work/feedback-work/heat in the m=1
     (excited projector) convention, i.e. also the transition-probability
@@ -238,11 +240,12 @@ class EnsembleResult:
     n_traj: int
     lags: tuple[int, ...]                         # ascending, distinct
     p00_sum: np.ndarray = field(metadata=_SUM)    # (steps+1,) ground population
-    p00_sqsum: np.ndarray = field(metadata=_SUM)  # (steps+1,)
+    p00_m2: np.ndarray = field(metadata=_M2)      # (steps+1,)
     dw_sum: np.ndarray = field(metadata=_SUM)     # (steps,) per-step work
     dwf_sum: np.ndarray = field(metadata=_SUM)
     dq_sum: np.ndarray = field(metadata=_SUM)
     pair_moments: np.ndarray = field(metadata=_SUM)  # (len(lags), 6)
+    hits: np.ndarray = field(metadata=_SUM)       # (steps+1,) or (0,), int
     initial_labels: np.ndarray                    # (n_traj,) int8
     w: np.ndarray
     wf: np.ndarray
@@ -269,8 +272,7 @@ class EnsembleResult:
         if self.n_traj < 2:
             return np.full_like(self.p00_sum, np.nan)
         n = float(self.n_traj)
-        var = np.maximum(self.p00_sqsum - n * self.p00_mean * self.p00_mean, 0.0) / (n - 1.0)
-        return np.sqrt(var / n)
+        return np.sqrt(self.p00_m2 / ((n - 1.0) * n))
 
     @cached_property
     def dw_mean(self) -> np.ndarray:
@@ -301,6 +303,7 @@ def run_batch(
     rngs: list[np.random.Generator],
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
+    sample: bool = False,
 ) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
 
@@ -309,6 +312,9 @@ def run_batch(
     step loop pools the moments of the pairs (dWF[i + L], dQ[i]) into
     ``pair_moments``, keeping only the last L dQ arrays; a lag of n_steps or
     more has no pairs.  Without lags the loop does no extra work.
+
+    ``sample=True`` samples a projective outcome at every point and counts
+    the hits into ``hits``; every other field keeps its bytes.
 
     ``fb.gain``, ``fb.offset`` and ``cfg.eta`` may be (G, 1) columns of a
     grid: the lanes are then (G, n) with each trajectory's noise shared along
@@ -334,9 +340,11 @@ def run_batch(
     omega_r = cfg.omega_r
     sqrt_dt = math.sqrt(dt)
 
-    # Per-trajectory draws, in the fixed stream order.
+    # Per-trajectory draws, in the fixed stream order.  Uniform j samples
+    # point steps - j, so uniform 0 draws the final outcome.
     labels = np.empty(n, dtype=np.int8)
     noise = np.empty((steps, n))
+    u = np.empty((steps + 1 if sample else 1, n))
     p_exc_thermal = gibbs_weights(cfg.beta)[1] if cfg.initial_state == THERMAL else None
     for k, rng in enumerate(rngs):
         if p_exc_thermal is None:
@@ -344,12 +352,18 @@ def run_batch(
         else:
             labels[k] = 1 if rng.random() < p_exc_thermal else 0
         noise[:, k] = rng.normal(0.0, sqrt_dt, steps)
+        if sample:
+            u[:, k] = rng.random(steps + 1)
+        else:
+            u[0, k] = rng.random()
 
     z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
     x = np.zeros(lanes)
 
     grid = lanes[:-1]
-    p00_sum, p00_sqsum = np.zeros((2, *grid, steps + 1))
+    p00_sum, p00_m2 = np.zeros((2, *grid, steps + 1))
+    hits = np.zeros((*grid, steps + 1 if sample else 0), dtype=np.int64)
+    excited = labels == 1
     dw_sum, dwf_sum, dq_sum = np.zeros((3, *grid, steps))
     w_tot, wf_tot, q_tot = np.zeros((3, *lanes))
 
@@ -366,8 +380,14 @@ def run_batch(
 
     def snapshot(i: int) -> None:
         p00 = 0.5 * (1.0 + z)
-        p00_sum[..., i] = p00.sum(axis=-1)
-        p00_sqsum[..., i] = (p00 * p00).sum(axis=-1)
+        p00_sum[..., i] = total = p00.sum(axis=-1)
+        d = p00 - (total / n)[..., None]
+        # numpy's own pairwise sum: BLAS's dot (vecdot) rounds by CPU type.
+        p00_m2[..., i] = (d * d).sum(axis=-1)
+        if sample:
+            # The outcome test of ``outcomes``: excited where u < P11.
+            hit = (u[steps - i] < 0.5 * (1.0 - z)) == excited
+            hits[..., i] = np.count_nonzero(hit, axis=-1)
         now = {"p00": p00, "x": x, "z": z}
         for name, arr in state_series.items():
             arr[..., i] = now[name]
@@ -431,8 +451,7 @@ def run_batch(
     pe_final = 0.5 * (1.0 - z)
     residuals = np.abs((pe_final - pe_init) - (w_tot + wf_tot + q_tot))
 
-    u = np.array([rng.random() for rng in rngs])
-    outcomes = (u < pe_final).astype(np.int8)
+    outcomes = (u[0] < pe_final).astype(np.int8)
 
     return EnsembleResult(
         sim=cfg,
@@ -440,11 +459,12 @@ def run_batch(
         n_traj=n,
         lags=lags,
         p00_sum=p00_sum,
-        p00_sqsum=p00_sqsum,
+        p00_m2=p00_m2,
         dw_sum=dw_sum,
         dwf_sum=dwf_sum,
         dq_sum=dq_sum,
         pair_moments=np.moveaxis(moments.sum(axis=-1), (0, 1), (-2, -1)),
+        hits=hits,
         initial_labels=labels,
         w=w_tot,
         wf=wf_tot,

@@ -14,16 +14,19 @@ The generalized-Jarzynski efficacy is estimated two ways:
 
 * the trajectory route: equal-weight averages of the ground/excited-prepared
   ensembles (each ensemble's streamed ``p00_mean``) give the map
-  coefficients C00(t), C11(t), and
+  coefficients C00(t), C11(t) = 2 - C00(t), and
 
-      gamma_q(t) = [e^{+beta/2} C00(t) + e^{-beta/2} C11(t)] / (2 cosh(beta/2));
+      gamma_q(t) = [e^{+beta/2} C00(t) + e^{-beta/2} C11(t)] / (2 cosh(beta/2))
+                 = 1 + tanh(beta/2) (C00(t) - 1);
 
 * the work-distribution route: the two-point work distribution built from
-  measured transition probabilities, averaged against e^{-beta W}.
+  measured transition probabilities, averaged against e^{-beta W}, which is
+  1 + tanh(beta/2) (P00(t) - P11(t)) since p_g e^{-beta} = p_e.
 
-With state-derived transition probabilities both routes are algebraically the
-same number, so the work-distribution route is fed *sampled* projective
-outcomes when an independent cross-check is wanted.
+The tanh forms are finite at every beta >= 0 and give gamma_q(0) = 1 exactly.
+With state-derived transition probabilities both routes are the same number,
+so the work-distribution route is fed the frequencies of the projective
+outcomes the engine samples (``EnsembleResult.hits``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import gibbs_weights
 from .ensemble import EnsembleResult
 
 
@@ -81,11 +83,9 @@ def efficacy_from_trajectories(
 
     c00 = ground.p00_mean + excited.p00_mean
     # C11 = 2 - C00 exactly (populations sum to one trajectory by trajectory).
-    gamma = (math.exp(0.5 * beta) * c00 + math.exp(-0.5 * beta) * (2.0 - c00)) / (
-        2.0 * math.cosh(0.5 * beta)
-    )
-    k = abs(math.tanh(0.5 * beta))
-    stderr = k * np.sqrt(ground.p00_sem**2 + excited.p00_sem**2)
+    k = math.tanh(0.5 * beta)
+    gamma = 1.0 + k * (c00 - 1.0)
+    stderr = abs(k) * np.sqrt(ground.p00_sem**2 + excited.p00_sem**2)
 
     return EfficacyResult(
         times=ground.times, gamma_q=gamma, stderr=stderr, c00=c00, c11=2.0 - c00
@@ -107,13 +107,10 @@ def jarzynski_from_transitions(
     """
     p00 = np.asarray(p00_t, dtype=float)
     p11 = np.asarray(p11_t, dtype=float)
-    p_g, p_e = gibbs_weights(beta)
-    gamma = p_g * (np.exp(-beta) + p00 * (1.0 - math.exp(-beta))) + p_e * (
-        math.exp(beta) - p11 * (math.exp(beta) - 1.0)
-    )
-    # d gamma / d p00 = p_g (1 - e^-beta) and -d gamma / d p11 = p_e (e^beta - 1)
-    # are both tanh(beta/2).
+    # p_g (e^-beta + P00 (1 - e^-beta)) + p_e (e^beta - P11 (e^beta - 1)) in
+    # its tanh form (module docstring), with slope k in P00 and in -P11.
     k = math.tanh(0.5 * beta)
+    gamma = 1.0 + k * (p00 - p11)
     var = k * k * (
         p00 * (1.0 - p00) / n_ground + p11 * (1.0 - p11) / n_excited
     )

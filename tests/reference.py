@@ -18,6 +18,8 @@ as one unsplit Ito-Euler update, the reference for ``qtherm.sme.split_step``.
 ``closed_two_point_sample`` draws the two-point work of closed Rabi
 evolution (acceptance criterion 10), and ``binned_first_law_check`` bins
 projective outcomes against the path-dependent P00 prediction (criterion 1).
+``side_stream`` is the stream of the tests' own draws outside the
+trajectories (criteria 1 and 3), on keys no trajectory uses.
 """
 
 import math
@@ -35,6 +37,14 @@ from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_con
 #: Pre-renormalization |x| or |z| beyond this aborts ``ito_step``: the Euler
 #: step has left the physical region so far that dt is clearly too coarse.
 BLOWUP_LIMIT = 1.5
+
+
+def side_stream(seed: int, tag: int) -> np.random.Generator:
+    """The stream of key (seed, 1, tag), for draws outside the trajectories.
+
+    Trajectory streams take the keys (seed, 0, block), so none meets these.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, tag)))
 
 
 class NumericalBlowupError(RuntimeError):

@@ -26,9 +26,8 @@ from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
 from qtherm.oracle import ensemble_vs_oracle, lindblad_evolve
-from qtherm.sme import side_stream
 from qtherm.stats import pooled_pearson_r, rabi_contrast
-from reference import binned_first_law_check, closed_two_point_sample
+from reference import binned_first_law_check, closed_two_point_sample, side_stream
 
 PAPER_SEED = 101
 

@@ -180,6 +180,30 @@ def test_jarzynski_outputs(tmp_path):
     assert summary["per_eta"]["1"]["gamma0"] == 1.0
 
 
+def json_floats(value) -> list[float]:
+    """Every float in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [f for v in value for f in json_floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@pytest.mark.parametrize("beta", ["710", "1500", "1e300"])
+def test_a_large_finite_beta_runs_to_finite_output(beta, tmp_path):
+    # e^beta overflows a float from beta ~ 709.8; the estimates and the
+    # Gibbs weights are written in tanh(beta/2) and e^-beta instead.
+    for argv in (["jarzynski", "--feedback", "optimal", "--eta-list", "1"],
+                 ["ensemble", "--initial-state", "thermal"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--beta", beta, "--n-traj", "4", "--tau-us", "0.1",
+                            "--out-dir", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            assert np.isfinite(read_csv(path)[1]).all(), path.name
+        floats = json_floats(json.loads((out / "summary.json").read_text()))
+        assert floats and all(map(math.isfinite, floats)), argv[0]
+
+
 def test_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     assert main(

@@ -158,12 +158,12 @@ def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
 
     grid = fb.with_(gain=np.array([[25.0], [45.0]]), offset=np.array([[-1.25], [-0.75]]))
     monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 16)
-    lanes = run_ensemble(sim, grid, 50, record=("p00", "dq"), lags=(0, 2))
+    lanes = run_ensemble(sim, grid, 50, record=("p00", "dq"), lags=(0, 2), sample=True)
     for g, (a, b) in enumerate([(25.0, -1.25), (45.0, -0.75)]):
         one = run_ensemble(sim, fb.with_(gain=a, offset=b), 50, record=("p00", "dq"),
-                           lags=(0, 2))
-        for name in ("p00_sum", "p00_sqsum", "dw_sum", "dwf_sum", "dq_sum", "pair_moments",
-                     "w", "wf", "q", "final_x", "final_z", "residuals", "outcomes"):
+                           lags=(0, 2), sample=True)
+        for name in ("p00_sum", "p00_m2", "dw_sum", "dwf_sum", "dq_sum", "pair_moments",
+                     "hits", "w", "wf", "q", "final_x", "final_z", "residuals", "outcomes"):
             assert np.array_equal(getattr(lanes, name)[g], getattr(one, name)), name
         for name in ("p00", "dq"):
             assert np.array_equal(lanes.series[name][g], one.series[name]), name
@@ -206,14 +206,9 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
 @pytest.mark.parametrize("eta", [1.0, 0.35, [[0.35], [0.6], [1.0]]],
                          ids=["eta1", "eta0.35", "eta-grid"])
 def test_streamed_p00_sem_equals_the_two_pass_sem(eta, monkeypatch):
-    """The one-pass ``p00_sem`` under optimal feedback, over two chunks for
-    the grid, matches the ddof-1 spread of the recorded series.
-
-    The one-pass difference sum(p^2) - n mean^2 keeps the variance n sem^2
-    to the rounding of sum(p^2), about 1e-16, so that is what is compared.
-    Where the spread is that small (the ground preparation's first steps,
-    sem ~ 1e-8) the sem itself agrees to only ~1e-3 relative, <= 4.2e-11 here.
-    """
+    """The streamed ``p00_sem`` under optimal feedback, over two chunks for
+    the grid, matches the ddof-1 spread of the recorded series, also where
+    that spread is tiny (the ground preparation's first steps, sem ~ 1e-8)."""
     sim = SimConfig(seed=12, tau=0.5, dt=0.005, eta=np.asarray(eta, dtype=float))
     if np.ndim(eta):
         monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 40)
@@ -222,13 +217,39 @@ def test_streamed_p00_sem_equals_the_two_pass_sem(eta, monkeypatch):
     want = two_pass_preparation(res.series["p00"])
     assert np.allclose(res.p00_mean, want.p00_mean, rtol=1e-9, atol=1e-15)
     assert np.allclose(n * res.p00_sem**2, n * want.p00_sem**2, rtol=1e-9, atol=1e-15)
-    assert np.allclose(res.p00_sem, want.p00_sem, rtol=1e-9, atol=1e-10)
+    assert np.allclose(res.p00_sem, want.p00_sem, rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("sim", [
+    SimConfig(seed=14, tau=0.3, initial_state="thermal", beta=1.0,
+              eta=np.array([[0.35], [1.0]])),
+    SimConfig(seed=15, tau=0.3, initial_state=1),
+], ids=["thermal-eta-grid", "excited"])
+def test_sampling_counts_hits_and_leaves_every_other_field_alone(sim, monkeypatch):
+    """Over two chunks: sampling changes no other field, ``outcomes`` among
+    them; its last point counts the final outcomes, and an eigenstate
+    preparation returns at t = 0 in every trajectory."""
+    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 16)
+    fb = FeedbackConfig(mode="optimal")
+    off = run_ensemble(sim, fb, 40, record=("p00",), lags=(0, 1))
+    on = run_ensemble(sim, fb, 40, record=("p00",), lags=(0, 1), sample=True)
+    for f in fields(EnsembleResult)[4:]:  # after sim, fb, n_traj, lags
+        if f.name == "series":
+            assert np.array_equal(on.series["p00"], off.series["p00"])
+        elif f.name == "hits":
+            assert off.hits.shape == (*np.shape(sim.eta)[:-1], 0)
+            assert on.hits.shape == (*np.shape(sim.eta)[:-1], sim.n_steps + 1)
+        else:
+            assert np.array_equal(getattr(on, f.name), getattr(off, f.name)), f.name
+    assert np.array_equal(on.hits[..., -1], (on.outcomes == on.initial_labels).sum(-1))
+    if sim.initial_state != "thermal":
+        assert (on.hits[..., 0] == 40).all()
 
 
 def test_merge_takes_a_lone_chunk_as_it_is_and_joins_several(paper_cfg):
     sim = paper_cfg(tau=0.2, seed=4)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
-    a, b = (_run_chunk(sim, fb, start, count, ("p00", "dq"), (0, 2))
+    a, b = (_run_chunk(sim, fb, start, count, ("p00", "dq"), (0, 2), True)
             for start, count in ((0, 5), (5, 3)))
     one = _merge(sim, fb, 5, [a])
     two = _merge(sim, fb, 8, [a, b])
@@ -238,6 +259,11 @@ def test_merge_takes_a_lone_chunk_as_it_is_and_joins_several(paper_cfg):
         if f.metadata.get("merge") == "sum":
             assert np.array_equal(got_one, parts[0]), f.name
             assert np.array_equal(got_two, parts[0] + parts[1]), f.name
+        elif f.metadata.get("merge") == "m2":
+            s_a, s_b = (getattr(c, f.metadata["of"]) for c in (a, b))
+            delta = s_b / 3 - s_a / 5
+            assert got_one is parts[0], f.name
+            assert np.array_equal(got_two, parts[0] + parts[1] + delta * delta * (15 / 8)), f.name
         elif f.name == "series":
             for k in parts[0]:
                 assert got_one[k] is parts[0][k], k

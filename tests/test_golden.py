@@ -3,9 +3,10 @@
 The SHA-256 of every data file (``manifest.json`` is outside the determinism
 contract and is skipped) pins the output bytes of a fixed (seed, config).
 ``ENGINE_DIGEST`` pins every array ``run_ensemble`` returns for a set of
-feedback laws and a thermal preparation, chunked and run on one and two
-workers.  A change that alters seeded output on purpose updates these
-digests and says so; any other change must leave them alone.  The digests
+feedback laws and a thermal preparation, sampled outcome counts included,
+chunked and run on one and two workers.  A change that alters seeded output
+on purpose updates these digests and says so; any other change must leave
+them alone.  The digests
 were recorded with numpy 2.4 on x86-64 Linux; a different libm may round
 differently.  The ``jarzynski`` and ``ENGINE_DIGEST`` digests, which cover
 optimal feedback, also hold only at numpy's AVX-512 dispatch level:
@@ -33,12 +34,15 @@ GOLDEN = {
             "trajectory_config.json": "419f5128389db8578ba5763a0ffc5c7906dca5dc4bbe0af6ab8294802a55f8bb",
         },
     ),
+    # Re-recorded when p00_sem began to come from centred sums of squares:
+    # p00_sem moved by <= 1.9e-8 relative here, <= 8.3e-9 in
+    # "ensemble_batched"; p00_mean and trajectories.csv held.
     "ensemble": (
         ["ensemble", "--n-traj", "64", "--tau-us", "1", "--feedback", "pll",
          "--delay-ns", "100"],
         {
-            "summary.json": "86697724eade06fc2e68e46ffc664635a8776b2206b1e2e89cb065d994ce092e",
-            "timeseries.csv": "5d3f391e4889820410b93f53355ef8eb69511a2f702807f5d531989b8fcda936",
+            "summary.json": "aaf030e4c59a2bb77467b94c2162ff12a73922838f84ab58192e64cc3e86e844",
+            "timeseries.csv": "064f11cc81f561f0e5d71db3bd58953d9238fb86d3d15dbc94d4ca649cda18dc",
             "trajectories.csv": "cd8eb6d374db7c882b4cb14a06b2b37102c7cdad6cae575d1269074ca590ca43",
         },
     ),
@@ -46,25 +50,28 @@ GOLDEN = {
     # chunks: here two pool tasks, 4,096 + 404 trajectories, with pair
     # moments.  Its per-step sums split 2,048 + 2,048 + 404 then, as a
     # 4,096-lane sum splits; its pair moments happen to round the same.
+    # Re-recorded with "ensemble" (above).
     "ensemble_batched": (
         ["ensemble", "--n-traj", "4500", "--tau-us", "0.5", "--feedback", "pll",
          "--delay-ns", "100", "--workers", "2"],
         {
-            "summary.json": "f721e613caf1c36a3c6184604e8fba913b65020365104efe798dfd7c18b2dce8",
-            "timeseries.csv": "572aee26f4f9829b452c4c49d4bde2fe523dbcdffdd280313f8790def2b98965",
+            "summary.json": "70f5f6167a0d5033ae80d731f0ae820cf90dcda031d6394637c13375210e1c1c",
+            "timeseries.csv": "4e8616a6f562ce1da946632b221b057b7b57e214946b8dc062087618df0983e6",
             "trajectories.csv": "70203cd7baf6f6bc8a2e2a8ab087c6abd1eef9d1dc43cad45b7ed787ec041f01",
         },
     ),
-    # Re-recorded when the trajectory route began to read each preparation's
-    # streamed p00 mean and standard error: its columns moved by <= 3.0e-15.
+    # Re-recorded when the engine began to count the sampled outcomes from
+    # each trajectory's own stream: gamma_wd and stderr_wd were resampled,
+    # and the tanh form and the centred sums moved the trajectory route by
+    # <= 3.0e-15.
     "jarzynski": (
         ["jarzynski", "--feedback", "optimal", "--tau-us", "0.5", "--dt-ns", "5",
          "--n-traj", "64", "--eta-list", "0.35,0.6,1"],
         {
-            "efficacy_eta0.35.csv": "26b44f71f6eabddcead240302ba0d9573d7b27c47360eb38b0a3581195c68020",
-            "efficacy_eta0.6.csv": "0e16534b193c3c8b26c8cddd9c6980331f8a04da182598f1d73bca5b5e6f357f",
-            "efficacy_eta1.csv": "1f4761ddb5e3975bc1344a3b425114ce99ab66e58f8975223ebdabf80956820c",
-            "summary.json": "9bc11e0f3ca93f4026b542aa1e7544dd984dac26121d78012199fb56ee53a46b",
+            "efficacy_eta0.35.csv": "9f04140fbafada9617a797171be27d201539eee49739f0b3a92aab8a9e5fdc39",
+            "efficacy_eta0.6.csv": "c4e21d1724e13bd31a87d33c7c182228437b2e9e2bc124b76e1b40c4c1f3baa7",
+            "efficacy_eta1.csv": "93ccdffc9378ca6a238b14a6ffcb4f6edf75a7f990f523c8e101b035a63db9d8",
+            "summary.json": "420856fabc4ca348a3ea8ff18a3dcba4095e8e5f311958387c533640ebfcc50e",
         },
     ),
     "sweep": (
@@ -90,11 +97,11 @@ def test_data_file_digests(name, tmp_path):
     assert got == want
 
 
-ENGINE_DIGEST = "dfcaa630eb2758aa689db90403a174b1d4d4b2005c05820c1357d6b388c29a85"
+ENGINE_DIGEST = "039c6826c174993b14638c18586cdc7060c433297e5f892ef1b09fe2e0bd264c"
 
 ENGINE_FIELDS = ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean",
                  "initial_labels", "w", "wf", "q", "final_x", "final_z",
-                 "residuals", "outcomes")
+                 "residuals", "outcomes", "hits")
 
 
 def engine_cases():
@@ -118,7 +125,7 @@ def test_engine_digest(monkeypatch):
     h = hashlib.sha256()
     for sim, fb in engine_cases():
         for workers in (1, 2):
-            res = run_ensemble(sim, fb, 300, record=SERIES, workers=workers)
+            res = run_ensemble(sim, fb, 300, record=SERIES, sample=True, workers=workers)
             for name in ENGINE_FIELDS:
                 h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
             for name in sorted(res.series):

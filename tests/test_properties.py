@@ -84,19 +84,21 @@ def test_per_trajectory_results_do_not_depend_on_chunks_or_workers(
 ):
     sim = SimConfig(tau=0.1, seed=11, initial_state="thermal")
     lags = (0, 1, 3, 6)  # five steps: lag 6 has no pairs
-    want = run_ensemble(sim, fb, n_traj, lags=lags, workers=1)
+    want = run_ensemble(sim, fb, n_traj, lags=lags, sample=True, workers=1)
     with mock.patch.object(qtherm.ensemble, "CHUNK_SIZE", chunk_size):
-        got = run_ensemble(sim, fb, n_traj, lags=lags, workers=workers)
-        serial = run_ensemble(sim, fb, n_traj, lags=lags, workers=1)
+        got = run_ensemble(sim, fb, n_traj, lags=lags, sample=True, workers=workers)
+        serial = run_ensemble(sim, fb, n_traj, lags=lags, sample=True, workers=1)
     for name in PER_TRAJECTORY:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # Hit counts are integers: equal at any chunk size.
+    assert np.array_equal(got.hits, want.hits)
     # The sums are chunk sums added in chunk order: bitwise equal at a fixed
     # chunk size, however many workers run the chunks (here against one),
     # and equal to rounding at any other chunk size.  Rounding is judged
     # against each pair moment's Cauchy-Schwarz bound (of sum |a| by
     # sqrt(count * sum a^2), of sum |ab| by sqrt(sum a^2 * sum b^2)), as the
     # signed sums may cancel to near zero.
-    for name in ("p00_sum", "p00_sqsum", "dw_sum", "dwf_sum", "dq_sum", "pair_moments"):
+    for name in ("p00_sum", "p00_m2", "dw_sum", "dwf_sum", "dq_sum", "pair_moments", "hits"):
         assert np.array_equal(getattr(got, name), getattr(serial, name)), name
     count, _, _, saa, sbb, _ = want.pair_moments.T
     bound = np.stack([count, np.sqrt(count * saa), np.sqrt(count * sbb), saa, sbb,

@@ -14,10 +14,9 @@ from qtherm.sme import (
     homodyne_increment,
     rng_for_trajectory,
     run_batch,
-    side_stream,
     split_step,
 )
-from reference import NumericalBlowupError, ito_step
+from reference import NumericalBlowupError, ito_step, side_stream
 
 
 def one(v):
