@@ -28,7 +28,7 @@ from .sme import EnsembleResult, rng_for_trajectory, run_batch
 #: reduction block.  Fixed (not worker-dependent) so that float reduction
 #: order, and therefore output bytes, never depend on parallelism.  Larger
 #: calls spend less interpreter time per lane; a PLL call of 4,096 lanes with
-#: lags (0, 5) peaked at 54.6 MiB RSS in one worker process, under the ~62 MiB
+#: lags (0, 5) peaked at 54.0 MiB RSS in one worker process, under the ~62 MiB
 #: the ensemble command's main process peaks at.
 CHUNK_SIZE = 4096
 

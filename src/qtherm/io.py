@@ -92,10 +92,13 @@ class RunManifest:
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """RFC 4180 CSV of numbers and plain names: each field as ``str`` writes
     it (for a float, its shortest round-trip repr), none quoted, lines ended
-    by CRLF.  Rows are formatted one at a time as they are written."""
+    by CRLF.  Rows are formatted one at a time as they are written, each by
+    one ``%s`` template as wide as the header; a row of another width raises
+    ``TypeError``."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in chain([header], rows))
+        fh.writelines(line % tuple(row) for row in chain([header], rows))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -20,6 +20,8 @@ evolution (acceptance criterion 10), and ``binned_first_law_check`` bins
 projective outcomes against the path-dependent P00 prediction (criterion 1).
 ``side_stream`` is the stream of the tests' own draws outside the
 trajectories (criteria 1 and 3), on keys no trajectory uses.
+``column_draws`` draws each trajectory's randomness one step-major column at
+a time; ``qtherm.sme.run_batch`` draws a tile of contiguous rows at a time.
 """
 
 import math
@@ -29,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from qtherm.bloch import BlochState, closed_rabi_probabilities, gibbs_weights
-from qtherm.config import SimConfig
+from qtherm.config import THERMAL, SimConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.sme import _rotation_work
 from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_contrast
@@ -45,6 +47,29 @@ def side_stream(seed: int, tag: int) -> np.random.Generator:
     Trajectory streams take the keys (seed, 0, block), so none meets these.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, tag)))
+
+
+def column_draws(cfg: SimConfig, rngs, sample: bool = False):
+    """(labels, noise, u) of the trajectories of ``rngs``, drawn one column at
+    a time in the fixed stream order: noise is (n_steps, n) with
+    dX ~ N(0, dt), u is (n_steps + 1, n) when sampling every point, else
+    (1, n)."""
+    n, steps = len(rngs), cfg.n_steps
+    labels = np.empty(n, dtype=np.int8)
+    noise = np.empty((steps, n))
+    u = np.empty((steps + 1 if sample else 1, n))
+    p_exc_thermal = gibbs_weights(cfg.beta)[1] if cfg.initial_state == THERMAL else None
+    for k, rng in enumerate(rngs):
+        if p_exc_thermal is None:
+            labels[k] = int(cfg.initial_state)
+        else:
+            labels[k] = 1 if rng.random() < p_exc_thermal else 0
+        noise[:, k] = rng.normal(0.0, math.sqrt(cfg.dt), steps)
+        if sample:
+            u[:, k] = rng.random(steps + 1)
+        else:
+            u[0, k] = rng.random()
+    return labels, noise, u
 
 
 class NumericalBlowupError(RuntimeError):

@@ -43,6 +43,11 @@ def test_csv_writer_matches_the_csv_module_and_writes_numpy_scalars_as_numbers(t
     assert (tmp_path / "np.csv").read_bytes() == want.read_bytes()
 
 
+def test_csv_writer_rejects_a_row_of_another_width_than_the_header(tmp_path):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "ragged.csv", ("a", "b"), [(1, 2), (3,)])
+
+
 def test_trajectory_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

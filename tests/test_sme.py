@@ -1,22 +1,24 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qtherm.bloch import EXCITED, GROUND, BlochState
-from qtherm.config import FeedbackConfig
+from qtherm.config import NO_FEEDBACK, THERMAL, FeedbackConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.feedback import pll_drive
 from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
+    _DRAW_TILE,
     SERIES,
     homodyne_increment,
     rng_for_trajectory,
     run_batch,
     split_step,
 )
-from reference import NumericalBlowupError, ito_step, side_stream
+from reference import NumericalBlowupError, column_draws, ito_step, side_stream
 
 
 def one(v):
@@ -327,6 +329,66 @@ def test_batch_matches_scalar_path(paper_cfg):
         assert np.array_equal(batch.series["z"][k], one["z"][0])
         assert np.array_equal(batch.series["dw"][k], one["dw"][0])
         assert np.array_equal(batch.series["dv"][k], one["dv"][0])
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sample", [False, True])
+@pytest.mark.parametrize("prep", [1, THERMAL])
+@pytest.mark.parametrize(
+    "n", [1, _DRAW_TILE - 1, _DRAW_TILE, _DRAW_TILE + 1, 2 * _DRAW_TILE + 3]
+)
+def test_tiled_draws_match_the_per_trajectory_column_loop_bit_for_bit(paper_cfg, n, prep, sample):
+    # Noise, labels and the outcome uniforms (read through outcomes and
+    # hits) are the column loop's bytes, on either side of a tile edge,
+    # with and without a (G, 1) eta grid sharing each trajectory's noise.
+    for eta in (0.35, np.array([[0.35], [1.0]])):
+        cfg = paper_cfg(tau=0.2, eta=eta, initial_state=prep, beta=0.5)
+        res = run_batch(cfg, NO_FEEDBACK, [rng_for_trajectory(cfg.seed, k) for k in range(n)],
+                        record=("dx", "z"), sample=sample)
+        labels, noise, u = column_draws(
+            cfg, [rng_for_trajectory(cfg.seed, k) for k in range(n)], sample)
+        assert same_bytes(res.series["dx"], np.broadcast_to(noise.T, res.series["dx"].shape))
+        assert same_bytes(res.initial_labels, labels)
+        p11 = 0.5 * (1.0 - res.series["z"])
+        assert same_bytes(res.outcomes, (u[0] < p11[..., -1]).astype(np.int8))
+        if sample:
+            # Uniform j samples point steps - j.
+            hit = (u[::-1].T < p11) == (labels == 1)[:, None]
+            assert same_bytes(res.hits, np.count_nonzero(hit, axis=-2).astype(np.int64))
+        else:
+            assert res.hits.shape == (*np.shape(eta)[:-1], 0)
+
+
+def test_run_batch_draws_keep_no_second_noise_block(paper_cfg):
+    """The traced peak of one ``run_batch`` at n = 2,048 lanes and 400 steps
+    stays below 1.5 B, where B = 8 * 400 * n bytes (6.55 MB) is the
+    (steps, n) noise block it must hold.
+
+    Besides B it allocates (1, n) uniforms and labels, under B / 400 each,
+    and per-step sums of 8 * 400 bytes each; while drawing, the scratch tile
+    of 8 * 128 * 401 bytes = B / 16; and after it, the step loop's lane
+    arrays, 8 * n bytes = B / 400 each, a few dozen at once.  That is at
+    most about 1.2 B (1.12 B measured).  Drawing every trajectory into a
+    full (n, steps) row buffer before one transposed copy would hold another
+    B next to the noise block, for at least 2 B.
+    """
+    cfg = paper_cfg()
+    fb = FeedbackConfig(mode="phase_locked", gain=30.0, offset=-1.0, delay_steps=5)
+    n = 2048
+    rngs = [rng_for_trajectory(cfg.seed, k) for k in range(n)]
+    assert cfg.n_steps == 400
+    noise_bytes = 8 * cfg.n_steps * n
+    tracemalloc.start()
+    try:
+        run_batch(cfg, fb, rngs, lags=(0, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * noise_bytes, peak / noise_bytes
 
 
 def test_unknown_record_name_is_rejected(paper_cfg):
