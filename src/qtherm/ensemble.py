@@ -15,7 +15,6 @@ same way.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from typing import Iterable, Sequence
 
@@ -75,6 +74,9 @@ def run_ensemble(
     tasks = [(sim, fb, start, min(CHUNK_SIZE, n_traj - start), record, lags, sample)
              for start in range(0, n_traj, CHUNK_SIZE)]
     if workers > 1 and len(tasks) > 1:
+        # Imported here: a serial run, the common case, never loads it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             futures = [pool.submit(_run_chunk, *task) for task in tasks]
             batches = [f.result() for f in futures]

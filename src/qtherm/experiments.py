@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FeedbackConfig, SimConfig
-from .ensemble import CHUNK_SIZE, run_ensemble
+from .ensemble import run_ensemble
 from .stats import (
     EfficacyResult,
     contrast_window,
@@ -15,19 +15,6 @@ from .stats import (
     jarzynski_from_transitions,
     rabi_contrast,
 )
-
-#: Most lanes (grid points x trajectories of one chunk) a sweep or efficacy
-#: ensemble integrates in one batch; more lanes per step save interpreter
-#: overhead but cost memory.
-GRID_LANES = 8192
-
-
-def _lane_blocks(rows: np.ndarray, n_traj: int) -> list[np.ndarray]:
-    """``rows`` (grid points run as lanes) cut into the fewest near-equal
-    blocks whose batches hold at most ``GRID_LANES`` lanes (one row per block
-    if a chunk alone exceeds it)."""
-    per_block = max(1, GRID_LANES // int(np.clip(n_traj, 1, CHUNK_SIZE)))
-    return np.array_split(rows, -(-len(rows) // per_block))
 
 
 @dataclass(frozen=True)
@@ -59,14 +46,14 @@ def sweep_gain_offset(
 ) -> SweepResult:
     """Phase-locked-feedback contrast for each (gain, offset) pair.
 
-    Grid points run as lanes, in blocks of at most ``GRID_LANES`` lanes:
-    each block is one ensemble that builds the n_traj noise streams once,
-    and every grid point sees the same paths (paired comparisons), bit for
-    bit as its own ensemble would.  Each point is scored by the steady-state
-    Rabi contrast of P00(t) over ``window`` (default: from 2 us to the end
-    of the protocol).  A non-finite grid value, a window too short for the
-    contrast fit, or an ``fb`` that is not phase-locked, is rejected before
-    any ensemble runs.
+    Grid points run as lanes of one ensemble, which builds and draws the
+    n_traj noise streams once: every grid point sees the same paths (paired
+    comparisons), bit for bit as its own ensemble would.  The engine
+    integrates the grid rows in blocks of at most ``sme.GRID_LANES`` lanes.
+    Each point is scored by the steady-state Rabi contrast of P00(t) over
+    ``window`` (default: from 2 us to the end of the protocol).  A
+    non-finite grid value, a window too short for the contrast fit, or an
+    ``fb`` that is not phase-locked, is rejected before any ensemble runs.
     """
     fb = FeedbackConfig(mode="phase_locked") if fb is None else fb
     if fb.mode != "phase_locked":
@@ -81,14 +68,12 @@ def sweep_gain_offset(
         window = (2.0, sim.tau)
     contrast_window(sim.dt * np.arange(sim.n_steps + 1), sim.omega_r, window)
 
-    # Row-major (gain, offset) pairs, cut into near-equal blocks.
+    # Row-major (gain, offset) pairs, one grid row each.
     grid = np.stack(np.meshgrid(gains, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
-    contrast = []
-    for block in _lane_blocks(grid, n_traj):
-        res = run_ensemble(sim, fb.with_(gain=block[:, :1], offset=block[:, 1:]), n_traj,
-                           workers=workers)
-        contrast += [rabi_contrast(res.times, p00, sim.omega_r, window=window)
-                     for p00 in res.p00_mean]
+    res = run_ensemble(sim, fb.with_(gain=grid[:, :1], offset=grid[:, 1:]), n_traj,
+                       workers=workers)
+    contrast = [rabi_contrast(res.times, p00, sim.omega_r, window=window)
+                for p00 in res.p00_mean]
     contrast = np.reshape(contrast, (gains.size, offsets.size))
     best = np.unravel_index(np.argmax(contrast), contrast.shape)
     return SweepResult(
@@ -127,24 +112,21 @@ def run_efficacy_protocol(
 
     Returns a list of one protocol per row of ``sim.eta`` (one for a scalar),
     each with the bytes of its own scalar-eta call.  The efficiencies run as
-    lanes on shared noise, in blocks of at most ``GRID_LANES`` lanes; each
-    block runs both preparations, whose engine counts the sampled outcomes
-    as it runs, so no series is recorded.
+    lanes on shared noise, one ensemble per preparation; the engine counts
+    each ensemble's sampled outcomes as it runs, so no series is recorded.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
-    protocols = []
-    for block in _lane_blocks(np.reshape(sim.eta, (-1, 1)), n_traj):
-        # Per preparation, the sampled return (ground) or survival (excited)
-        # frequency is its hit count over n_traj.
-        preps = [run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label, eta=block),
-                              fb, n_traj, sample=True, workers=workers)
-                 for label in (0, 1)]
-        tr = efficacy_from_trajectories(*preps, sim.beta)
-        gamma_wd, err_wd = jarzynski_from_transitions(*(p.hits / n_traj for p in preps),
-                                                      sim.beta, n_traj, n_traj)
-        protocols += [EfficacyProtocol(EfficacyResult(tr.times, tr.gamma_q[i], tr.stderr[i],
-                                                      tr.c00[i], tr.c11[i]),
-                                       gamma_wd[i], err_wd[i])
-                      for i in range(len(block))]
-    return protocols
+    eta = np.reshape(sim.eta, (-1, 1))
+    # Per preparation, the sampled return (ground) or survival (excited)
+    # frequency is its hit count over n_traj.
+    preps = [run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label, eta=eta),
+                          fb, n_traj, sample=True, workers=workers)
+             for label in (0, 1)]
+    tr = efficacy_from_trajectories(*preps, sim.beta)
+    gamma_wd, err_wd = jarzynski_from_transitions(*(p.hits / n_traj for p in preps),
+                                                  sim.beta, n_traj, n_traj)
+    return [EfficacyProtocol(EfficacyResult(tr.times, tr.gamma_q[i], tr.stderr[i],
+                                            tr.c00[i], tr.c11[i]),
+                             gamma_wd[i], err_wd[i])
+            for i in range(len(eta))]

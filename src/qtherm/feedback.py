@@ -46,7 +46,7 @@ def pll_drive(dv, t: float, omega_r: float, gain: float, offset: float, labels):
     per lane; each lane gets the same operations in the same order as if it
     were evaluated lane by lane.
     """
-    return (gain * (np.cos(omega_r * t + _PHASES) + offset))[..., labels] * dv
+    return np.take(gain * (np.cos(omega_r * t + _PHASES) + offset), labels, axis=-1) * dv
 
 
 def optimal_drive(x_mid, z_mid, x, z, dt: float):

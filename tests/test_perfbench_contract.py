@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from qtherm.ensemble import CHUNK_SIZE
-from qtherm.experiments import GRID_LANES
+from qtherm.sme import GRID_LANES
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -76,22 +76,23 @@ def test_traced_pool_run_accounts_for_every_trajectory(tmp_path):
     assert metrics["stats.pearson_s"] > 0
 
 
-def test_traced_sweep_builds_each_noise_stream_once_per_block(tmp_path):
+def test_traced_sweep_builds_each_noise_stream_once(tmp_path):
+    """The 35-point grid needs more than one row block of ``GRID_LANES``
+    lanes, yet the sweep is one ensemble that builds each stream once."""
     n_traj, points = 300, 7 * 5  # the default gain and offset grids
-    blocks = -(-points // (GRID_LANES // min(n_traj, CHUNK_SIZE)))
+    assert points * min(n_traj, CHUNK_SIZE) > GRID_LANES
     layers = tmp_path / "layers.json"
     done = probe("trace", str(layers), "sweep", "--n-traj", str(n_traj), "--tau-us", "5",
                  "--feedback", "pll", "--delay-ns", "100", "--out-dir", str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     metrics = json.loads(layers.read_text())
     assert metrics["trace.missing_traj"] == 0
-    assert metrics["sme.streams"] == n_traj * blocks < points * n_traj
-    assert metrics["experiments.ensembles"] == blocks
+    assert metrics["sme.streams"] == n_traj
+    assert metrics["experiments.ensembles"] == 1
 
 
-def test_traced_jarzynski_builds_each_noise_stream_once_per_block(tmp_path):
+def test_traced_jarzynski_builds_each_noise_stream_once_per_preparation(tmp_path):
     n_traj, etas = 300, ("0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9")
-    blocks = -(-len(etas) // (GRID_LANES // min(n_traj, CHUNK_SIZE)))
     layers = tmp_path / "layers.json"
     done = probe("trace", str(layers), "jarzynski", "--n-traj", str(n_traj), "--tau-us", "0.2",
                  "--dt-ns", "5", "--feedback", "optimal", "--eta-list", ",".join(etas),
@@ -99,5 +100,5 @@ def test_traced_jarzynski_builds_each_noise_stream_once_per_block(tmp_path):
     assert done.returncode == 0, done.stderr
     metrics = json.loads(layers.read_text())
     assert metrics["trace.missing_traj"] == 0
-    assert metrics["sme.streams"] == 2 * n_traj * blocks < 2 * len(etas) * n_traj
-    assert metrics["experiments.ensembles"] == 2 * blocks
+    assert metrics["sme.streams"] == 2 * n_traj < 2 * len(etas) * n_traj
+    assert metrics["experiments.ensembles"] == 2

@@ -2,6 +2,7 @@
 that must hold for every input, searched with hypothesis."""
 
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtherm.ensemble
+import qtherm.sme
 from qtherm.config import MAX_GAMMA_DT, FeedbackConfig, SimConfig
-from qtherm.ensemble import run_ensemble
-from qtherm.sme import _dissipative_kraus, split_step
+from qtherm.ensemble import EnsembleResult, run_ensemble
+from qtherm.sme import SERIES, _constants, _dissipative_kraus, split_step
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -24,7 +26,7 @@ unit_disk = st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)).map(
 
 # The domain is every step SimConfig accepts (gamma*dt up to MAX_GAMMA_DT, a
 # quarter decay time) and increments within ten standard deviations
-# (Var dV = gamma*dt).  Beyond it the rounding of p + 2*ady*c + ady^2*q,
+# (Var dV = gamma*dt).  Beyond it the rounding of p + ady*x + ady^2*q,
 # which cancels for a nearly pure state at ady ~ -c/q, can exceed the 1e-12
 # margin: x^2 + z^2 - 1 = 3.5e-12 at gamma*dt = 1, eta = 1,
 # (x, z) = (-0.2046, 0.9788), dV = 9.67.
@@ -38,7 +40,7 @@ unit_disk = st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)).map(
 def test_kraus_step_keeps_the_state_in_the_unit_disk(state, sigmas, gamma_dt, eta):
     x, z = (np.array([v]) for v in state)
     dv = np.array([sigmas * math.sqrt(gamma_dt)])
-    x2, z2 = _dissipative_kraus(x, z, dv, gamma_dt, eta, 1.0)
+    x2, z2 = _dissipative_kraus(x, z, dv, _constants(gamma_dt, eta, 1.0))
     assert x2[0] ** 2 + z2[0] ** 2 <= 1.0 + 1e-12
 
 
@@ -130,3 +132,64 @@ def test_every_trajectory_keeps_the_decomposition_bounded_and_the_first_law(
     p = res.p_sum_00()
     assert -1.0 - 1e-12 <= p.min() and p.max() <= 1e-12
     assert res.residuals.max() <= 1e-12
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+
+
+@settings(PROPERTY, max_examples=20)
+@given(
+    rows=st.integers(1, 5),
+    n_traj=st.integers(1, 9),
+    chunk_size=st.integers(1, 9),
+    columns=st.sampled_from([("gain",), ("eta",), ("gain", "offset", "eta")]),
+    fb=st.sampled_from([
+        FeedbackConfig(mode="phase_locked"),
+        FeedbackConfig(mode="phase_locked", delay_steps=2),
+        FeedbackConfig(mode="optimal"),
+        FeedbackConfig(),
+    ]),
+    thermal=st.booleans(),
+)
+@example(rows=5, n_traj=9, chunk_size=4, columns=("gain", "offset", "eta"),
+         fb=FeedbackConfig(mode="phase_locked"), thermal=True)
+def test_grid_row_blocks_change_no_byte(rows, n_traj, chunk_size, columns, fb, thermal):
+    """One row per block, uneven blocks (two rows per block of a full chunk)
+    and one block give every field the same bytes, and each chunk draws its
+    trajectories' noise once."""
+    column = {"gain": np.linspace(20.0, 45.0, rows)[:, None],
+              "offset": np.linspace(-1.25, -0.5, rows)[:, None],
+              "eta": np.linspace(0.2, 1.0, rows)[:, None]}
+    sim = SimConfig(tau=0.1, seed=17, initial_state="thermal" if thermal else 0, beta=1.0,
+                    eta=column["eta"] if "eta" in columns else 0.35)
+    fb = fb.with_(**{k: column[k] for k in columns if k != "eta"})
+    chunks = [min(chunk_size, n_traj - start) for start in range(0, n_traj, chunk_size)]
+    draws = []
+    draw = qtherm.sme._draws
+
+    def counted_draws(cfg, rngs, sample):
+        draws.append(len(rngs))
+        return draw(cfg, rngs, sample)
+
+    results = []
+    with mock.patch.object(qtherm.ensemble, "CHUNK_SIZE", chunk_size), \
+            mock.patch.object(qtherm.sme, "_draws", counted_draws):
+        for grid_lanes in (1, 2 * min(chunk_size, n_traj), 10**9):
+            with mock.patch.object(qtherm.sme, "GRID_LANES", grid_lanes):
+                results.append(run_ensemble(sim, fb, n_traj, record=SERIES, lags=(0, 1, 3),
+                                            sample=True))
+            assert draws == chunks, grid_lanes
+            draws.clear()
+    one_row, uneven, one_block = results
+    for res in (uneven, one_block):
+        for f in fields(EnsembleResult)[4:]:  # after sim, fb, n_traj, lags
+            got, want = getattr(res, f.name), getattr(one_row, f.name)
+            if f.name == "series":
+                assert got.keys() == want.keys()
+                for k in want:
+                    assert same_bytes(got[k], want[k]), k
+            else:
+                assert same_bytes(got, want), f.name
+    assert one_row.p00_sum.shape == (rows, sim.n_steps + 1)

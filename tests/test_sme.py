@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtherm.bloch import EXCITED, GROUND, BlochState
-from qtherm.config import NO_FEEDBACK, THERMAL, FeedbackConfig
+from qtherm.config import MAX_GAMMA_DT, NO_FEEDBACK, THERMAL, FeedbackConfig
 from qtherm.ensemble import run_ensemble
 from qtherm.feedback import pll_drive
 from qtherm.oracle import lindblad_evolve
@@ -18,7 +18,13 @@ from qtherm.sme import (
     run_batch,
     split_step,
 )
-from reference import NumericalBlowupError, column_draws, ito_step, side_stream
+from reference import (
+    NumericalBlowupError,
+    column_draws,
+    ito_step,
+    side_stream,
+    term_by_term_split_step,
+)
 
 
 def one(v):
@@ -461,3 +467,29 @@ def test_thermal_preparation_fraction(paper_cfg):
     p_e = math.exp(-1.75) / (2.0 * math.cosh(1.75))
     frac = res.initial_labels.mean()
     assert abs(frac - p_e) < 5.0 * math.sqrt(p_e * (1 - p_e) / 4000)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.35, 1.0, np.array([[0.0], [0.35], [0.6], [1.0]])],
+                         ids=["eta0", "eta0.35", "eta1", "eta-grid"])
+@pytest.mark.parametrize("gamma_dt", [1e-3, 0.034, MAX_GAMMA_DT])
+def test_split_step_keeps_the_bits_of_the_term_by_term_kernel(paper_cfg, eta, gamma_dt):
+    """The folded Kraus constants and the zero-angle test change no bit of
+    any output, on random states with the poles and the equator's ends,
+    increments up to ten standard deviations, and feedback that is exactly
+    zero in some lanes, in every lane, or a scalar."""
+    cfg = paper_cfg(gamma=gamma_dt / 0.02, dt=0.02, eta=eta)
+    rng = side_stream(23, int(gamma_dt * 1e4))
+    n = 100_000
+    r, phi = np.sqrt(rng.random(n)), rng.uniform(-math.pi, math.pi, n)
+    x, z = r * np.sin(phi), r * np.cos(phi)
+    x[:4], z[:4] = (0.0, 0.0, 1.0, -1.0), (1.0, -1.0, 0.0, 0.0)
+    dv = rng.uniform(-10.0, 10.0, n) * math.sqrt(gamma_dt)
+    omega_fb = np.where(rng.random(n) < 0.2, 0.0, rng.normal(0.0, 30.0, n))
+    omega_fb[:8:2] = -0.0
+    for omega_drive in (cfg.omega_r, 0.0):
+        for fb in (omega_fb, np.zeros(n), 0.0):
+            for feedback_after in (False, True):
+                got = split_step(x, z, dv, omega_drive, fb, cfg, feedback_after=feedback_after)
+                want = term_by_term_split_step(x, z, dv, omega_drive, fb, cfg, feedback_after)
+                for name, g, w in zip(got._fields, got, want):
+                    assert same_bytes(g, w), (omega_drive, np.ndim(fb), feedback_after, name)
