@@ -13,7 +13,7 @@ from .bloch import EXCITED, GROUND, BlochState, closed_rabi_probabilities
 from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
 from .ensemble import EnsembleResult, run_ensemble
 from .oracle import LindbladSolution, ensemble_vs_oracle, lindblad_evolve
-from .sme import rng_for_trajectory, split_step
+from .sme import rng_for_trajectory
 from .stats import EfficacyResult, efficacy_from_trajectories, rabi_contrast
 from .experiments import run_efficacy_protocol, sweep_gain_offset
 
@@ -37,7 +37,6 @@ __all__ = [
     "rng_for_trajectory",
     "run_efficacy_protocol",
     "run_ensemble",
-    "split_step",
     "sweep_gain_offset",
     "__version__",
 ]

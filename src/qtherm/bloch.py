@@ -14,7 +14,7 @@ everywhere in the package:
   by two real numbers: ``rho00 = (1+z)/2``, ``rho11 = (1-z)/2``,
   ``rho01 = x/2`` (real).
 * The sign convention of a rotation in the x-z plane is stated where the
-  package's one rotation lives, ``sme._rotation_work``.
+  package's one rotation lives, ``sme._rotate``.
 
 Energies are reported in units of ``hbar*omega_q``: the eigenvalues are
 ``E0 = -1/2`` (ground) and ``E1 = +1/2`` (excited), so every energy change of

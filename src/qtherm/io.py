@@ -2,8 +2,8 @@
 
 Data files (CSV, RFC 4180; JSON summaries) are bit-deterministic for a given
 (seed, config) regardless of worker count.  The manifest carries provenance
-(config snapshot, seed, version, outputs, wall clock) and is the one file
-allowed to differ between reruns.
+(config snapshot, seed, version, numpy build, outputs, wall clock) and is the
+one file allowed to differ between reruns.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .config import FeedbackConfig, SimConfig
@@ -36,6 +38,14 @@ def version_string() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return __version__
+
+
+def numpy_build() -> dict:
+    """numpy's version and the float64 dispatch target of ``arctan2``, ``cos``
+    and ``sin`` here: seeded bytes depend on both (``arctan2`` rounds by level)."""
+    info = np.lib.introspect.opt_func_info("^(arctan2|cos|sin)$", "float64")
+    return {"version": np.__version__,
+            "dispatch": {f: s["current"] for f, sigs in info.items() for s in sigs.values()}}
 
 
 def config_snapshot(sim: SimConfig, fb: FeedbackConfig) -> dict:
@@ -68,6 +78,7 @@ class RunManifest:
     seed: int
     outputs: list[str] = field(default_factory=list)
     version: str = field(default_factory=version_string)
+    numpy: dict = field(default_factory=numpy_build)
     n_steps: int = 0
     n_traj: int = 0
     wall_seconds: float = 0.0
@@ -77,6 +88,7 @@ class RunManifest:
         write_json(path, {
             "command": self.command,
             "version": self.version,
+            "numpy": self.numpy,
             "seed": self.seed,
             "n_steps": self.n_steps,
             "n_traj": self.n_traj,

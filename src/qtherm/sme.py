@@ -26,17 +26,17 @@ drive + feedback) or heat (nonunitary, decay + measurement back-action):
 Ordering rule: feedback computed from step i's own increment dV[i] (the
 zero-delay phase-locked loop) must act on the post-measurement state, as in
 homodyne-mediated feedback (Wiseman & Milburn, PRL 70, 548 (1993)).  Its
-rotation therefore follows step i's dissipative sub-step and is booked as
-feedback work; rotating first would precede the back-action it is meant to
-cancel.  Feedback known before the step (delayed, or the optimal law's,
+rotation therefore follows step i's dissipative sub-step, and each rotation
+books its own work; rotating first would precede the back-action it is meant
+to cancel.  Feedback known before the step (delayed, or the optimal law's,
 computed from the previous step's heat angle) joins the drive in sub-step 1.
 
 :func:`split_step` is the one implementation of this step: an array kernel
-that :func:`run_batch` calls once per step on every lane of a batch.
-:func:`run_batch` returns an :class:`EnsembleResult`, the one result type of
-a batch and of a merged ensemble: per-step sums (the means derive from them),
-per-trajectory ledger totals, (dWF, dQ) pair moments, sampled-outcome counts
-and recorded series.
+of the step's angles that :func:`run_batch` calls once per step on every
+lane of a batch.  :func:`run_batch` returns an :class:`EnsembleResult`, the
+one result type of a batch and of a merged ensemble: per-step sums,
+per-trajectory ledger totals, (dWF, dQ) pair moments, sampled-outcome
+counts and recorded series, from which the rest derives.
 Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
 columns add a leading grid axis: the lanes are (G, n_traj), every grid point
 integrates the same n_traj noise paths, and every per-step sum and per-lane
@@ -144,12 +144,8 @@ def _constants(gamma: float, eta, dt: float) -> _Constants:
                       (1.0 - eta) * gamma * dt, k * k, 2.0 * k)
 
 
-def homodyne_increment(x, dX, cfg: SimConfig):
+def homodyne_increment(x, dX, consts: _Constants):
     """Homodyne increments dV = sqrt(eta)*gamma*x*dt + sqrt(gamma)*dX, per lane."""
-    return _increment(x, dX, _constants(cfg.gamma, cfg.eta, cfg.dt))
-
-
-def _increment(x, dX, consts: _Constants):
     return consts.drift * x * consts.dt + consts.sqrt_gamma * dX
 
 
@@ -171,32 +167,18 @@ def _dissipative_kraus(x, z, dv, consts: _Constants):
     return consts.two_k * (0.5 * x + ady * q) / trace, (p2 - q2) / trace
 
 
-def _rotation_work(x, z, theta_d, theta_f):
-    """Unitary sub-step: rotated state plus the (dW, dWF) attribution.
+def _rotate(x, z, theta):
+    """The rotation by ``theta``: (x1, z1, dpe), dpe its excited-population change.
 
-    The rotation by ``theta = theta_d + theta_f`` has the infinitesimal limit
-    ``dz = theta*x``, ``dx = -theta*z``.  A drive of Bloch angular rate
-    ``omega`` therefore advances the oscillation phase ``atan2(-x, z)`` at
-    rate ``+omega``; a global sign flip of x is an equivalent gauge.
+    Its infinitesimal limit is ``dz = theta*x``, ``dx = -theta*z``.  A drive
+    of Bloch angular rate ``omega`` therefore advances the oscillation phase
+    ``atan2(-x, z)`` at rate ``+omega``; a global sign flip of x is an
+    equivalent gauge.
     """
-    theta = theta_d + theta_f
     ct = np.cos(theta)
     st = np.sin(theta)
     z1 = z * ct + x * st
-    x1 = x * ct - z * st
-    dpe = 0.5 * (z - z1)  # excited-population change of the rotation
-    # Work splits in proportion to the angles (exact for generators that are
-    # fixed fractions of the total); at theta == 0 exactly, fall back to the
-    # instantaneous commutator rates, which is the continuous limit.  The
-    # test is np.all without its dispatch, and builds no mask.
-    if np.logical_and.reduce(theta, axis=None):
-        dw = dpe * (theta_d / theta)
-    else:
-        zero = np.asarray(theta) == 0.0
-        safe = np.where(zero, 1.0, theta)
-        dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
-    dwf = dpe - dw
-    return x1, z1, dw, dwf
+    return x * ct - z * st, z1, 0.5 * (z - z1)
 
 
 class SplitStep(NamedTuple):
@@ -211,34 +193,41 @@ class SplitStep(NamedTuple):
     z_mid: np.ndarray
 
 
-def split_step(
-    x, z, dv, omega_drive: float, omega_fb, cfg: SimConfig, feedback_after: bool = False
-) -> SplitStep:
+def split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants,
+               feedback_after: bool) -> SplitStep:
     """One two-sub-step update of every lane of (x, z).
 
-    ``dv`` is the homodyne increment of each lane and ``omega_fb`` its
-    feedback drive rate (a scalar or one value per lane).  The rotation is
-    booked as work, split between drive and feedback; the Kraus dissipative
-    sub-step is booked as heat, so dW + dWF + dQ is the change of
-    the excited population.
+    ``dv`` is each lane's homodyne increment, ``theta_d`` the drive's angle
+    over the step and ``theta_f`` the feedback's (a scalar or one per lane);
+    ``consts`` are the step constants ``run_batch`` computes once per block.
+    Rotations are booked as work and the Kraus sub-step as heat, so
+    dW + dWF + dQ is the change of the excited population.
 
-    ``feedback_after=True`` moves the feedback rotation (still booked as
-    dWF) behind the dissipative sub-step: a drive computed from this step's
-    own ``dv`` must act on the post-measurement state (the ordering rule in
-    the module docstring).
+    ``feedback_after=True`` moves the feedback rotation behind the
+    dissipative sub-step: a drive computed from this step's own ``dv`` must
+    act on the post-measurement state (the ordering rule in the module
+    docstring).  Each rotation then books its own work.
     """
-    return _split_step(x, z, dv, omega_drive * cfg.dt, np.asarray(omega_fb) * cfg.dt,
-                       _constants(cfg.gamma, cfg.eta, cfg.dt), feedback_after)
-
-
-def _split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants, feedback_after: bool):
-    """:func:`split_step` by its drive and feedback angles, with the step
-    constants that ``run_batch`` computes once per block."""
-    x1, z1, dw, dwf = _rotation_work(x, z, theta_d, 0.0 if feedback_after else theta_f)
+    if feedback_after:
+        x1, z1, dw = _rotate(x, z, theta_d)
+        if not theta_d:  # the commutator rate's signed zero, as below
+            dw = -0.5 * x * theta_d
+    else:  # one rotation, its work split in proportion to the angles
+        theta = theta_d + theta_f
+        x1, z1, dpe = _rotate(x, z, theta)
+        # At theta == 0 exactly, fall back to the instantaneous commutator
+        # rates, the continuous limit; the test is np.all without its dispatch.
+        if np.logical_and.reduce(theta, axis=None):
+            dw = dpe * (theta_d / theta)
+        else:
+            zero = np.asarray(theta) == 0.0
+            safe = np.where(zero, 1.0, theta)
+            dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
+        dwf = dpe - dw
     x2, z2 = _dissipative_kraus(x1, z1, dv, consts)
     dq = 0.5 * (z1 - z2)
     if feedback_after:
-        x2, z2, _, dwf = _rotation_work(x2, z2, 0.0, theta_f)
+        x2, z2, dwf = _rotate(x2, z2, theta_f)
     return SplitStep(x2, z2, dw, dwf, dq, x1, z1)
 
 
@@ -264,7 +253,8 @@ class EnsembleResult:
     The five per-step sums, ``p00_m2`` (the squared deviations of P00 from
     its mean, summed about each batch's own mean so that no spread is too
     small to keep) and ``pair_moments`` are stored; the means and
-    ``p00_sem`` derive from them.
+    ``p00_sem`` derive from them, as ``final_p00`` and the first-law
+    ``residuals`` do from ``final_z``, the labels and the ledger totals.
     ``pair_moments`` row k pools the pairs (a, b) = (dWF[i + L], dQ[i]) at
     lag L = ``lags[k]`` over every lane and aligned step, as the sums
     (count, a, b, a^2, b^2, a*b); ``stats.pooled_pearson_r`` derives r.
@@ -294,9 +284,7 @@ class EnsembleResult:
     w: np.ndarray
     wf: np.ndarray
     q: np.ndarray
-    final_x: np.ndarray
     final_z: np.ndarray
-    residuals: np.ndarray                         # first-law residuals
     outcomes: np.ndarray                          # final projective outcomes, int8
     series: dict[str, np.ndarray]                 # requested per-trajectory series
 
@@ -335,6 +323,12 @@ class EnsembleResult:
     def final_p00(self) -> np.ndarray:
         """Per-trajectory ground population of the final state."""
         return 0.5 * (1.0 + self.final_z)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """Per-trajectory first-law residuals |dU - (W + WF + Q)|."""
+        du = 0.5 * (1.0 - self.final_z) - self.initial_labels  # label: initial P11
+        return np.abs(du - (self.w + self.wf + self.q))
 
     def p_sum_00(self) -> np.ndarray:
         """Per-trajectory path-dependent P~W + P~Q + P~F for m = n = 0."""
@@ -442,7 +436,7 @@ def run_batch(
     p00_sum, p00_m2 = np.zeros((2, *grid, steps + 1))
     hits = np.zeros((*grid, steps + 1 if sample else 0), dtype=np.int64)
     dw_sum, dwf_sum, dq_sum = np.zeros((3, *grid, steps))
-    w_tot, wf_tot, q_tot, final_x, final_z = np.zeros((5, *lanes))
+    w_tot, wf_tot, q_tot, final_z = np.zeros((4, *lanes))
 
     # Per lag and step, the sums (count, dWF[i], dQ[i - lag], dWF^2, dQ^2,
     # dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2 once,
@@ -464,9 +458,8 @@ def run_batch(
             # The outcome test of ``outcomes``: excited where u < P11.
             hit = (u[steps - i] < 0.5 * (1.0 - z)) == excited
             b_hits[..., i] = np.count_nonzero(hit, axis=-1)
-        now = {"p00": p00, "x": x, "z": z}
         for name, arr in b_state_series.items():
-            arr[..., i] = now[name]
+            arr[..., i] = {"p00": p00, "x": x, "z": z}[name]
 
     # The phase-locked line delays the drive computed from dV[i] by
     # delay_steps.  The optimal law undoes the heat angle theta_Q of one
@@ -497,7 +490,7 @@ def run_batch(
         for i in range(steps):
             t = i * dt
             dxi = noise[i]
-            dv = _increment(x, dxi, consts)
+            dv = homodyne_increment(x, dxi, consts)
 
             if fb.mode == "none":
                 om_f = 0.0
@@ -506,7 +499,7 @@ def run_batch(
             else:  # optimal
                 om_f = line.push(om_pending)
 
-            x, z, dw, dwf, dq, x_mid, z_mid = _split_step(
+            x, z, dw, dwf, dq, x_mid, z_mid = split_step(
                 x, z, dv, theta_d, np.asarray(om_f) * dt, consts, same_increment
             )
             if fb.mode == "optimal":
@@ -525,11 +518,10 @@ def run_batch(
                     dq_then = dq_line.push(dq)  # dQ[i - lag]
                     if i >= lag:
                         b_moments[k, 5, ..., i] = np.vecdot(dwf, dq_then)
-            now = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}
             for name, arr in b_step_series.items():
-                arr[..., i] = now[name]
+                arr[..., i] = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}[name]
             snapshot(i + 1)
-        final_x[rows], final_z[rows] = x, z
+        final_z[rows] = z
 
     # The other pair sums are the per-step reductions, aligned by the lag.
     for k, lag in paired:
@@ -538,10 +530,7 @@ def run_batch(
         m[1], m[3] = dwf_sum[..., lag:], dwf_sq[..., lag:]
         m[2], m[4] = dq_sum[..., :steps - lag], dq_sq[..., :steps - lag]
 
-    pe_final = 0.5 * (1.0 - final_z)
-    residuals = np.abs((pe_final - 0.5 * (1.0 - z_init)) - (w_tot + wf_tot + q_tot))
-
-    outcomes = (u[0] < pe_final).astype(np.int8)
+    outcomes = (u[0] < 0.5 * (1.0 - final_z)).astype(np.int8)
 
     return EnsembleResult(
         sim=cfg,
@@ -559,9 +548,7 @@ def run_batch(
         w=w_tot,
         wf=wf_tot,
         q=q_tot,
-        final_x=final_x,
         final_z=final_z,
-        residuals=residuals,
         outcomes=outcomes,
         series={**state_series, **step_series},
     )

@@ -111,10 +111,11 @@ def jarzynski_from_transitions(
     # its tanh form (module docstring), with slope k in P00 and in -P11.
     k = math.tanh(0.5 * beta)
     gamma = 1.0 + k * (p00 - p11)
+    # Frequencies in [0, 1] make every term non-negative: var >= 0 exactly.
     var = k * k * (
         p00 * (1.0 - p00) / n_ground + p11 * (1.0 - p11) / n_excited
     )
-    return gamma, np.sqrt(np.maximum(var, 0.0))
+    return gamma, np.sqrt(var)
 
 
 def contrast_window(

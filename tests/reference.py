@@ -22,10 +22,13 @@ projective outcomes against the path-dependent P00 prediction (criterion 1).
 trajectories (criteria 1 and 3), on keys no trajectory uses.
 ``column_draws`` draws each trajectory's randomness one step-major column at
 a time; ``qtherm.sme.run_batch`` draws a tile of contiguous rows at a time.
-``term_by_term_split_step`` is the step kernel with every term of the Kraus
-sub-step spelled out (2*ady*c, 2*c2/trace) and the zero-angle mask always
-built; ``qtherm.sme.split_step`` folds the doublings into its constants and
-tests for a zero angle before it builds a mask, with the same bits.
+``term_by_term_split_step`` is the step kernel at drive and feedback rates,
+with every term of the Kraus sub-step spelled out (2*ady*c, 2*c2/trace) and
+every rotation booked through the proportional work split with its
+zero-angle mask always built; ``qtherm.sme.split_step`` takes the angles and
+the step constants, folds the doublings into its constants, splits the work
+only where drive and feedback share one rotation and tests for a zero angle
+before it builds a mask, with the same bits.
 """
 
 import math
@@ -37,7 +40,7 @@ import numpy as np
 from qtherm.bloch import BlochState, closed_rabi_probabilities, gibbs_weights
 from qtherm.config import THERMAL, SimConfig
 from qtherm.ensemble import run_ensemble
-from qtherm.sme import _rotation_work
+from qtherm.sme import _rotate
 from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_contrast
 
 #: Pre-renormalization |x| or |z| beyond this aborts ``ito_step``: the Euler
@@ -172,8 +175,8 @@ def term_by_term_split_step(x, z, dv, omega_drive, omega_fb, cfg: SimConfig,
 
 
 def rotate(s: BlochState, theta: float) -> BlochState:
-    """The package's rotation by ``theta``, booked all to the drive."""
-    x, z, _, _ = _rotation_work(s.x, s.z, theta, 0.0)
+    """The package's rotation by ``theta``."""
+    x, z, _ = _rotate(s.x, s.z, theta)
     return BlochState(float(x), float(z))
 
 

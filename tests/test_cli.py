@@ -67,6 +67,13 @@ def test_trajectory_outputs_and_determinism(tmp_path):
     assert sidecar["final_outcome"] in (0, 1)
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["outputs"] == ["trajectory.csv", "trajectory_config.json"]
+    # The numpy build the bytes came from: its version and the float64
+    # dispatch target of each ufunc on the byte path.
+    info = np.lib.introspect.opt_func_info(signature="float64")
+    assert manifest["numpy"] == {
+        "version": np.__version__,
+        "dispatch": {f: next(iter(info[f].values()))["current"] for f in ("arctan2", "cos", "sin")},
+    }
 
 
 def test_trajectory_closed_drive_has_no_heat(tmp_path):

@@ -159,7 +159,7 @@ def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
         one = run_ensemble(sim, fb.with_(gain=a, offset=b), 50, record=("p00", "dq"),
                            lags=(0, 2), sample=True)
         for name in ("p00_sum", "p00_m2", "dw_sum", "dwf_sum", "dq_sum", "pair_moments",
-                     "hits", "w", "wf", "q", "final_x", "final_z", "residuals", "outcomes"):
+                     "hits", "w", "wf", "q", "final_z", "residuals", "outcomes"):
             assert np.array_equal(getattr(lanes, name)[g], getattr(one, name)), name
         for name in ("p00", "dq"):
             assert np.array_equal(lanes.series[name][g], one.series[name]), name

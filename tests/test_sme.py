@@ -13,6 +13,7 @@ from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
     _DRAW_TILE,
     SERIES,
+    _constants,
     homodyne_increment,
     rng_for_trajectory,
     run_batch,
@@ -32,11 +33,17 @@ def one(v):
     return np.array([v], dtype=float)
 
 
+def constants(cfg):
+    """The step constants ``run_batch`` computes from ``cfg``."""
+    return _constants(cfg.gamma, cfg.eta, cfg.dt)
+
+
 def test_sample_homodyne_zero_efficiency_stats(paper_cfg):
     cfg = paper_cfg(eta=0.0)
     rng = np.random.default_rng(1)
     n = 200_000
-    dv = homodyne_increment(np.full(n, 0.8), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
+    dv = homodyne_increment(np.full(n, 0.8), rng.normal(0.0, math.sqrt(cfg.dt), n),
+                            constants(cfg))
     var = cfg.gamma * cfg.dt
     assert abs(dv.mean()) < 5.0 * math.sqrt(var / n)
     assert abs(dv.var() - var) < 5.0 * var * math.sqrt(2.0 / n)
@@ -47,7 +54,7 @@ def test_sample_homodyne_signal_mean(paper_cfg):
     cfg = paper_cfg(eta=1.0)
     rng = np.random.default_rng(2)
     n = 1_000_000
-    dv = homodyne_increment(np.ones(n), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
+    dv = homodyne_increment(np.ones(n), rng.normal(0.0, math.sqrt(cfg.dt), n), constants(cfg))
     sem = math.sqrt(cfg.gamma * cfg.dt / n)
     assert abs(dv.mean() - 0.034) < 5.0 * sem
 
@@ -55,7 +62,7 @@ def test_sample_homodyne_signal_mean(paper_cfg):
 def test_sample_homodyne_dead_detector(paper_cfg):
     cfg = paper_cfg(gamma=0.0)
     rng = np.random.default_rng(3)
-    dv = homodyne_increment(one(0.5), rng.normal(0.0, math.sqrt(cfg.dt), 1), cfg)
+    dv = homodyne_increment(one(0.5), rng.normal(0.0, math.sqrt(cfg.dt), 1), constants(cfg))
     assert dv[0] == 0.0
 
 
@@ -81,7 +88,8 @@ def test_ito_step_mean_matches_drift(paper_cfg):
     rng = np.random.default_rng(4)
     s0 = BlochState(0.5, 0.2)
     n = 100_000
-    dvs = homodyne_increment(np.full(n, s0.x), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
+    dvs = homodyne_increment(np.full(n, s0.x), rng.normal(0.0, math.sqrt(cfg.dt), n),
+                             constants(cfg))
     zs = np.empty(n)
     xs = np.empty(n)
     for k in range(n):
@@ -103,7 +111,8 @@ def test_ito_step_mean_matches_lindblad_at_fine_dt(paper_cfg):
     s0 = BlochState(0.5, 0.2)
     sol = lindblad_evolve(s0, cfg, t_grid=np.array([0.0, cfg.dt]))
     n = 100_000
-    dvs = homodyne_increment(np.full(n, s0.x), rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
+    dvs = homodyne_increment(np.full(n, s0.x), rng.normal(0.0, math.sqrt(cfg.dt), n),
+                             constants(cfg))
     zs = np.array([ito_step(s0, float(dv), cfg.omega_r, cfg).z for dv in dvs])
     assert abs(zs.mean() - sol.z[1]) < 5.0 * zs.std() / math.sqrt(n)
 
@@ -137,8 +146,8 @@ def test_split_step_agrees_with_the_unsplit_step_in_the_mean_at_order_dt_2(paper
     for i, dt in enumerate(dts):
         cfg = paper_cfg(dt=dt)
         for xi, w in zip(nodes, weights):
-            dv = homodyne_increment(x, math.sqrt(dt) * xi, cfg)
-            step = split_step(x, z, dv, cfg.omega_r, 0.0, cfg)
+            dv = homodyne_increment(x, math.sqrt(dt) * xi, constants(cfg))
+            step = split_step(x, z, dv, cfg.omega_r * cfg.dt, 0.0, constants(cfg), False)
             ref = np.full((2, n), np.nan)
             for k, (s, dv_k) in enumerate(zip(states, dv.tolist())):
                 try:
@@ -156,7 +165,8 @@ def test_split_step_agrees_with_the_unsplit_step_in_the_mean_at_order_dt_2(paper
 
 def test_split_step_unitary_limit(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0)
-    step = split_step(one(GROUND.x), one(GROUND.z), one(0.0), cfg.omega_r, 0.0, cfg)
+    step = split_step(one(GROUND.x), one(GROUND.z), one(0.0), cfg.omega_r * cfg.dt, 0.0,
+                      constants(cfg), False)
     assert step.dq[0] == 0.0
     assert (step.dw + step.dwf + step.dq)[0] == step.dw[0]
     assert step.dwf[0] == 0.0
@@ -167,8 +177,8 @@ def test_split_step_pure_relaxation(paper_cfg):
     cfg = paper_cfg()
     rng = np.random.default_rng(6)
     x0, z0 = one(0.4), one(-0.3)
-    dv = homodyne_increment(x0, rng.normal(0.0, math.sqrt(cfg.dt), 1), cfg)
-    step = split_step(x0, z0, dv, 0.0, 0.0, cfg)
+    dv = homodyne_increment(x0, rng.normal(0.0, math.sqrt(cfg.dt), 1), constants(cfg))
+    step = split_step(x0, z0, dv, 0.0, 0.0, constants(cfg), False)
     assert step.dw[0] == 0.0 and step.dwf[0] == 0.0
     assert (step.dw + step.dwf + step.dq)[0] == step.dq[0]
 
@@ -181,9 +191,9 @@ def test_split_step_ledger_identity_random(paper_cfg):
     r = np.sqrt(rng.uniform(size=n))
     a = rng.uniform(0, 2 * math.pi, n)
     x, z = r * np.sin(a), r * np.cos(a)
-    dv = homodyne_increment(x, rng.normal(0.0, math.sqrt(cfg.dt), n), cfg)
+    dv = homodyne_increment(x, rng.normal(0.0, math.sqrt(cfg.dt), n), constants(cfg))
     om_f = rng.normal(0.0, 5.0, n)
-    step = split_step(x, z, dv, cfg.omega_r, om_f, cfg)
+    step = split_step(x, z, dv, cfg.omega_r * cfg.dt, om_f * cfg.dt, constants(cfg), False)
     du = step.dw + step.dwf + step.dq
     du_states = 0.5 * (1.0 - step.z) - 0.5 * (1.0 - z)
     assert du == pytest.approx(du_states, abs=1e-14)
@@ -191,7 +201,8 @@ def test_split_step_ledger_identity_random(paper_cfg):
 
 def test_split_step_equal_drives_split_work_equally(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0)
-    step = split_step(one(0.3), one(0.6), one(0.0), 2.0, 2.0, cfg)
+    step = split_step(one(0.3), one(0.6), one(0.0), 2.0 * cfg.dt, 2.0 * cfg.dt, constants(cfg),
+                      False)
     assert step.dw[0] == step.dwf[0]
 
 
@@ -199,7 +210,8 @@ def test_split_step_cancelling_drives(paper_cfg):
     # theta_total == 0 exactly: attribution falls back to the commutator
     # rates, which are equal and opposite.
     cfg = paper_cfg(gamma=0.0, eta=0.0)
-    step = split_step(one(0.3), one(0.6), one(0.0), 4.0, -4.0, cfg)
+    step = split_step(one(0.3), one(0.6), one(0.0), 4.0 * cfg.dt, -4.0 * cfg.dt, constants(cfg),
+                      False)
     assert (step.x[0], step.z[0]) == (0.3, 0.6)
     assert step.dw[0] == -step.dwf[0] != 0.0
     assert (step.dw + step.dwf + step.dq)[0] == 0.0
@@ -251,7 +263,7 @@ def test_simulate_trajectory_record_shape(paper_cfg):
     assert len(res.times) == len(s["x"]) == len(s["z"]) == n + 1
     assert len(s["dv"]) == len(s["dw"]) == len(s["dq"]) == n
     assert BlochState(s["x"][0], s["z"][0]) == GROUND
-    assert s["dv"][3] == homodyne_increment(s["x"][3], s["dx"][3], cfg)
+    assert s["dv"][3] == homodyne_increment(s["x"][3], s["dx"][3], constants(cfg))
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
@@ -413,7 +425,7 @@ def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg):
     s = batch.series
     for i in range(cfg.n_steps):
         x, z, dv = s["x"][:, i], s["z"][:, i], s["dv"][:, i]
-        heat = split_step(x, z, dv, cfg.omega_r, 0.0, cfg)
+        heat = split_step(x, z, dv, cfg.omega_r * cfg.dt, 0.0, constants(cfg), False)
         theta_f = pll_drive(dv, i * cfg.dt, cfg.omega_r, fb.gain, fb.offset, 0) * cfg.dt
         z3 = heat.z * np.cos(theta_f) + heat.x * np.sin(theta_f)
         x3 = heat.x * np.cos(theta_f) - heat.z * np.sin(theta_f)
@@ -489,7 +501,8 @@ def test_split_step_keeps_the_bits_of_the_term_by_term_kernel(paper_cfg, eta, ga
     for omega_drive in (cfg.omega_r, 0.0):
         for fb in (omega_fb, np.zeros(n), 0.0):
             for feedback_after in (False, True):
-                got = split_step(x, z, dv, omega_drive, fb, cfg, feedback_after=feedback_after)
+                got = split_step(x, z, dv, omega_drive * cfg.dt, np.asarray(fb) * cfg.dt,
+                                 constants(cfg), feedback_after)
                 want = term_by_term_split_step(x, z, dv, omega_drive, fb, cfg, feedback_after)
                 for name, g, w in zip(got._fields, got, want):
                     assert same_bytes(g, w), (omega_drive, np.ndim(fb), feedback_after, name)

@@ -202,11 +202,14 @@ def test_two_efficacy_routes_agree(paper_cfg):
 def test_jarzynski_from_transitions_formula():
     beta = 3.5
     gamma, err = jarzynski_from_transitions(
-        np.array([1.0, 0.5]), np.array([1.0, 0.5]), beta, 100, 100
+        np.array([1.0, 0.5, 0.0]), np.array([1.0, 0.5, 0.0]), beta, 100, 100
     )
     assert gamma[0] == pytest.approx(1.0, abs=1e-12)
     assert gamma[1] == pytest.approx(1.0, abs=1e-12)  # symmetric transitions
-    assert err[0] == 0.0 and err[1] > 0.0
+    assert gamma[2] == pytest.approx(1.0, abs=1e-12)
+    # Frequencies in [0, 1] leave no negative variance to clamp: the error
+    # is exactly zero at p = 0 as at p = 1.
+    assert err[0] == 0.0 and err[1] > 0.0 and err[2] == 0.0
 
 
 def test_jarzynski_from_transitions_equals_the_three_point_average():
