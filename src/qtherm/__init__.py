@@ -9,34 +9,44 @@ unitary feedback, and aggregates the per-trajectory ledgers into first-law
 checks, work distributions and the generalized-Jarzynski efficacy.
 """
 
-from .bloch import EXCITED, GROUND, BlochState, closed_rabi_probabilities
-from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
-from .ensemble import EnsembleResult, run_ensemble
-from .oracle import LindbladSolution, ensemble_vs_oracle, lindblad_evolve
-from .sme import rng_for_trajectory
-from .stats import EfficacyResult, efficacy_from_trajectories, rabi_contrast
-from .experiments import run_efficacy_protocol, sweep_gain_offset
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochState",
-    "EXCITED",
-    "EfficacyResult",
-    "EnsembleResult",
-    "FeedbackConfig",
-    "GROUND",
-    "LindbladSolution",
-    "NO_FEEDBACK",
-    "SimConfig",
-    "closed_rabi_probabilities",
-    "efficacy_from_trajectories",
-    "ensemble_vs_oracle",
-    "lindblad_evolve",
-    "rabi_contrast",
-    "rng_for_trajectory",
-    "run_efficacy_protocol",
-    "run_ensemble",
-    "sweep_gain_offset",
-    "__version__",
-]
+#: Each public name and the submodule that defines it.  Names load on first
+#: use (PEP 562), so ``import qtherm`` imports no numpy: ``qtherm.cli`` can
+#: set the process's BLAS thread count before numpy starts.
+_EXPORTS = {
+    "BlochState": "bloch",
+    "EXCITED": "bloch",
+    "GROUND": "bloch",
+    "closed_rabi_probabilities": "bloch",
+    "FeedbackConfig": "config",
+    "NO_FEEDBACK": "config",
+    "SimConfig": "config",
+    "EnsembleResult": "ensemble",
+    "run_ensemble": "ensemble",
+    "LindbladSolution": "oracle",
+    "ensemble_vs_oracle": "oracle",
+    "lindblad_evolve": "oracle",
+    "rng_for_trajectory": "sme",
+    "EfficacyResult": "stats",
+    "efficacy_from_trajectories": "stats",
+    "rabi_contrast": "stats",
+    "run_efficacy_protocol": "experiments",
+    "sweep_gain_offset": "experiments",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

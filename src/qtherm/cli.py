@@ -14,6 +14,13 @@ defaults; a subcommand offers only those flags.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per process, fixed before numpy loads: ``--workers`` is the
+# only parallelism, and pool workers inherit the variable.  A value the
+# caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import configparser
 import math
@@ -262,10 +269,11 @@ def cmd_ensemble(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
               ("traj", "initial_label", "pW00", "pQ00", "pF00", "p00_final", "outcome"),
               _columns(np.arange(n), res.initial_labels, -res.w, -res.q, -res.wf,
                        res.final_p00, res.outcomes))
+    sums = res.p_sum_00()
     summary: dict = {
         "n_traj": n,
         "max_first_law_residual": float(res.residuals.max()),
-        "p_sum00_range": [float(res.p_sum_00().min()), float(res.p_sum_00().max())],
+        "p_sum00_range": [float(sums.min()), float(sums.max())],
         "manifest": "manifest.json",
         # The last timeseries.csv row, pooled over the preparations.
         "p00_final": float(res.p00_mean[-1]),

@@ -9,6 +9,8 @@ one file allowed to differ between reruns.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import subprocess
 from dataclasses import dataclass, field
 from itertools import chain
@@ -24,14 +26,20 @@ MANIFEST_NAME = "manifest.json"
 
 
 def version_string() -> str:
-    """Package version, refined by `git describe` when run from a checkout."""
+    """Package version, refined by `git describe` when the package sits in its
+    own checkout (``<root>/src/qtherm`` with ``<root>/.git``).  An installed
+    copy skips git, so a repository it happens to sit in is not taken for
+    its own."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return __version__
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5.0,
-            cwd=Path(__file__).resolve().parent,
+            cwd=root,
         )
         if out.returncode == 0 and out.stdout.strip():
             return f"{__version__}+{out.stdout.strip()}"
@@ -41,11 +49,18 @@ def version_string() -> str:
 
 
 def numpy_build() -> dict:
-    """numpy's version and the float64 dispatch target of ``arctan2``, ``cos``
-    and ``sin`` here: seeded bytes depend on both (``arctan2`` rounds by level)."""
+    """numpy's version, the float64 dispatch target of ``arctan2``, ``cos`` and
+    ``sin``, its BLAS, the BLAS thread count and the C library here: seeded
+    bytes depend on each (``arctan2`` rounds by level, ``ddot`` by kernel and
+    thread count, ``cos`` and ``sin`` by libm)."""
     info = np.lib.introspect.opt_func_info("^(arctan2|cos|sin)$", "float64")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    libc, libc_version = platform.libc_ver()
     return {"version": np.__version__,
-            "dispatch": {f: s["current"] for f, sigs in info.items() for s in sigs.values()}}
+            "dispatch": {f: s["current"] for f, sigs in info.items() for s in sigs.values()},
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "libc": {"name": libc, "version": libc_version}}
 
 
 def config_snapshot(sim: SimConfig, fb: FeedbackConfig) -> dict:

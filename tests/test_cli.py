@@ -3,7 +3,12 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import platform
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +72,17 @@ def test_trajectory_outputs_and_determinism(tmp_path):
     assert sidecar["final_outcome"] in (0, 1)
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["outputs"] == ["trajectory.csv", "trajectory_config.json"]
-    # The numpy build the bytes came from: its version and the float64
-    # dispatch target of each ufunc on the byte path.
+    # The numpy build the bytes came from: its version, the float64 dispatch
+    # target of each ufunc on the byte path, its BLAS and the thread count
+    # BLAS ran with, and the C library.
     info = np.lib.introspect.opt_func_info(signature="float64")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["numpy"] == {
         "version": np.__version__,
         "dispatch": {f: next(iter(info[f].values()))["current"] for f in ("arctan2", "cos", "sin")},
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "libc": dict(zip(("name", "version"), platform.libc_ver())),
     }
 
 
@@ -287,6 +297,22 @@ def test_the_manifest_version_names_the_package_checkout(tmp_path, monkeypatch):
     want = version_string()
     monkeypatch.chdir(tmp_path)
     assert version_string() == want
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_an_installed_copy_inside_another_repository_reports_the_bare_version(tmp_path):
+    # A copy in a venv inside some other project's checkout: git there would
+    # describe that project, not this package.
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "other"], check=True)
+    site = tmp_path / "venv" / "lib" / "site-packages"
+    shutil.copytree(Path(qtherm.__file__).resolve().parent, site / "qtherm",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = "from qtherm.io import version_string; print(version_string())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(site)}, cwd=site, check=True)
+    assert out.stdout.strip() == qtherm.__version__
 
 
 def test_verify_passes_quickly(tmp_path):

@@ -12,7 +12,12 @@ differently.  The ``jarzynski`` and ``ENGINE_DIGEST`` digests, which cover
 optimal feedback, also hold only at numpy's AVX-512 dispatch level:
 ``np.arctan2`` in ``feedback.optimal_drive`` differs by 1 ulp at the AVX2
 level, and ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` makes
-those two digests fail.
+those two digests fail.  The BLAS thread count is an axis too: the pair
+moments' ``np.vecdot`` calls OpenBLAS's ``ddot``, which splits a sum across
+threads above about 10,000 elements, so its bytes differ between one and two
+threads at 12,000, 20,000 and 40,000 elements (they are equal at 4,096 and
+8,192).  ``qtherm.cli`` pins one thread unless ``OPENBLAS_NUM_THREADS`` is
+set, so the byte path is fixed before reductions grow past 10,000 lanes.
 """
 
 import hashlib
