@@ -115,6 +115,8 @@ class SimConfig:
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
         steps = self.tau / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"tau/dt must be a finite step count, got {self.tau}/{self.dt}")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"tau/dt must be an integer step count, got {self.tau}/{self.dt}"

@@ -26,9 +26,10 @@ from .sme import EnsembleResult, rng_for_trajectory, run_batch
 #: Trajectories per chunk: one pool task, one ``sme.run_batch`` call and one
 #: reduction block.  Fixed (not worker-dependent) so that float reduction
 #: order, and therefore output bytes, never depend on parallelism.  Larger
-#: calls spend less interpreter time per lane; a PLL call of 4,096 lanes with
-#: lags (0, 5) peaked at 54.0 MiB RSS in one worker process, under the ~62 MiB
-#: the ensemble command's main process peaks at.
+#: calls spend less interpreter time per lane, but the chunk sets the peak
+#: process: a pool worker of the 40,000-trajectory PLL ensemble (4,096 lanes,
+#: lags (0, 5), ``--workers 2``) peaks at about 50 MiB RSS, above the command's
+#: main process at about 44 MiB.
 CHUNK_SIZE = 4096
 
 
@@ -43,7 +44,10 @@ def _run_chunk(
 ) -> EnsembleResult:
     """One pool task: the chunk of trajectories [start, start + count)."""
     rngs = [rng_for_trajectory(sim.seed, start + k) for k in range(count)]
-    return run_batch(sim, fb, rngs, record=record, lags=lags, sample=sample)
+    # A run that overflows raises a ValueError naming the field; numpy's
+    # warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return run_batch(sim, fb, rngs, record=record, lags=lags, sample=sample)
 
 
 def run_ensemble(

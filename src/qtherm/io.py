@@ -129,5 +129,8 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinite float, which has no JSON token, raises
+    ``ValueError`` before anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")

@@ -36,7 +36,9 @@ of the step's angles that :func:`run_batch` calls once per step on every
 lane of a batch.  :func:`run_batch` returns an :class:`EnsembleResult`, the
 one result type of a batch and of a merged ensemble: per-step sums,
 per-trajectory ledger totals, (dWF, dQ) pair moments, sampled-outcome
-counts and recorded series, from which the rest derives.
+counts and recorded series, from which the rest derives.  ``_Sums`` is the
+one code that writes them: ``snapshot`` reduces the state at point i,
+``add`` the ledger of step i, and ``fields`` the stored sums at the end.
 Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
 columns add a leading grid axis: the lanes are (G, n_traj), every grid point
 integrates the same n_traj noise paths, and every per-step sum and per-lane
@@ -61,6 +63,7 @@ that the step loop reads a row at a time.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
@@ -384,6 +387,89 @@ def _row_blocks(lanes: tuple[int, ...]) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+class _Sums:
+    """The accumulator of one ``run_batch`` call (see the module docstring):
+    ``out`` holds each stored array by its field or series name, grid axis
+    first, so that ``rows`` cuts a block of grid rows from all of them."""
+
+    def __init__(self, lanes: tuple[int, ...], steps: int, lags: tuple[int, ...],
+                 record: frozenset, u: np.ndarray | None, excited: np.ndarray):
+        grid, self.n, self.steps = lanes[:-1], lanes[-1], steps
+        self.state_series = [k for k in STATE_SERIES if k in record]
+        self.step_series = [k for k in STEP_SERIES if k in record]
+        self.u, self.excited = u, excited  # u: the outcome uniforms when sampling
+        out = self.out = {}
+        out["p00_sum"], out["p00_m2"] = np.zeros((2, *grid, steps + 1))
+        out["hits"] = np.zeros((*grid, 0 if u is None else steps + 1), dtype=np.int64)
+        (out["dw_sum"], out["dwf_sum"], out["dq_sum"], out["dwf_sq"],
+         out["dq_sq"]) = np.zeros((5, *grid, steps))
+        out["w"], out["wf"], out["q"], out["final_z"] = np.zeros((4, *lanes))
+        # Per lag and step, the sums (count, dWF[i], dQ[i - lag], dWF^2, dQ^2,
+        # dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2 once,
+        # and per lag only the cross term, with dQ[i - lag] from a line.
+        self.paired = [(k, lag) for k, lag in enumerate(lags) if lag < steps]
+        out["pair_moments"] = np.zeros((*grid, len(lags), 6, steps))
+        out.update((k, np.empty((*lanes, steps + (k in STATE_SERIES))))
+                   for k in SERIES if k in record)
+
+    def rows(self, rows: slice) -> "_Sums":
+        block = copy(self)
+        block.out = {k: a[rows] for k, a in self.out.items()}
+        block.lines = [DelayLine(lag) for _, lag in self.paired]
+        return block
+
+    def snapshot(self, i: int, x, z) -> None:
+        out = self.out
+        p00 = 0.5 * (1.0 + z)
+        out["p00_sum"][..., i] = total = p00.sum(axis=-1)
+        d = p00 - (total / self.n)[..., None]
+        # numpy's own pairwise sum: BLAS's dot (vecdot) rounds by CPU type.
+        out["p00_m2"][..., i] = (d * d).sum(axis=-1)
+        if self.u is not None:
+            # The outcome test of ``outcomes``: excited where u < P11.
+            hit = (self.u[self.steps - i] < 0.5 * (1.0 - z)) == self.excited
+            out["hits"][..., i] = np.count_nonzero(hit, axis=-1)
+        for name in self.state_series:
+            out[name][..., i] = {"p00": p00, "x": x, "z": z}[name]
+        if i == self.steps:
+            out["final_z"][...] = z
+
+    def add(self, i: int, dw, dwf, dq, dv, dx) -> None:
+        out = self.out
+        out["w"] += dw
+        out["wf"] += dwf
+        out["q"] += dq
+        out["dw_sum"][..., i] = dw.sum(axis=-1)
+        out["dwf_sum"][..., i] = dwf.sum(axis=-1)
+        out["dq_sum"][..., i] = dq.sum(axis=-1)
+        if self.paired:
+            out["dwf_sq"][..., i] = np.vecdot(dwf, dwf)
+            out["dq_sq"][..., i] = np.vecdot(dq, dq)
+            for (k, lag), line in zip(self.paired, self.lines):
+                dq_then = line.push(dq)  # dQ[i - lag]
+                if i >= lag:
+                    out["pair_moments"][..., k, 5, i] = np.vecdot(dwf, dq_then)
+        for name in self.step_series:
+            out[name][..., i] = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dx}[name]
+
+    def fields(self) -> dict:
+        out = dict(self.out)
+        # A huge gain overflows the feedback angle, and NaN then fills the lane.
+        for name in ("final_z", "w", "wf", "q"):
+            if not np.isfinite(out[name]).all():
+                raise ValueError(f"{name} is not finite: a feedback angle overflowed")
+        # The other pair sums are the per-step reductions, aligned by the lag.
+        dwf_sq, dq_sq = out.pop("dwf_sq"), out.pop("dq_sq")
+        for k, lag in self.paired:
+            m, kept = out["pair_moments"][..., k, :, lag:], self.steps - lag
+            m[..., 0, :] = self.n
+            m[..., 1, :], m[..., 3, :] = out["dwf_sum"][..., lag:], dwf_sq[..., lag:]
+            m[..., 2, :], m[..., 4, :] = out["dq_sum"][..., :kept], dq_sq[..., :kept]
+        out["pair_moments"] = out["pair_moments"].sum(axis=-1)
+        out["series"] = {k: out.pop(k) for k in self.state_series + self.step_series}
+        return out
+
+
 def run_batch(
     cfg: SimConfig,
     fb: FeedbackConfig,
@@ -426,40 +512,10 @@ def run_batch(
                                 (n,))
     steps = cfg.n_steps
     dt = cfg.dt
-    omega_r = cfg.omega_r
-    theta_d = omega_r * dt
+    theta_d = cfg.omega_r * dt
     labels, noise, u = _draws(cfg, rngs, sample)
     z_init = np.where(labels == 0, 1.0, -1.0)
-    excited = labels == 1
-
-    grid = lanes[:-1]
-    p00_sum, p00_m2 = np.zeros((2, *grid, steps + 1))
-    hits = np.zeros((*grid, steps + 1 if sample else 0), dtype=np.int64)
-    dw_sum, dwf_sum, dq_sum = np.zeros((3, *grid, steps))
-    w_tot, wf_tot, q_tot, final_z = np.zeros((4, *lanes))
-
-    # Per lag and step, the sums (count, dWF[i], dQ[i - lag], dWF^2, dQ^2,
-    # dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2 once,
-    # and per lag only the cross term, with dQ[i - lag] from a line.
-    paired = [(k, lag) for k, lag in enumerate(lags) if lag < steps]
-    moments = np.zeros((len(lags), 6, *grid, steps))
-    dwf_sq, dq_sq = np.zeros((2, *grid, steps))
-
-    state_series = {k: np.empty((*lanes, steps + 1)) for k in STATE_SERIES if k in record}
-    step_series = {k: np.empty((*lanes, steps)) for k in STEP_SERIES if k in record}
-
-    def snapshot(i: int) -> None:
-        p00 = 0.5 * (1.0 + z)
-        b_p00_sum[..., i] = total = p00.sum(axis=-1)
-        d = p00 - (total / n)[..., None]
-        # numpy's own pairwise sum: BLAS's dot (vecdot) rounds by CPU type.
-        b_p00_m2[..., i] = (d * d).sum(axis=-1)
-        if sample:
-            # The outcome test of ``outcomes``: excited where u < P11.
-            hit = (u[steps - i] < 0.5 * (1.0 - z)) == excited
-            b_hits[..., i] = np.count_nonzero(hit, axis=-1)
-        for name, arr in b_state_series.items():
-            arr[..., i] = {"p00": p00, "x": x, "z": z}[name]
+    sums = _Sums(lanes, steps, lags, record, u if sample else None, labels == 1)
 
     # The phase-locked line delays the drive computed from dV[i] by
     # delay_steps.  The optimal law undoes the heat angle theta_Q of one
@@ -470,85 +526,29 @@ def run_batch(
     # A zero-delay phase-locked drive multiplies dV[i] itself.
     same_increment = fb.mode == "phase_locked" and fb.delay_steps == 0
     for rows in _row_blocks(lanes):
-        # This block's rows of the grid columns and, as views, of the outputs.
+        # This block's rows of the grid columns and of the outputs.
         gain, offset, eta = (p if np.size(p) == 1 else p[rows]
                              for p in (fb.gain, fb.offset, cfg.eta))
         consts = _constants(cfg.gamma, eta, dt)
-        (b_p00_sum, b_p00_m2, b_hits, b_dw_sum, b_dwf_sum, b_dq_sum, b_dwf_sq, b_dq_sq,
-         b_w, b_wf, b_q) = (a[rows] for a in (p00_sum, p00_m2, hits, dw_sum, dwf_sum, dq_sum,
-                                              dwf_sq, dq_sq, w_tot, wf_tot, q_tot))
-        b_moments = moments[:, :, rows]
-        b_state_series = {k: a[rows] for k, a in state_series.items()}
-        b_step_series = {k: a[rows] for k, a in step_series.items()}
-        z = np.broadcast_to(z_init, b_w.shape).copy()
-        x = np.zeros(b_w.shape)
-        snapshot(0)
-
+        block = sums.rows(rows)
+        z = np.broadcast_to(z_init, block.out["final_z"].shape).copy()
+        x = np.zeros(z.shape)
+        block.snapshot(0, x, z)
         line = DelayLine(max(delay - 1, 0) if fb.mode == "optimal" else delay)
-        dq_lines = [DelayLine(lag) for _, lag in paired]
-        om_pending = np.zeros(n)
-        for i in range(steps):
-            t = i * dt
-            dxi = noise[i]
+        om_f = line.push(np.zeros(n)) if fb.mode == "optimal" else 0.0
+        for i, dxi in enumerate(noise):
             dv = homodyne_increment(x, dxi, consts)
-
-            if fb.mode == "none":
-                om_f = 0.0
-            elif fb.mode == "phase_locked":
-                om_f = line.push(pll_drive(dv, t, omega_r, gain, offset, labels))
-            else:  # optimal
-                om_f = line.push(om_pending)
-
+            if fb.mode == "phase_locked":
+                om_f = line.push(pll_drive(dv, i * dt, cfg.omega_r, gain, offset, labels))
             x, z, dw, dwf, dq, x_mid, z_mid = split_step(
-                x, z, dv, theta_d, np.asarray(om_f) * dt, consts, same_increment
+                x, z, dv, theta_d, np.asanyarray(om_f) * dt, consts, same_increment
             )
-            if fb.mode == "optimal":
-                om_pending = optimal_drive(x_mid, z_mid, x, z, dt)
+            if fb.mode == "optimal":  # the drive of a later step
+                om_f = line.push(optimal_drive(x_mid, z_mid, x, z, dt))
+            block.add(i, dw, dwf, dq, dv, dxi)
+            block.snapshot(i + 1, x, z)
 
-            b_w += dw
-            b_wf += dwf
-            b_q += dq
-            b_dw_sum[..., i] = dw.sum(axis=-1)
-            b_dwf_sum[..., i] = dwf.sum(axis=-1)
-            b_dq_sum[..., i] = dq.sum(axis=-1)
-            if paired:
-                b_dwf_sq[..., i] = np.vecdot(dwf, dwf)
-                b_dq_sq[..., i] = np.vecdot(dq, dq)
-                for (k, lag), dq_line in zip(paired, dq_lines):
-                    dq_then = dq_line.push(dq)  # dQ[i - lag]
-                    if i >= lag:
-                        b_moments[k, 5, ..., i] = np.vecdot(dwf, dq_then)
-            for name, arr in b_step_series.items():
-                arr[..., i] = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dxi}[name]
-            snapshot(i + 1)
-        final_z[rows] = z
-
-    # The other pair sums are the per-step reductions, aligned by the lag.
-    for k, lag in paired:
-        m = moments[k, ..., lag:]
-        m[0] = n
-        m[1], m[3] = dwf_sum[..., lag:], dwf_sq[..., lag:]
-        m[2], m[4] = dq_sum[..., :steps - lag], dq_sq[..., :steps - lag]
-
-    outcomes = (u[0] < 0.5 * (1.0 - final_z)).astype(np.int8)
-
-    return EnsembleResult(
-        sim=cfg,
-        fb=fb,
-        n_traj=n,
-        lags=lags,
-        p00_sum=p00_sum,
-        p00_m2=p00_m2,
-        dw_sum=dw_sum,
-        dwf_sum=dwf_sum,
-        dq_sum=dq_sum,
-        pair_moments=np.moveaxis(moments.sum(axis=-1), (0, 1), (-2, -1)),
-        hits=hits,
-        initial_labels=labels,
-        w=w_tot,
-        wf=wf_tot,
-        q=q_tot,
-        final_z=final_z,
-        outcomes=outcomes,
-        series={**state_series, **step_series},
-    )
+    fields = sums.fields()
+    outcomes = (u[0] < 0.5 * (1.0 - fields["final_z"])).astype(np.int8)
+    return EnsembleResult(sim=cfg, fb=fb, n_traj=n, lags=lags, initial_labels=labels,
+                          outcomes=outcomes, **fields)

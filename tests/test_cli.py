@@ -19,7 +19,7 @@ import qtherm.experiments
 from qtherm import cli
 from qtherm.cli import main
 from qtherm.config import FeedbackConfig, SimConfig
-from qtherm.io import version_string, write_csv
+from qtherm.io import version_string, write_csv, write_json
 
 
 def read_csv(path: Path):
@@ -444,24 +444,38 @@ def test_a_delay_far_beyond_the_run_writes_the_data_of_one_as_long_as_the_run(de
     ["sweep", "--tau-us", "5", "--gain-grid", "nan"],
     ["ensemble", "--n-traj", "1"],
     ["jarzynski", "--eta-list", ""],
-], ids=["sweep-nan-grid", "ensemble-one-trajectory", "jarzynski-empty-eta-list"])
+    # A gain that overflows the feedback angle would fill the run with NaN.
+    ["ensemble", "--n-traj", "4", "--tau-us", "1", "--feedback", "pll", "--gain", "1e308"],
+    ["sweep", "--n-traj", "4", "--tau-us", "6", "--gain-grid", "1e308",
+     "--offset-grid", "1e308"],
+], ids=["sweep-nan-grid", "ensemble-one-trajectory", "jarzynski-empty-eta-list",
+        "ensemble-overflowing-gain", "sweep-overflowing-grid"])
 def test_a_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_a_non_finite_json_value_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(tmp_path / "summary.json", {"p00_final": float("nan")})
 
 
 @pytest.mark.parametrize("argv", [
     ["ensemble", "--n-traj", "2"],
     ["trajectory"],
     ["jarzynski", "--n-traj", "2", "--eta-list", "0.5"],
-], ids=["ensemble", "trajectory", "jarzynski"])
+    ["trajectory", "--dt-ns", "1e-320"],
+], ids=["ensemble", "trajectory", "jarzynski", "trajectory-infinite-step-count"])
 def test_a_run_too_large_to_allocate_ends_in_one_error_line(argv, tmp_path, capsys):
     # 10^14 steps: the first per-step array needs over 700 TiB, more than any
-    # address space, so the allocation fails at once on every host.
+    # address space, so the allocation fails at once on every host.  A later
+    # --dt-ns of 1e-320 makes tau/dt infinite, a step count rejected by name.
     out = tmp_path / "out"
-    assert main(argv + ["--tau-us", "0.1", "--dt-ns", "1e-12", "--out-dir", str(out)]) == 2
+    flags = ["--tau-us", "0.1", "--dt-ns", "1e-12"]
+    assert main(argv[:1] + flags + argv[1:] + ["--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qtherm.sme
 from qtherm.bloch import EXCITED, GROUND, BlochState
 from qtherm.config import MAX_GAMMA_DT, NO_FEEDBACK, THERMAL, FeedbackConfig
 from qtherm.ensemble import run_ensemble
@@ -506,3 +507,72 @@ def test_split_step_keeps_the_bits_of_the_term_by_term_kernel(paper_cfg, eta, ga
                 want = term_by_term_split_step(x, z, dv, omega_drive, fb, cfg, feedback_after)
                 for name, g, w in zip(got._fields, got, want):
                     assert same_bytes(g, w), (omega_drive, np.ndim(fb), feedback_after, name)
+
+
+class PassCounter(np.ndarray):
+    """An array whose ufunc calls are counted when an operand has at least
+    64 elements: at 64 lanes, the full-lane passes of the step loop."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(np.size(a) >= 64 for a in inputs):
+            PassCounter.calls += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, PassCounter) else a for a in inputs]
+        out = kwargs.get("out")
+        if out:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, PassCounter) else o
+                                  for o in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out:
+            return out[0] if len(out) == 1 else out
+        return result.view(PassCounter) if np.ndim(result) else result
+
+
+@pytest.mark.parametrize("fb, lags, sample, ceiling", [
+    (NO_FEEDBACK, (), False, 50),
+    (FeedbackConfig(mode="phase_locked", delay_steps=5), (0, 5), False, 61),
+    (FeedbackConfig(mode="phase_locked", delay_steps=0), (0,), False, 63),
+    (FeedbackConfig(mode="optimal"), (), True, 70),
+], ids=["no-feedback", "pll-100ns", "pll-zero-delay", "optimal-sampled"])
+def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, monkeypatch, fb, lags,
+                                                              sample, ceiling):
+    """Full-lane ufunc calls per step, counted on noise and uniforms that
+    come back from ``_draws`` as ``PassCounter`` arrays.  A 2 us run less a
+    1 us run is 50 steps, the same warm-up and no end.  The ceilings are the
+    counts at numpy 2.4.6; a change that removes a pass lowers one."""
+    draws = qtherm.sme._draws
+
+    def counted_draws(cfg, rngs, sample):
+        labels, noise, u = draws(cfg, rngs, sample)
+        return labels, noise.view(PassCounter), u.view(PassCounter)
+
+    monkeypatch.setattr(qtherm.sme, "_draws", counted_draws)
+    rngs = [rng_for_trajectory(1, k) for k in range(64)]
+    calls = []
+    for tau in (1.0, 2.0):
+        PassCounter.calls = 0
+        run_batch(paper_cfg(tau=tau), fb, rngs, lags=lags, sample=sample)
+        calls.append(PassCounter.calls)
+    passes, rest = divmod(calls[1] - calls[0], 50)
+    assert rest == 0 and passes <= ceiling, (calls, ceiling)
+
+
+def test_run_batch_looks_up_its_accumulator_on_each_call(paper_cfg, monkeypatch):
+    """A wrapper patched over ``sme._Sums`` sees every step of every block."""
+    added = []
+
+    class CountingSums(qtherm.sme._Sums):
+        def add(self, i, *ledger):
+            added.append(i)
+            super().add(i, *ledger)
+
+    cfg = paper_cfg(tau=0.2)
+    grid = FeedbackConfig(mode="phase_locked", gain=np.array([[25.0], [30.0], [35.0]]))
+    want = run_ensemble(cfg, grid.with_(gain=30.0), 8, lags=(0,))
+    monkeypatch.setattr(qtherm.sme, "_Sums", CountingSums)
+    monkeypatch.setattr(qtherm.sme, "GRID_LANES", 16)
+    got = run_ensemble(cfg, grid, 8, lags=(0,))
+    # 16 lanes hold two rows of 8 trajectories: blocks of rows (0, 1) and (2,).
+    assert added == 2 * list(range(cfg.n_steps))
+    assert np.array_equal(got.pair_moments[1], want.pair_moments)
