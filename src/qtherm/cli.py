@@ -220,8 +220,11 @@ def float_list(text: str) -> list[float]:
 
 
 def _columns(*columns):
-    """CSV rows from equal-length columns, as Python ints and floats."""
-    return zip(*(np.asarray(c).tolist() for c in columns))
+    """CSV rows from equal-length columns, as Python ints and floats, made
+    4,096 rows at a time so that no column is held as a whole list."""
+    columns = [np.asarray(c) for c in columns]
+    for a in range(0, len(columns[0]), 4096):
+        yield from zip(*(c[a:a + 4096].tolist() for c in columns))
 
 
 class _Done(NamedTuple):

@@ -51,8 +51,8 @@ def version_string() -> str:
 def numpy_build() -> dict:
     """numpy's version, the float64 dispatch target of ``arctan2``, ``cos`` and
     ``sin``, its BLAS, the BLAS thread count and the C library here: seeded
-    bytes depend on each (``arctan2`` rounds by level, ``ddot`` by kernel and
-    thread count, ``cos`` and ``sin`` by libm)."""
+    bytes depend on the level (``arctan2`` rounds by it) and on libm (``cos``
+    and ``sin``); the BLAS is on their path only in the contrast's ``lstsq``."""
     info = np.lib.introspect.opt_func_info("^(arctan2|cos|sin)$", "float64")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     libc, libc_version = platform.libc_ver()

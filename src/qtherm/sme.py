@@ -375,16 +375,13 @@ def _draws(cfg: SimConfig, rngs: list[np.random.Generator], sample: bool):
 
 
 def _row_blocks(lanes: tuple[int, ...]) -> list[slice]:
-    """The grid rows of ``lanes`` cut into the fewest near-equal blocks of at
-    most ``GRID_LANES`` lanes, the larger blocks first (one row per block if
-    a row alone exceeds it); without a grid axis, one block of everything."""
+    """The grid rows of ``lanes`` cut into blocks of as many rows as fit in
+    ``GRID_LANES`` lanes, the last block taking the rest (one row per block
+    if a row alone exceeds it); without a grid axis, one block of everything."""
     if len(lanes) == 1:
         return [slice(None)]
-    rows = lanes[0]
-    n_blocks = -(-rows // max(1, GRID_LANES // lanes[-1]))
-    size, larger = divmod(rows, n_blocks)
-    edges = [j * size + min(j, larger) for j in range(n_blocks + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    size = max(1, GRID_LANES // lanes[-1])
+    return [slice(a, a + size) for a in range(0, lanes[0], size)]
 
 
 class _Sums:
@@ -423,7 +420,6 @@ class _Sums:
         p00 = 0.5 * (1.0 + z)
         out["p00_sum"][..., i] = total = p00.sum(axis=-1)
         d = p00 - (total / self.n)[..., None]
-        # numpy's own pairwise sum: BLAS's dot (vecdot) rounds by CPU type.
         out["p00_m2"][..., i] = (d * d).sum(axis=-1)
         if self.u is not None:
             # The outcome test of ``outcomes``: excited where u < P11.
@@ -443,12 +439,12 @@ class _Sums:
         out["dwf_sum"][..., i] = dwf.sum(axis=-1)
         out["dq_sum"][..., i] = dq.sum(axis=-1)
         if self.paired:
-            out["dwf_sq"][..., i] = np.vecdot(dwf, dwf)
-            out["dq_sq"][..., i] = np.vecdot(dq, dq)
+            out["dwf_sq"][..., i] = (dwf * dwf).sum(axis=-1)
+            out["dq_sq"][..., i] = (dq * dq).sum(axis=-1)
             for (k, lag), line in zip(self.paired, self.lines):
                 dq_then = line.push(dq)  # dQ[i - lag]
                 if i >= lag:
-                    out["pair_moments"][..., k, 5, i] = np.vecdot(dwf, dq_then)
+                    out["pair_moments"][..., k, 5, i] = (dwf * dq_then).sum(axis=-1)
         for name in self.step_series:
             out[name][..., i] = {"dw": dw, "dwf": dwf, "dq": dq, "dv": dv, "dx": dx}[name]
 

@@ -183,7 +183,7 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
     fb = FeedbackConfig(mode="optimal")
     monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 4)
     want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj)[0] for eta in etas]
-    # Three rows per block of the 4-lane chunk, four (so again 3 + 2) of the 3-lane one.
+    # Three rows per block of the 4-lane chunk (3 + 2), four of the 3-lane one (4 + 1).
     monkeypatch.setattr(qtherm.sme, "GRID_LANES", 3 * 4)
     column = sim.with_(eta=np.reshape(etas, (-1, 1)))
     for workers in (1, 2):

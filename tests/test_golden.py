@@ -6,25 +6,33 @@ contract and is skipped) pins the output bytes of a fixed (seed, config).
 feedback laws and a thermal preparation, sampled outcome counts included,
 chunked and run on one and two workers.  A change that alters seeded output
 on purpose updates these digests and says so; any other change must leave
-them alone.  The digests
-were recorded with numpy 2.4 on x86-64 Linux; a different libm may round
-differently.  The ``jarzynski`` and ``ENGINE_DIGEST`` digests, which cover
-optimal feedback, also hold only at numpy's AVX-512 dispatch level:
-``np.arctan2`` in ``feedback.optimal_drive`` differs by 1 ulp at the AVX2
-level, and ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` makes
-those two digests fail.  The BLAS thread count is an axis too: the pair
-moments' ``np.vecdot`` calls OpenBLAS's ``ddot``, which splits a sum across
-threads above about 10,000 elements, so its bytes differ between one and two
-threads at 12,000, 20,000 and 40,000 elements (they are equal at 4,096 and
-8,192).  ``qtherm.cli`` pins one thread unless ``OPENBLAS_NUM_THREADS`` is
-set, so the byte path is fixed before reductions grow past 10,000 lanes.
+them alone.  The digests were recorded with numpy 2.4 on x86-64 Linux
+(glibc); a different libm may round ``cos`` and ``sin`` differently.  The
+``jarzynski`` and ``ENGINE_DIGEST`` digests, which cover optimal feedback,
+also hold only at numpy's X86_V4 dispatch level or above: ``np.arctan2`` in
+``feedback.optimal_drive`` differs by 1 ulp at the X86_V3 (AVX2) level, and
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` makes those two
+digests fail.  No digest depends on the BLAS: every lane sum, the pair
+moments' included, is numpy's own pairwise ``sum``, never OpenBLAS's
+``ddot``, whose bytes change with its kernel (``OPENBLAS_CORETYPE``) and,
+above about 10,000 elements, with its thread count.  The pair-sum test below
+checks that in child processes under three OpenBLAS kernels at each dispatch
+level this CPU offers; ``tests/platform_matrix.py`` runs this whole file so.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtherm
 import qtherm.ensemble
 from qtherm.cli import main
 from qtherm.config import FeedbackConfig, SimConfig
@@ -41,12 +49,14 @@ GOLDEN = {
     ),
     # Re-recorded when p00_sem began to come from centred sums of squares:
     # p00_sem moved by <= 1.9e-8 relative here, <= 8.3e-9 in
-    # "ensemble_batched"; p00_mean and trajectories.csv held.
+    # "ensemble_batched"; p00_mean and trajectories.csv held.  summary.json
+    # re-recorded when the pair moments became numpy's pairwise sums: the
+    # r_wf_q_lag* values moved by <= 1.3e-15 relative, the CSVs held.
     "ensemble": (
         ["ensemble", "--n-traj", "64", "--tau-us", "1", "--feedback", "pll",
          "--delay-ns", "100"],
         {
-            "summary.json": "aaf030e4c59a2bb77467b94c2162ff12a73922838f84ab58192e64cc3e86e844",
+            "summary.json": "0cf92f1a968cd830f300a4c02490357eba95bf98b12689c995c42e9b0a90fdf9",
             "timeseries.csv": "064f11cc81f561f0e5d71db3bd58953d9238fb86d3d15dbc94d4ca649cda18dc",
             "trajectories.csv": "cd8eb6d374db7c882b4cb14a06b2b37102c7cdad6cae575d1269074ca590ca43",
         },
@@ -55,12 +65,12 @@ GOLDEN = {
     # chunks: here two pool tasks, 4,096 + 404 trajectories, with pair
     # moments.  Its per-step sums split 2,048 + 2,048 + 404 then, as a
     # 4,096-lane sum splits; its pair moments happen to round the same.
-    # Re-recorded with "ensemble" (above).
+    # Re-recorded with "ensemble" (above), both times.
     "ensemble_batched": (
         ["ensemble", "--n-traj", "4500", "--tau-us", "0.5", "--feedback", "pll",
          "--delay-ns", "100", "--workers", "2"],
         {
-            "summary.json": "70f5f6167a0d5033ae80d731f0ae820cf90dcda031d6394637c13375210e1c1c",
+            "summary.json": "47e6a96f461f9602b8f5a36feb94ba0eccbab4ecc149500b69dd4ce8b6bf7269",
             "timeseries.csv": "4e8616a6f562ce1da946632b221b057b7b57e214946b8dc062087618df0983e6",
             "trajectories.csv": "70203cd7baf6f6bc8a2e2a8ab087c6abd1eef9d1dc43cad45b7ed787ec041f01",
         },
@@ -138,3 +148,56 @@ def test_engine_digest(monkeypatch):
             for name in sorted(res.series):
                 h.update(np.ascontiguousarray(res.series[name]).tobytes())
     assert h.hexdigest() == ENGINE_DIGEST
+
+
+#: OpenBLAS kernels the byte path is checked under, by ``OPENBLAS_CORETYPE``.
+CORETYPES = ("Haswell", "Sandybridge", "SkylakeX")
+
+SRC = Path(qtherm.__file__).resolve().parents[1]
+
+
+def dispatch_levels() -> dict[str, str]:
+    """Each numpy dispatch level this CPU offers, the highest first, mapped to
+    the ``NPY_DISABLE_CPU_FEATURES`` value that caps numpy at it."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    return {(["baseline"] + found[:k])[-1]: " ".join(found[k:])
+            for k in range(len(found), -1, -1)}
+
+
+def platform_env(coretype: str, disabled: str) -> dict[str, str]:
+    """This process's environment with one OpenBLAS kernel and dispatch cap,
+    and ``src`` and ``tests`` on the path."""
+    return {**os.environ, "OPENBLAS_CORETYPE": coretype, "NPY_DISABLE_CPU_FEATURES": disabled,
+            "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+
+
+@cache
+def pair_run_digests() -> dict[str, str]:
+    """SHA-256 of the pair moments and per-step sums of a short run of the
+    100 ns phase-locked loop over a (2, 1) gain column, with lags (0, 5)."""
+    fb = FeedbackConfig(mode="phase_locked", delay_steps=5, gain=np.array([[20.0], [35.0]]))
+    res = run_ensemble(SimConfig(tau=0.4, seed=3), fb, 300, lags=(0, 5))
+    return {name: hashlib.sha256(getattr(res, name).tobytes()).hexdigest()
+            for name in ("pair_moments", "p00_sum", "p00_m2", "dw_sum", "dwf_sum", "dq_sum")}
+
+
+@pytest.mark.parametrize("coretype", CORETYPES)
+def test_pair_sums_keep_their_bytes_under_every_blas_kernel(coretype):
+    """In child processes under one OpenBLAS kernel, at each dispatch level:
+    the pair moments and per-step sums have this process's bytes."""
+    code = "import json, test_golden; print(json.dumps(test_golden.pair_run_digests()))"
+
+    def child(disabled):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=platform_env(coretype, disabled), timeout=120)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    levels = dispatch_levels()
+    with ThreadPoolExecutor(2) as pool:
+        got = dict(zip(levels, pool.map(child, levels.values())))
+    want = pair_run_digests()
+    moved = {level: [k for k in want if d[k] != want[k]] for level, d in got.items()}
+    assert {level: names for level, names in moved.items() if names} == {}

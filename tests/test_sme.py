@@ -531,8 +531,8 @@ class PassCounter(np.ndarray):
 
 @pytest.mark.parametrize("fb, lags, sample, ceiling", [
     (NO_FEEDBACK, (), False, 50),
-    (FeedbackConfig(mode="phase_locked", delay_steps=5), (0, 5), False, 61),
-    (FeedbackConfig(mode="phase_locked", delay_steps=0), (0,), False, 63),
+    (FeedbackConfig(mode="phase_locked", delay_steps=5), (0, 5), False, 65),
+    (FeedbackConfig(mode="phase_locked", delay_steps=0), (0,), False, 66),
     (FeedbackConfig(mode="optimal"), (), True, 70),
 ], ids=["no-feedback", "pll-100ns", "pll-zero-delay", "optimal-sampled"])
 def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, monkeypatch, fb, lags,
