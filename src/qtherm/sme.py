@@ -57,7 +57,9 @@ Trajectory k's stream comes from numpy's SeedSequence key (seed, 0, k // 2048),
 as row k % 2048 of that block's seed words.  :func:`run_batch` takes the
 trajectories a tile at a time: each draws into a contiguous row of one small
 scratch tile, which one transposed copy puts into the step-major noise block
-that the step loop reads a row at a time.
+that the step loop reads a row at a time.  It slices its streams a tile at a
+time too, so a sequence that builds them when sliced (``ensemble`` passes
+one) keeps a stream alive only while its tile draws.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import math
 from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -338,7 +340,7 @@ class EnsembleResult:
         return -(self.w + self.wf + self.q)
 
 
-def _draws(cfg: SimConfig, rngs: list[np.random.Generator], sample: bool):
+def _draws(cfg: SimConfig, rngs: Sequence[np.random.Generator], sample: bool):
     """Each trajectory's draws, in the fixed stream order: (labels, noise, u).
 
     ``noise`` is the (n_steps, n) block of dX ~ N(0, dt) and ``u`` the
@@ -346,7 +348,9 @@ def _draws(cfg: SimConfig, rngs: list[np.random.Generator], sample: bool):
     uniform j samples point n_steps - j, so uniform 0 draws the final outcome.
     A tile of trajectories at a time draws into contiguous scratch rows, and
     one transposed copy per tile fills the step-major arrays; the scratch is
-    freed on return, before the step loop allocates.  ``0.0 + sqrt(dt) * z``
+    freed on return, before the step loop allocates.  ``rngs`` is sliced one
+    tile at a time and the slice dropped after it draws, so streams built by
+    the slice live only while their tile draws.  ``0.0 + sqrt(dt) * z``
     is numpy's own ``normal(0.0, sqrt(dt))``, so the bytes are those of one
     ``normal`` call per trajectory.
     """
@@ -360,17 +364,17 @@ def _draws(cfg: SimConfig, rngs: list[np.random.Generator], sample: bool):
     z_tile = np.empty((min(n, _DRAW_TILE), steps))
     u_tile = np.empty((len(z_tile), len(u)))
     for j in range(0, n, _DRAW_TILE):
-        tile = rngs[j:j + _DRAW_TILE]
-        for r, rng in enumerate(tile):
+        m = min(_DRAW_TILE, n - j)
+        for r, rng in enumerate(rngs[j:j + m]):
             if thermal:
                 labels[j + r] = rng.random() < p_exc_thermal
             rng.standard_normal(out=z_tile[r])
             rng.random(out=u_tile[r])
-        z_rows = z_tile[:len(tile)]
+        z_rows = z_tile[:m]
         z_rows *= sqrt_dt
         z_rows += 0.0
-        noise[:, j:j + len(tile)] = z_rows.T
-        u[:, j:j + len(tile)] = u_tile[:len(tile)].T
+        noise[:, j:j + m] = z_rows.T
+        u[:, j:j + m] = u_tile[:m].T
     return labels, noise, u
 
 
@@ -398,13 +402,15 @@ class _Sums:
         out = self.out = {}
         out["p00_sum"], out["p00_m2"] = np.zeros((2, *grid, steps + 1))
         out["hits"] = np.zeros((*grid, 0 if u is None else steps + 1), dtype=np.int64)
-        (out["dw_sum"], out["dwf_sum"], out["dq_sum"], out["dwf_sq"],
-         out["dq_sq"]) = np.zeros((5, *grid, steps))
+        out["dw_sum"], out["dwf_sum"], out["dq_sum"] = np.zeros((3, *grid, steps))
         out["w"], out["wf"], out["q"], out["final_z"] = np.zeros((4, *lanes))
         # Per lag and step, the sums (count, dWF[i], dQ[i - lag], dWF^2, dQ^2,
         # dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2 once,
-        # and per lag only the cross term, with dQ[i - lag] from a line.
+        # into scratch that only a paired lag needs, and per lag only the cross
+        # term, with dQ[i - lag] from a line.
         self.paired = [(k, lag) for k, lag in enumerate(lags) if lag < steps]
+        if self.paired:
+            out["dwf_sq"], out["dq_sq"] = np.zeros((2, *grid, steps))
         out["pair_moments"] = np.zeros((*grid, len(lags), 6, steps))
         out.update((k, np.empty((*lanes, steps + (k in STATE_SERIES))))
                    for k in SERIES if k in record)
@@ -455,12 +461,13 @@ class _Sums:
             if not np.isfinite(out[name]).all():
                 raise ValueError(f"{name} is not finite: a feedback angle overflowed")
         # The other pair sums are the per-step reductions, aligned by the lag.
-        dwf_sq, dq_sq = out.pop("dwf_sq"), out.pop("dq_sq")
-        for k, lag in self.paired:
-            m, kept = out["pair_moments"][..., k, :, lag:], self.steps - lag
-            m[..., 0, :] = self.n
-            m[..., 1, :], m[..., 3, :] = out["dwf_sum"][..., lag:], dwf_sq[..., lag:]
-            m[..., 2, :], m[..., 4, :] = out["dq_sum"][..., :kept], dq_sq[..., :kept]
+        if self.paired:
+            dwf_sq, dq_sq = out.pop("dwf_sq"), out.pop("dq_sq")
+            for k, lag in self.paired:
+                m, kept = out["pair_moments"][..., k, :, lag:], self.steps - lag
+                m[..., 0, :] = self.n
+                m[..., 1, :], m[..., 3, :] = out["dwf_sum"][..., lag:], dwf_sq[..., lag:]
+                m[..., 2, :], m[..., 4, :] = out["dq_sum"][..., :kept], dq_sq[..., :kept]
         out["pair_moments"] = out["pair_moments"].sum(axis=-1)
         out["series"] = {k: out.pop(k) for k in self.state_series + self.step_series}
         return out
@@ -469,7 +476,7 @@ class _Sums:
 def run_batch(
     cfg: SimConfig,
     fb: FeedbackConfig,
-    rngs: list[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
     sample: bool = False,
@@ -543,6 +550,8 @@ def run_batch(
                 om_f = line.push(optimal_drive(x_mid, z_mid, x, z, dt))
             block.add(i, dw, dwf, dq, dv, dxi)
             block.snapshot(i + 1, x, z)
+            # Freed before the next step allocates its own.
+            del dv, dw, dwf, dq, x_mid, z_mid
 
     fields = sums.fields()
     outcomes = (u[0] < 0.5 * (1.0 - fields["final_z"])).astype(np.int8)

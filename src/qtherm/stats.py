@@ -122,17 +122,20 @@ def contrast_window(
     times: np.ndarray, omega_r: float, window: tuple[float, float]
 ) -> np.ndarray:
     """Mask of the ``times`` inside ``window``, which a contrast fit needs to
-    span at least three Rabi periods; raises InsufficientSpanError otherwise.
+    span at least three Rabi periods of 2*pi/|omega_r|; raises
+    InsufficientSpanError otherwise, and always at omega_r = 0.
 
     Callers that know the time grid before integrating check it here first.
     """
+    if omega_r == 0.0:
+        raise InsufficientSpanError("a zero Rabi rate has no period to fit")
     lo, hi = window
     mask = (times >= lo) & (times <= hi)
     if not mask.any():
         raise InsufficientSpanError("window contains no samples")
     t = times[mask]
     span = t.max() - t.min()
-    if span < 3.0 * (2.0 * math.pi / omega_r) - 1e-9:
+    if span < 3.0 * (2.0 * math.pi / abs(omega_r)) - 1e-9:
         raise InsufficientSpanError(
             f"window spans {span:.3f} us, need >= 3 Rabi periods"
         )

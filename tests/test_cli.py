@@ -208,6 +208,15 @@ def test_an_undefined_correlation_is_written_as_null(argv, keys, tmp_path):
     assert (tmp_path / "manifest.json").is_file()
 
 
+@pytest.mark.parametrize("argv", [["--tau-us", "3", "--omega-mhz", "0"],
+                                  ["--tau-us", "2.5", "--omega-mhz=-1"]],
+                         ids=["zero-rabi-rate", "negative-rabi-rate-short-window"])
+def test_a_contrast_without_three_rabi_periods_is_written_as_null(argv, tmp_path):
+    assert main(["ensemble", "--n-traj", "4", *argv, "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["contrast"] is None
+    assert (tmp_path / "manifest.json").is_file()
+
+
 def test_jarzynski_outputs(tmp_path):
     out = tmp_path / "jar"
     assert main(
@@ -469,8 +478,14 @@ def test_a_delay_far_beyond_the_run_writes_the_data_of_one_as_long_as_the_run(de
     ["ensemble", "--n-traj", "4", "--tau-us", "1", "--feedback", "pll", "--gain", "1e308"],
     ["sweep", "--n-traj", "4", "--tau-us", "6", "--gain-grid", "1e308",
      "--offset-grid", "1e308"],
+    # A zero Rabi rate has no period to fit; a negative one has the period of
+    # its magnitude, three of which a 0.5 us window does not span.
+    ["sweep", "--n-traj", "4", "--tau-us", "6", "--omega-mhz", "0", "--gain-grid", "30",
+     "--offset-grid=-1"],
+    ["sweep", "--n-traj", "4", "--tau-us", "2.5", "--omega-mhz=-1"],
 ], ids=["sweep-nan-grid", "ensemble-one-trajectory", "jarzynski-empty-eta-list",
-        "ensemble-overflowing-gain", "sweep-overflowing-grid"])
+        "ensemble-overflowing-gain", "sweep-overflowing-grid", "sweep-zero-rabi-rate",
+        "sweep-negative-rabi-rate-short-window"])
 def test_a_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 from concurrent.futures import Future
 from dataclasses import fields
 
@@ -291,3 +292,25 @@ def test_streamed_pearson_r_matches_the_two_pass_reference(fb):
     for lag in (0, 1, 5):
         want = two_pass_pooled_pearson_r(res.series["dwf"], res.series["dq"], lag=lag)
         assert pooled_pearson_r(res, lag) == pytest.approx(want, rel=1e-12, abs=0.0), lag
+
+
+def test_a_stream_lives_only_while_its_tile_draws(paper_cfg, monkeypatch):
+    """Once the noise is drawn no trajectory stream of the chunk is alive.
+    numpy's generators take no weak references, so they are counted among
+    the objects the garbage collector tracks."""
+
+    def live_streams():
+        return sum(isinstance(o, np.random.Generator) for o in gc.get_objects())
+
+    before = live_streams()
+    during = []
+
+    class CountingSums(qtherm.sme._Sums):
+        def add(self, i, *ledger):
+            if not during:
+                during.append(live_streams())
+            super().add(i, *ledger)
+
+    monkeypatch.setattr(qtherm.sme, "_Sums", CountingSums)
+    run_ensemble(paper_cfg(tau=0.2), n_traj=300)
+    assert during[0] <= before, (during, before)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
     _DRAW_TILE,
     SERIES,
+    EnsembleResult,
     _constants,
     homodyne_increment,
     rng_for_trajectory,
@@ -576,3 +578,37 @@ def test_run_batch_looks_up_its_accumulator_on_each_call(paper_cfg, monkeypatch)
     # 16 lanes hold two rows of 8 trajectories: blocks of rows (0, 1) and (2,).
     assert added == 2 * list(range(cfg.n_steps))
     assert np.array_equal(got.pair_moments[1], want.pair_moments)
+
+
+def test_the_square_sums_are_kept_only_for_a_paired_lag(paper_cfg, monkeypatch):
+    """Without a paired lag (none, or one as long as the run) the accumulator
+    holds no dWF^2 or dQ^2 scratch, and ``fields`` returns the keys and the
+    bytes of a paired run, but for the pair moments."""
+    made = []
+
+    class RecordingSums(qtherm.sme._Sums):
+        def fields(self):
+            out = super().fields()
+            made.append((sorted(self.out), sorted(out)))
+            return out
+
+    monkeypatch.setattr(qtherm.sme, "_Sums", RecordingSums)
+    cfg = paper_cfg(tau=0.2)
+    fb = FeedbackConfig(mode="phase_locked", delay_steps=2)
+    runs = [run_batch(cfg, fb, [rng_for_trajectory(cfg.seed, k) for k in range(40)],
+                      lags=lags) for lags in ((0,), (), (cfg.n_steps,))]
+    held = [{"dwf_sq", "dq_sq"} & set(kept) for kept, _ in made]
+    assert held == [{"dwf_sq", "dq_sq"}, set(), set()]
+    assert made[1][1] == made[2][1] == made[0][1]
+    paired = runs[0]
+    for res in runs[1:]:
+        for f in fields(EnsembleResult)[4:]:  # after sim, fb, n_traj, lags
+            if f.name == "pair_moments":
+                continue
+            got, want = getattr(res, f.name), getattr(paired, f.name)
+            if f.name == "series":
+                assert got == want == {}
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+    assert runs[1].pair_moments.shape == (0, 6)
+    assert not runs[2].pair_moments.any()

@@ -11,6 +11,7 @@ from qtherm.sme import SERIES
 from qtherm.stats import (
     InsufficientSpanError,
     ZeroVarianceError,
+    contrast_window,
     efficacy_from_trajectories,
     jarzynski_from_transitions,
     pooled_pearson_r,
@@ -232,6 +233,21 @@ def test_rabi_contrast_closed_and_flat():
         rabi_contrast(t, closed, omega, window=(2.0, 3.0))
     with pytest.raises(InsufficientSpanError):
         rabi_contrast(t, closed, omega, window=(9.0, 12.0))
+
+
+@pytest.mark.parametrize("window, spans", [((2.0, 4.9), False), ((2.0, 5.0), True)],
+                         ids=["short", "three-periods"])
+def test_the_window_check_is_the_same_for_either_sign_of_the_rabi_rate(window, spans):
+    omega = 2.0 * math.pi  # a period of 1
+    t = np.arange(0, 401) * 0.02
+    for rate in (omega, -omega):
+        if spans:
+            assert contrast_window(t, rate, window).sum() == 151
+        else:
+            with pytest.raises(InsufficientSpanError, match="need >= 3 Rabi periods"):
+                contrast_window(t, rate, window)
+    with pytest.raises(InsufficientSpanError, match="zero Rabi rate"):
+        contrast_window(t, 0.0, window)
 
 
 def test_pearson_r_basics():
