@@ -29,7 +29,7 @@ _EXPORTS = {
     "LindbladSolution": "oracle",
     "ensemble_vs_oracle": "oracle",
     "lindblad_evolve": "oracle",
-    "rng_for_trajectory": "sme",
+    "rng_for_trajectory": "ensemble",
     "EfficacyResult": "stats",
     "efficacy_from_trajectories": "stats",
     "rabi_contrast": "stats",

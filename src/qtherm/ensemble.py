@@ -1,10 +1,13 @@
-"""Ensemble runner: fixed-size chunks, optional process pool, pure reductions.
+"""Ensemble runner: noise streams, fixed-size chunks, optional process pool,
+pure reductions.
 
 Trajectory k always draws from the RNG stream of key (seed, 0, k // 2048),
-row k % 2048 (``sme.rng_for_trajectory``), and the float sums are always
-taken over the same fixed chunks of ``CHUNK_SIZE`` trajectories, so the
-result is bit-identical no matter how many workers execute them.  A chunk
-is one pool task (``_run_chunk``), one ``sme.run_batch`` call and one
+row k % 2048 (``rng_for_trajectory``), in the fixed order [thermal-preparation
+uniform,] noise path, outcome uniforms; ``_draws`` hands a chunk's draws to
+``sme.run_batch`` as arrays.  The float sums are always taken over the same
+fixed chunks of ``CHUNK_SIZE`` trajectories, so the result is bit-identical
+no matter how many workers execute them.  A chunk is one pool task
+(``_run_chunk``), one ``_draws`` and ``sme.run_batch`` call and one
 reduction block, and returns an :class:`EnsembleResult` (defined in
 ``sme``, re-exported here); ``_merge`` combines the chunks' sums in chunk
 order and concatenates their per-trajectory arrays and series along the
@@ -15,13 +18,23 @@ same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import NO_FEEDBACK, FeedbackConfig, SimConfig
-from .sme import EnsembleResult, rng_for_trajectory, run_batch
+from .bloch import gibbs_weights
+from .config import NO_FEEDBACK, THERMAL, FeedbackConfig, SimConfig
+from .sme import EnsembleResult, run_batch
+
+#: Trajectory indices seeded together: one SeedSequence per block of them.
+_SEED_BLOCK = 2048
+
+#: Trajectories whose draws ``_draws`` writes into one scratch tile of
+#: contiguous rows; 64-256 drew about equally fast, 16 and 1,024 slower.
+_DRAW_TILE = 128
 
 #: Trajectories per chunk: one pool task, one ``sme.run_batch`` call and one
 #: reduction block.  Fixed (not worker-dependent) so that float reduction
@@ -31,6 +44,87 @@ from .sme import EnsembleResult, rng_for_trajectory, run_batch
 #: lags (0, 5), ``--workers 2``) peaks at about 46.6 MiB RSS, above the
 #: command's main process at about 38 MiB.
 CHUNK_SIZE = 4096
+
+
+@lru_cache(maxsize=8)
+def _seed_words(seed: int, block: int) -> np.ndarray:
+    """(_SEED_BLOCK, 4) uint64: row j holds the PCG64 seed words of trajectory
+    ``block*_SEED_BLOCK + j``, all drawn from ``SeedSequence(seed,
+    spawn_key=(0, block))`` in one call.  Read-only, as it is cached."""
+    words = np.random.SeedSequence(seed, spawn_key=(0, block)).generate_state(
+        4 * _SEED_BLOCK, np.uint64
+    ).reshape(_SEED_BLOCK, 4)
+    words.flags.writeable = False
+    # numpy.random loads lazily: processes that build no stream never import it.
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return words
+
+
+class _SeedWords:
+    """A seed sequence whose PCG64 seed words are already known."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError("only PCG64's four uint64 seed words are stored")
+        return self.words
+
+
+def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
+    """The RNG stream of trajectory ``index``; depends on (seed, index) only.
+
+    Trajectory k's PCG64 takes row ``k % 2048`` of the seed words that
+    ``SeedSequence(seed, spawn_key=(0, k // 2048))`` generates for its whole
+    block.  The words are cached per (seed, block), so each call only wraps
+    its four words in a ``PCG64``.
+    """
+    words = _seed_words(seed, index // _SEED_BLOCK)[index % _SEED_BLOCK]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def _draws(cfg: SimConfig, start: int, n: int, sample: bool):
+    """The draws of trajectories [start, start + n), in the fixed stream
+    order: (labels, noise, u), as ``sme.run_batch`` takes them.
+
+    ``noise`` is the (n_steps, n) block of dX ~ N(0, dt) and ``u`` the
+    (n_steps + 1, n) outcome uniforms when sampling every point, else (1, n);
+    uniform j samples point n_steps - j, so uniform 0 draws the final outcome.
+    A tile of trajectories at a time draws into contiguous scratch rows, and
+    one transposed copy per tile fills the step-major arrays; the scratch is
+    freed on return, before the step loop allocates.  Each tile builds its
+    streams through ``rng_for_trajectory`` and drops them once they have
+    drawn, so a stream lives only while its tile draws.  ``0.0 + sqrt(dt)*z``
+    is numpy's own ``normal(0.0, sqrt(dt))``, so the bytes are those of one
+    ``normal`` call per trajectory.
+    """
+    steps = cfg.n_steps
+    sqrt_dt = math.sqrt(cfg.dt)
+    thermal = cfg.initial_state == THERMAL
+    p_exc_thermal = gibbs_weights(cfg.beta)[1] if thermal else None
+    labels = np.full(n, 0 if thermal else cfg.initial_state, dtype=np.int8)
+    noise = np.empty((steps, n))
+    u = np.empty((steps + 1 if sample else 1, n))
+    z_tile = np.empty((min(n, _DRAW_TILE), steps))
+    u_tile = np.empty((len(z_tile), len(u)))
+    for j in range(0, n, _DRAW_TILE):
+        m = min(_DRAW_TILE, n - j)
+        tile = [rng_for_trajectory(cfg.seed, start + k) for k in range(j, j + m)]
+        for r, rng in enumerate(tile):
+            if thermal:
+                labels[j + r] = rng.random() < p_exc_thermal
+            rng.standard_normal(out=z_tile[r])
+            rng.random(out=u_tile[r])
+        del tile
+        z_rows = z_tile[:m]
+        z_rows *= sqrt_dt
+        z_rows += 0.0
+        noise[:, j:j + m] = z_rows.T
+        u[:, j:j + m] = u_tile[:m].T
+    return labels, noise, u
 
 
 def _run_chunk(
@@ -46,22 +140,8 @@ def _run_chunk(
     # A run that overflows raises a ValueError naming the field; numpy's
     # warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return run_batch(sim, fb, _Streams(sim.seed, start, count), record=record, lags=lags,
-                         sample=sample)
-
-
-class _Streams:
-    """The streams of trajectories [start, start + count), built when sliced:
-    ``sme.run_batch`` draws a tile at a time, so only that tile's are alive."""
-
-    def __init__(self, seed: int, start: int, count: int):
-        self.seed, self.start, self.count = seed, start, count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, part: slice) -> list[np.random.Generator]:
-        return [rng_for_trajectory(self.seed, self.start + k) for k in range(self.count)[part]]
+        return run_batch(sim, fb, *_draws(sim, start, count, sample), record=record,
+                         lags=lags, sample=sample)
 
 
 def run_ensemble(

@@ -42,24 +42,19 @@ one code that writes them: ``snapshot`` reduces the state at point i,
 Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
 columns add a leading grid axis: the lanes are (G, n_traj), every grid point
 integrates the same n_traj noise paths, and every per-step sum and per-lane
-array gains that axis.  :func:`run_batch` draws the noise once and
-integrates the grid rows in blocks of at most ``GRID_LANES`` lanes over that
-one draw, each block writing its own rows of the full-grid outputs; every
-reduction runs along a row, so the blocks do not change a byte.
+array gains that axis.  :func:`run_batch` integrates the grid rows in
+blocks of at most ``GRID_LANES`` lanes over its one noise block, each block
+writing its own rows of the full-grid outputs; every reduction runs along a
+row, so the blocks do not change a byte.
 
-Trajectories are independent: trajectory k draws all its randomness from its
-own stream, in the fixed order [thermal-preparation uniform,] noise path,
-outcome uniforms (the final outcome's, then, when sampling every point, one
-per earlier point, last to first), so each trajectory's values are
-reproducible bit-for-bit however the trajectories are batched, and an
-ensemble's sums too, since ``ensemble`` reduces them over fixed chunks.
-Trajectory k's stream comes from numpy's SeedSequence key (seed, 0, k // 2048),
-as row k % 2048 of that block's seed words.  :func:`run_batch` takes the
-trajectories a tile at a time: each draws into a contiguous row of one small
-scratch tile, which one transposed copy puts into the step-major noise block
-that the step loop reads a row at a time.  It slices its streams a tile at a
-time too, so a sequence that builds them when sliced (``ensemble`` passes
-one) keeps a stream alive only while its tile draws.
+The noise is data: :func:`run_batch` integrates the draws it is given, each
+lane's preparation label, its column of the step-major (n_steps, n) block of
+noise increments dX and its outcome uniforms (the final outcome's, then,
+when sampling every point, one per earlier point, last to first).
+``ensemble`` makes them, one stream per trajectory, so each trajectory's
+values are reproducible bit-for-bit however the trajectories are batched,
+and an ensemble's sums too, since ``ensemble`` reduces them over fixed
+chunks.
 """
 
 from __future__ import annotations
@@ -67,66 +62,18 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bloch import gibbs_weights
-from .config import THERMAL, FeedbackConfig, SimConfig
+from .config import FeedbackConfig, SimConfig
 from .feedback import DelayLine, optimal_drive, pll_drive
 
-#: Trajectory indices seeded together: one SeedSequence per block of them.
-_SEED_BLOCK = 2048
-
-#: Trajectories whose draws ``_draws`` writes into one scratch tile of
-#: contiguous rows; 64-256 drew about equally fast, 16 and 1,024 slower.
-_DRAW_TILE = 128
-
 #: Most lanes (grid rows x trajectories) ``run_batch`` integrates as one
-#: block over its one draw; more lanes per step save interpreter overhead
-#: but cost memory.
+#: block over its one noise block; more lanes per step save interpreter
+#: overhead but cost memory.
 GRID_LANES = 8192
-
-
-@lru_cache(maxsize=8)
-def _seed_words(seed: int, block: int) -> np.ndarray:
-    """(_SEED_BLOCK, 4) uint64: row j holds the PCG64 seed words of trajectory
-    ``block*_SEED_BLOCK + j``, all drawn from ``SeedSequence(seed,
-    spawn_key=(0, block))`` in one call.  Read-only, as it is cached."""
-    words = np.random.SeedSequence(seed, spawn_key=(0, block)).generate_state(
-        4 * _SEED_BLOCK, np.uint64
-    ).reshape(_SEED_BLOCK, 4)
-    words.flags.writeable = False
-    # numpy.random loads lazily: processes that build no stream never import it.
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    return words
-
-
-class _SeedWords:
-    """A seed sequence whose PCG64 seed words are already known."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError("only PCG64's four uint64 seed words are stored")
-        return self.words
-
-
-def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
-    """The RNG stream of trajectory ``index``; depends on (seed, index) only.
-
-    Trajectory k's PCG64 takes row ``k % 2048`` of the seed words that
-    ``SeedSequence(seed, spawn_key=(0, k // 2048))`` generates for its whole
-    block.  The words are cached per (seed, block), so each call only wraps
-    its four words in a ``PCG64``.
-    """
-    words = _seed_words(seed, index // _SEED_BLOCK)[index % _SEED_BLOCK]
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 class _Constants(NamedTuple):
@@ -340,44 +287,6 @@ class EnsembleResult:
         return -(self.w + self.wf + self.q)
 
 
-def _draws(cfg: SimConfig, rngs: Sequence[np.random.Generator], sample: bool):
-    """Each trajectory's draws, in the fixed stream order: (labels, noise, u).
-
-    ``noise`` is the (n_steps, n) block of dX ~ N(0, dt) and ``u`` the
-    (n_steps + 1, n) outcome uniforms when sampling every point, else (1, n);
-    uniform j samples point n_steps - j, so uniform 0 draws the final outcome.
-    A tile of trajectories at a time draws into contiguous scratch rows, and
-    one transposed copy per tile fills the step-major arrays; the scratch is
-    freed on return, before the step loop allocates.  ``rngs`` is sliced one
-    tile at a time and the slice dropped after it draws, so streams built by
-    the slice live only while their tile draws.  ``0.0 + sqrt(dt) * z``
-    is numpy's own ``normal(0.0, sqrt(dt))``, so the bytes are those of one
-    ``normal`` call per trajectory.
-    """
-    n, steps = len(rngs), cfg.n_steps
-    sqrt_dt = math.sqrt(cfg.dt)
-    thermal = cfg.initial_state == THERMAL
-    p_exc_thermal = gibbs_weights(cfg.beta)[1] if thermal else None
-    labels = np.full(n, 0 if thermal else cfg.initial_state, dtype=np.int8)
-    noise = np.empty((steps, n))
-    u = np.empty((steps + 1 if sample else 1, n))
-    z_tile = np.empty((min(n, _DRAW_TILE), steps))
-    u_tile = np.empty((len(z_tile), len(u)))
-    for j in range(0, n, _DRAW_TILE):
-        m = min(_DRAW_TILE, n - j)
-        for r, rng in enumerate(rngs[j:j + m]):
-            if thermal:
-                labels[j + r] = rng.random() < p_exc_thermal
-            rng.standard_normal(out=z_tile[r])
-            rng.random(out=u_tile[r])
-        z_rows = z_tile[:m]
-        z_rows *= sqrt_dt
-        z_rows += 0.0
-        noise[:, j:j + m] = z_rows.T
-        u[:, j:j + m] = u_tile[:m].T
-    return labels, noise, u
-
-
 def _row_blocks(lanes: tuple[int, ...]) -> list[slice]:
     """The grid rows of ``lanes`` cut into blocks of as many rows as fit in
     ``GRID_LANES`` lanes, the last block taking the rest (one row per block
@@ -476,12 +385,19 @@ class _Sums:
 def run_batch(
     cfg: SimConfig,
     fb: FeedbackConfig,
-    rngs: Sequence[np.random.Generator],
+    labels: np.ndarray,
+    noise: np.ndarray,
+    u: np.ndarray,
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
     sample: bool = False,
 ) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
+
+    The batch integrates the draws it is given: ``labels`` (n,) int8, each
+    trajectory's preparation (0 or 1); ``noise`` (n_steps, n), step i's
+    dX ~ N(0, dt) in row i; ``u``, the outcome uniforms, (n_steps + 1, n)
+    with ``sample=True``, else (1, n), row j sampling point n_steps - j.
 
     ``record`` names the per-trajectory series to keep, from ``SERIES``;
     unrequested series are not allocated.  For each lag L in ``lags`` the
@@ -496,8 +412,8 @@ def run_batch(
     grid: the lanes are then (G, n) with each trajectory's noise shared along
     the grid axis, and every reduction runs along the last axis, so grid
     point g gets the bytes a run with its scalar gain, offset and eta gives.
-    The noise is drawn once; the grid rows are integrated over it in the
-    blocks of ``_row_blocks``, each writing its rows of the outputs.
+    The grid rows are integrated over the one noise block in the blocks of
+    ``_row_blocks``, each writing its rows of the outputs.
     """
     record = frozenset(record)
     unknown = record.difference(SERIES)
@@ -509,14 +425,13 @@ def run_batch(
     lags = tuple(sorted(set(lags)))
     if any(lag < 0 or lag != int(lag) for lag in lags):
         raise ValueError(f"lags must be non-negative integers, got {lags}")
-    n = len(rngs)
+    n = len(labels)
     # (G, 1) gain/offset/eta columns give the lanes a leading grid axis: (G, n).
     lanes = np.broadcast_shapes(np.shape(fb.gain), np.shape(fb.offset), np.shape(cfg.eta),
                                 (n,))
     steps = cfg.n_steps
     dt = cfg.dt
     theta_d = cfg.omega_r * dt
-    labels, noise, u = _draws(cfg, rngs, sample)
     z_init = np.where(labels == 0, 1.0, -1.0)
     sums = _Sums(lanes, steps, lags, record, u if sample else None, labels == 1)
 

@@ -9,9 +9,9 @@ import pytest
 import qtherm.ensemble
 import qtherm.sme
 from qtherm.config import FeedbackConfig, SimConfig
-from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _merge, _run_chunk, run_ensemble
+from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _draws, _merge, _run_chunk, run_ensemble
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
-from qtherm.sme import rng_for_trajectory, run_batch
+from qtherm.sme import run_batch
 from qtherm.stats import pooled_pearson_r, rabi_contrast
 from reference import per_point_sweep_contrast, two_pass_preparation
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
@@ -271,8 +271,7 @@ def test_a_batch_result_needs_no_merge(paper_cfg):
     bits of the ensemble's."""
     sim = paper_cfg(tau=0.2, seed=4)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=2)
-    batch = run_batch(sim, fb, [rng_for_trajectory(sim.seed, k) for k in range(40)],
-                      lags=(0, 2))
+    batch = run_batch(sim, fb, *_draws(sim, 0, 40, False), lags=(0, 2))
     whole = run_ensemble(sim, fb, 40, lags=(0, 2))
     for name in ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean", "pair_moments"):
         assert np.array_equal(getattr(batch, name), getattr(whole, name)), name

@@ -168,15 +168,15 @@ def test_grid_row_blocks_change_no_byte(rows, n_traj, chunk_size, columns, fb, t
     fb = fb.with_(**{k: column[k] for k in columns if k != "eta"})
     chunks = [min(chunk_size, n_traj - start) for start in range(0, n_traj, chunk_size)]
     draws = []
-    draw = qtherm.sme._draws
+    draw = qtherm.ensemble._draws
 
-    def counted_draws(cfg, rngs, sample):
-        draws.append(len(rngs))
-        return draw(cfg, rngs, sample)
+    def counted_draws(cfg, start, n, sample):
+        draws.append(n)
+        return draw(cfg, start, n, sample)
 
     results = []
     with mock.patch.object(qtherm.ensemble, "CHUNK_SIZE", chunk_size), \
-            mock.patch.object(qtherm.sme, "_draws", counted_draws):
+            mock.patch.object(qtherm.ensemble, "_draws", counted_draws):
         for grid_lanes in (1, 2 * min(chunk_size, n_traj), 10**9):
             with mock.patch.object(qtherm.sme, "GRID_LANES", grid_lanes):
                 results.append(run_ensemble(sim, fb, n_traj, record=SERIES, lags=(0, 1, 3),

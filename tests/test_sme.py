@@ -9,16 +9,14 @@ import pytest
 import qtherm.sme
 from qtherm.bloch import EXCITED, GROUND, BlochState
 from qtherm.config import MAX_GAMMA_DT, NO_FEEDBACK, THERMAL, FeedbackConfig
-from qtherm.ensemble import run_ensemble
+from qtherm.ensemble import _DRAW_TILE, _draws, _run_chunk, rng_for_trajectory, run_ensemble
 from qtherm.feedback import pll_drive
 from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
-    _DRAW_TILE,
     SERIES,
     EnsembleResult,
     _constants,
     homodyne_increment,
-    rng_for_trajectory,
     run_batch,
     split_step,
 )
@@ -220,6 +218,29 @@ def test_split_step_cancelling_drives(paper_cfg):
     assert (step.dw + step.dwf + step.dq)[0] == 0.0
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0**-60,
+                    reason="longdouble is no wider than float64 here")
+def test_the_work_split_keeps_its_digits_near_a_half_turn(paper_cfg):
+    """Shared-rotation angles within 0.1 of +-pi, where 1 + cos(theta)
+    vanishes: dW and dWF stay within 1e-15 of the split recomputed in
+    longdouble from the same states and angles."""
+    cfg = paper_cfg()
+    rng = np.random.default_rng(12)
+    n = 100_000
+    r = np.sqrt(rng.uniform(size=n))
+    a = rng.uniform(0, 2 * math.pi, n)
+    x, z = r * np.sin(a), r * np.cos(a)
+    theta_d = cfg.omega_r * cfg.dt
+    theta_f = rng.choice([-1.0, 1.0], n) * (math.pi + rng.uniform(-0.1, 0.1, n)) - theta_d
+    step = split_step(x, z, np.zeros(n), theta_d, theta_f, constants(cfg), False)
+    x, z, theta_d = x.astype(np.longdouble), z.astype(np.longdouble), np.longdouble(theta_d)
+    theta = theta_d + theta_f.astype(np.longdouble)
+    dpe = 0.5 * (z * (1 - np.cos(theta)) - x * np.sin(theta))
+    dw = dpe * (theta_d / theta)
+    assert np.abs(step.dw - dw).max() <= 1e-15
+    assert np.abs(step.dwf - (dpe - dw)).max() <= 1e-15
+
+
 def test_simulate_trajectory_zero_duration(paper_cfg):
     cfg = paper_cfg(tau=0.0)
     res = run_ensemble(cfg, n_traj=1, record=SERIES)
@@ -343,10 +364,9 @@ def test_batch_matches_scalar_path(paper_cfg):
     # a one-lane batch on stream k must be exactly its width-1 slice.
     cfg = paper_cfg(tau=0.5)
     fb = FeedbackConfig(mode="phase_locked", gain=30.0, offset=-1.0, delay_steps=2)
-    rngs = [rng_for_trajectory(cfg.seed, k) for k in range(3)]
-    batch = run_batch(cfg, fb, rngs, record=("z", "dw", "dv"))
+    batch = run_batch(cfg, fb, *_draws(cfg, 0, 3, False), record=("z", "dw", "dv"))
     for k in range(3):
-        one = run_batch(cfg, fb, [rng_for_trajectory(cfg.seed, k)], record=SERIES).series
+        one = run_batch(cfg, fb, *_draws(cfg, k, 1, False), record=SERIES).series
         assert np.array_equal(batch.series["z"][k], one["z"][0])
         assert np.array_equal(batch.series["dw"][k], one["dw"][0])
         assert np.array_equal(batch.series["dv"][k], one["dv"][0])
@@ -368,8 +388,8 @@ def test_tiled_draws_match_the_per_trajectory_column_loop_bit_for_bit(paper_cfg,
     # with and without a (G, 1) eta grid sharing each trajectory's noise.
     for eta in (0.35, np.array([[0.35], [1.0]])):
         cfg = paper_cfg(tau=0.2, eta=eta, initial_state=prep, beta=0.5)
-        res = run_batch(cfg, NO_FEEDBACK, [rng_for_trajectory(cfg.seed, k) for k in range(n)],
-                        record=("dx", "z"), sample=sample)
+        res = run_batch(cfg, NO_FEEDBACK, *_draws(cfg, 0, n, sample), record=("dx", "z"),
+                        sample=sample)
         labels, noise, u = column_draws(
             cfg, [rng_for_trajectory(cfg.seed, k) for k in range(n)], sample)
         assert same_bytes(res.series["dx"], np.broadcast_to(noise.T, res.series["dx"].shape))
@@ -385,27 +405,28 @@ def test_tiled_draws_match_the_per_trajectory_column_loop_bit_for_bit(paper_cfg,
 
 
 def test_run_batch_draws_keep_no_second_noise_block(paper_cfg):
-    """The traced peak of one ``run_batch`` at n = 2,048 lanes and 400 steps
-    stays below 1.5 B, where B = 8 * 400 * n bytes (6.55 MB) is the
-    (steps, n) noise block it must hold.
+    """The traced peak of one ``_run_chunk`` (its draws, then ``run_batch``
+    on them) at n = 2,048 lanes and 400 steps stays below 1.5 B, where
+    B = 8 * 400 * n bytes (6.55 MB) is the (steps, n) noise block it must
+    hold.
 
     Besides B it allocates (1, n) uniforms and labels, under B / 400 each,
     and per-step sums of 8 * 400 bytes each; while drawing, the scratch tile
     of 8 * 128 * 401 bytes = B / 16; and after it, the step loop's lane
     arrays, 8 * n bytes = B / 400 each, a few dozen at once.  That is at
-    most about 1.2 B (1.12 B measured).  Drawing every trajectory into a
+    most about 1.2 B (1.10 B measured, 1.23 B where the first stream of the
+    process loads numpy.random).  Drawing every trajectory into a
     full (n, steps) row buffer before one transposed copy would hold another
     B next to the noise block, for at least 2 B.
     """
     cfg = paper_cfg()
     fb = FeedbackConfig(mode="phase_locked", gain=30.0, offset=-1.0, delay_steps=5)
     n = 2048
-    rngs = [rng_for_trajectory(cfg.seed, k) for k in range(n)]
     assert cfg.n_steps == 400
     noise_bytes = 8 * cfg.n_steps * n
     tracemalloc.start()
     try:
-        run_batch(cfg, fb, rngs, lags=(0, 5))
+        _run_chunk(cfg, fb, 0, n, (), (0, 5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -415,7 +436,7 @@ def test_run_batch_draws_keep_no_second_noise_block(paper_cfg):
 def test_unknown_record_name_is_rejected(paper_cfg):
     cfg = paper_cfg(tau=0.2)
     with pytest.raises(ValueError, match=r"\['ledgr'\].*p00, x, z, dw, dwf, dq, dv, dx"):
-        run_batch(cfg, FeedbackConfig(), [rng_for_trajectory(cfg.seed, 0)], record=("ledgr",))
+        run_batch(cfg, FeedbackConfig(), *_draws(cfg, 0, 1, False), record=("ledgr",))
 
 
 def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg):
@@ -423,8 +444,8 @@ def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg):
     # every step is drive rotation -> dissipator -> feedback rotation.
     cfg = paper_cfg(tau=0.1)
     fb = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
-    rngs = [rng_for_trajectory(cfg.seed, k) for k in range(50)]
-    batch = run_batch(cfg, fb, rngs, record=("x", "z", "dw", "dwf", "dq", "dv"))
+    batch = run_batch(cfg, fb, *_draws(cfg, 0, 50, False),
+                      record=("x", "z", "dw", "dwf", "dq", "dv"))
     s = batch.series
     for i in range(cfg.n_steps):
         x, z, dv = s["x"][:, i], s["z"][:, i], s["dv"][:, i]
@@ -537,24 +558,19 @@ class PassCounter(np.ndarray):
     (FeedbackConfig(mode="phase_locked", delay_steps=0), (0,), False, 66),
     (FeedbackConfig(mode="optimal"), (), True, 70),
 ], ids=["no-feedback", "pll-100ns", "pll-zero-delay", "optimal-sampled"])
-def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, monkeypatch, fb, lags,
-                                                              sample, ceiling):
+def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, fb, lags, sample,
+                                                              ceiling):
     """Full-lane ufunc calls per step, counted on noise and uniforms that
-    come back from ``_draws`` as ``PassCounter`` arrays.  A 2 us run less a
-    1 us run is 50 steps, the same warm-up and no end.  The ceilings are the
-    counts at numpy 2.4.6; a change that removes a pass lowers one."""
-    draws = qtherm.sme._draws
-
-    def counted_draws(cfg, rngs, sample):
-        labels, noise, u = draws(cfg, rngs, sample)
-        return labels, noise.view(PassCounter), u.view(PassCounter)
-
-    monkeypatch.setattr(qtherm.sme, "_draws", counted_draws)
-    rngs = [rng_for_trajectory(1, k) for k in range(64)]
+    ``run_batch`` gets as ``PassCounter`` views.  A 2 us run less a 1 us run
+    is 50 steps, the same warm-up and no end.  The ceilings are the counts at
+    numpy 2.4.6; a change that removes a pass lowers one."""
     calls = []
     for tau in (1.0, 2.0):
+        cfg = paper_cfg(tau=tau)
+        labels, noise, u = _draws(cfg, 0, 64, sample)
         PassCounter.calls = 0
-        run_batch(paper_cfg(tau=tau), fb, rngs, lags=lags, sample=sample)
+        run_batch(cfg, fb, labels, noise.view(PassCounter), u.view(PassCounter), lags=lags,
+                  sample=sample)
         calls.append(PassCounter.calls)
     passes, rest = divmod(calls[1] - calls[0], 50)
     assert rest == 0 and passes <= ceiling, (calls, ceiling)
@@ -595,8 +611,8 @@ def test_the_square_sums_are_kept_only_for_a_paired_lag(paper_cfg, monkeypatch):
     monkeypatch.setattr(qtherm.sme, "_Sums", RecordingSums)
     cfg = paper_cfg(tau=0.2)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=2)
-    runs = [run_batch(cfg, fb, [rng_for_trajectory(cfg.seed, k) for k in range(40)],
-                      lags=lags) for lags in ((0,), (), (cfg.n_steps,))]
+    runs = [run_batch(cfg, fb, *_draws(cfg, 0, 40, False), lags=lags)
+            for lags in ((0,), (), (cfg.n_steps,))]
     held = [{"dwf_sq", "dq_sq"} & set(kept) for kept, _ in made]
     assert held == [{"dwf_sq", "dq_sq"}, set(), set()]
     assert made[1][1] == made[2][1] == made[0][1]
