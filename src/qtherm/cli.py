@@ -26,6 +26,7 @@ import configparser
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -311,15 +312,17 @@ def cmd_jarzynski(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
     out = run.out_dir
     outputs = [f"efficacy_eta{key}.csv" for key in keys]
     summary: dict = {"etas": etas, "per_eta": {}, "manifest": "manifest.json"}
-    prots = run_efficacy_protocol(column, fb, n_traj=run.n_traj, workers=run.workers)
-    for key, name, prot in zip(keys, outputs, prots):
-        tr = prot.trajectory_route
+    prot = run_efficacy_protocol(column, fb, n_traj=run.n_traj, workers=run.workers)
+    tr = prot.trajectory_route
+    # Row i of each array is the protocol at etas[i].
+    for i, (key, name) in enumerate(zip(keys, outputs)):
         write_csv(out / name,
                   ("t", "gamma_traj", "stderr_traj", "gamma_wd", "stderr_wd", "c00", "c11"),
-                  _columns(tr.times, tr.gamma_q, tr.stderr, prot.wd_route_gamma,
-                           prot.wd_route_stderr, tr.c00, tr.c11))
-        summary["per_eta"][key] = {"gamma0": float(tr.gamma_q[0]),
-                                   "msd_to_1us": tr.mean_sq_deviation(1.0)}
+                  _columns(tr.times, tr.gamma_q[i], tr.stderr[i], prot.wd_route_gamma[i],
+                           prot.wd_route_stderr[i], tr.c00[i], tr.c11[i]))
+        summary["per_eta"][key] = {
+            "gamma0": float(tr.gamma_q[i, 0]),
+            "msd_to_1us": replace(tr, gamma_q=tr.gamma_q[i]).mean_sq_deviation(1.0)}
     write_json(out / "summary.json", summary)
     print(f"jarzynski: eta={etas} -> {out}")
     # Each eta runs as lanes of a ground-prepared and an excited-prepared ensemble.
@@ -330,13 +333,16 @@ def cmd_jarzynski(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
 def cmd_sweep(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
     gains, offsets = args.gain_grid, args.offset_grid
     out = run.out_dir
-    result = sweep_gain_offset(gains, offsets, sim, fb, n_traj=run.n_traj, workers=run.workers)
-    write_csv(out / "sweep.csv", ("gain", "offset", "contrast"), result.rows())
-    write_json(out / "summary.json", {"best_gain": result.best_gain,
-                                      "best_offset": result.best_offset,
-                                      "best_contrast": float(result.contrast.max()),
+    contrast = sweep_gain_offset(gains, offsets, sim, fb, n_traj=run.n_traj, workers=run.workers)
+    # Gain-major rows; the best point is the first maximum in that order.
+    write_csv(out / "sweep.csv", ("gain", "offset", "contrast"),
+              _columns(np.repeat(gains, len(offsets)), np.tile(offsets, len(gains)),
+                       contrast.ravel()))
+    i, j = np.unravel_index(np.argmax(contrast), contrast.shape)
+    write_json(out / "summary.json", {"best_gain": gains[i], "best_offset": offsets[j],
+                                      "best_contrast": float(contrast.max()),
                                       "manifest": "manifest.json"})
-    print(f"sweep: argmax (A={result.best_gain:g}, B={result.best_offset:g}) -> {out}")
+    print(f"sweep: argmax (A={gains[i]:g}, B={offsets[j]:g}) -> {out}")
     return _Done(["sweep.csv", "summary.json"], run.n_traj, {"gain": gains, "offset": offsets})
 
 
@@ -423,14 +429,15 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     """Run one command and write its ``manifest.json``: the configuration it
     integrated, the outputs it wrote and the seconds since its configs were
-    assembled.  A rejected input, or a run too large to allocate, ends in one
-    ``error:`` line, exit code 2 and no manifest."""
+    assembled.  A rejected input, a run too large to allocate, or an output
+    directory that cannot be made, ends in one ``error:`` line, exit code 2
+    and no manifest."""
     args = _build_parser().parse_args(argv)
     try:
         sim, fb, run = _assemble(args)
         started = time.perf_counter()
         done = _HANDLERS[args.command](args, sim, fb, run)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     config = config_snapshot(sim, fb)

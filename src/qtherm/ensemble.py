@@ -91,8 +91,9 @@ def _draws(cfg: SimConfig, start: int, n: int, sample: bool):
     order: (labels, noise, u), as ``sme.run_batch`` takes them.
 
     ``noise`` is the (n_steps, n) block of dX ~ N(0, dt) and ``u`` the
-    (n_steps + 1, n) outcome uniforms when sampling every point, else (1, n);
-    uniform j samples point n_steps - j, so uniform 0 draws the final outcome.
+    (n_steps + 1, n) outcome uniforms when sampling every point, else (1, n).
+    A stream's uniform j samples point n_steps - j, so its first draws the
+    final outcome; ``u`` holds them in point order, row i for point i.
     A tile of trajectories at a time draws into contiguous scratch rows, and
     one transposed copy per tile fills the step-major arrays; the scratch is
     freed on return, before the step loop allocates.  Each tile builds its
@@ -123,7 +124,7 @@ def _draws(cfg: SimConfig, start: int, n: int, sample: bool):
         z_rows *= sqrt_dt
         z_rows += 0.0
         noise[:, j:j + m] = z_rows.T
-        u[:, j:j + m] = u_tile[:m].T
+        u[:, j:j + m] = u_tile[:m, ::-1].T
     return labels, noise, u
 
 
@@ -140,8 +141,7 @@ def _run_chunk(
     # A run that overflows raises a ValueError naming the field; numpy's
     # warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return run_batch(sim, fb, *_draws(sim, start, count, sample), record=record,
-                         lags=lags, sample=sample)
+        return run_batch(sim, fb, *_draws(sim, start, count, sample), record=record, lags=lags)
 
 
 def run_ensemble(

@@ -17,23 +17,6 @@ from .stats import (
 )
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Rabi contrast over a (gain, offset) grid, plus its argmax."""
-
-    gains: np.ndarray
-    offsets: np.ndarray
-    contrast: np.ndarray  # shape (len(gains), len(offsets))
-    best_gain: float
-    best_offset: float
-
-    def rows(self):
-        """Iterate (gain, offset, contrast) in row-major order for CSV dumps."""
-        for i, a in enumerate(self.gains):
-            for j, b in enumerate(self.offsets):
-                yield float(a), float(b), float(self.contrast[i, j])
-
-
 def sweep_gain_offset(
     gains,
     offsets,
@@ -43,8 +26,9 @@ def sweep_gain_offset(
     *,
     window: tuple[float, float] | None = None,
     workers: int = 1,
-) -> SweepResult:
-    """Phase-locked-feedback contrast for each (gain, offset) pair.
+) -> np.ndarray:
+    """Phase-locked-feedback contrast for each (gain, offset) pair, as the
+    (len(gains), len(offsets)) array.
 
     Grid points run as lanes of one ensemble, which builds and draws the
     n_traj noise streams once: every grid point sees the same paths (paired
@@ -74,20 +58,14 @@ def sweep_gain_offset(
                        workers=workers)
     contrast = [rabi_contrast(res.times, p00, sim.omega_r, window=window)
                 for p00 in res.p00_mean]
-    contrast = np.reshape(contrast, (gains.size, offsets.size))
-    best = np.unravel_index(np.argmax(contrast), contrast.shape)
-    return SweepResult(
-        gains=gains,
-        offsets=offsets,
-        contrast=contrast,
-        best_gain=float(gains[best[0]]),
-        best_offset=float(offsets[best[1]]),
-    )
+    return np.reshape(contrast, (gains.size, offsets.size))
 
 
 @dataclass(frozen=True)
 class EfficacyProtocol:
-    """Both efficacy estimates from one ground/excited preparation pair."""
+    """Both efficacy estimates from one ground/excited preparation pair; with
+    a (G, 1) eta column every array but ``trajectory_route.times`` has a
+    leading eta axis."""
 
     trajectory_route: EfficacyResult
     wd_route_gamma: np.ndarray
@@ -100,7 +78,7 @@ def run_efficacy_protocol(
     n_traj: int = 500,
     *,
     workers: int = 1,
-) -> list[EfficacyProtocol]:
+) -> EfficacyProtocol:
     """Simulate both preparations and estimate gamma_q(t) along both routes.
 
     The trajectory route averages the conditional populations (Methods
@@ -110,23 +88,19 @@ def run_efficacy_protocol(
     preparation reproduces the paper's protocol; fewer than two give no
     error bar and are rejected before any ensemble runs.
 
-    Returns a list of one protocol per row of ``sim.eta`` (one for a scalar),
-    each with the bytes of its own scalar-eta call.  The efficiencies run as
-    lanes on shared noise, one ensemble per preparation; the engine counts
-    each ensemble's sampled outcomes as it runs, so no series is recorded.
+    A (G, 1) ``sim.eta`` column gives the arrays a leading eta axis, row g
+    with the bytes of a call at the scalar eta of row g.  The efficiencies
+    run as lanes on shared noise, one ensemble per preparation; the engine
+    counts each ensemble's sampled outcomes as it runs, so no series is
+    recorded.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
-    eta = np.reshape(sim.eta, (-1, 1))
     # Per preparation, the sampled return (ground) or survival (excited)
     # frequency is its hit count over n_traj.
-    preps = [run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label, eta=eta),
+    preps = [run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label),
                           fb, n_traj, sample=True, workers=workers)
              for label in (0, 1)]
-    tr = efficacy_from_trajectories(*preps, sim.beta)
     gamma_wd, err_wd = jarzynski_from_transitions(*(p.hits / n_traj for p in preps),
                                                   sim.beta, n_traj, n_traj)
-    return [EfficacyProtocol(EfficacyResult(tr.times, tr.gamma_q[i], tr.stderr[i],
-                                            tr.c00[i], tr.c11[i]),
-                             gamma_wd[i], err_wd[i])
-            for i in range(len(eta))]
+    return EfficacyProtocol(efficacy_from_trajectories(*preps, sim.beta), gamma_wd, err_wd)

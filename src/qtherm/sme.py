@@ -49,8 +49,8 @@ row, so the blocks do not change a byte.
 
 The noise is data: :func:`run_batch` integrates the draws it is given, each
 lane's preparation label, its column of the step-major (n_steps, n) block of
-noise increments dX and its outcome uniforms (the final outcome's, then,
-when sampling every point, one per earlier point, last to first).
+noise increments dX and its outcome uniforms, in point order: one per point
+when sampling every point, else the final outcome's alone.
 ``ensemble`` makes them, one stream per trajectory, so each trajectory's
 values are reproducible bit-for-bit however the trajectories are batched,
 and an ensemble's sums too, since ``ensemble`` reduces them over fixed
@@ -211,8 +211,8 @@ class EnsembleResult:
     lag L = ``lags[k]`` over every lane and aligned step, as the sums
     (count, a, b, a^2, b^2, a*b); ``stats.pooled_pearson_r`` derives r.
     ``hits[..., i]`` counts the trajectories whose outcome sampled at point i
-    equals their preparation label; it is empty unless the batch ran with
-    ``sample=True``, and its last point counts ``outcomes``.
+    equals their preparation label; it is empty unless the batch was given
+    one outcome uniform per point, and its last point counts ``outcomes``.
     Per-trajectory arrays are indexed by trajectory index (0..n_traj-1);
     `w`, `wf`, `q` are the integrated work/feedback-work/heat in the m=1
     (excited projector) convention, i.e. also the transition-probability
@@ -338,7 +338,7 @@ class _Sums:
         out["p00_m2"][..., i] = (d * d).sum(axis=-1)
         if self.u is not None:
             # The outcome test of ``outcomes``: excited where u < P11.
-            hit = (self.u[self.steps - i] < 0.5 * (1.0 - z)) == self.excited
+            hit = (self.u[i] < 0.5 * (1.0 - z)) == self.excited
             out["hits"][..., i] = np.count_nonzero(hit, axis=-1)
         for name in self.state_series:
             out[name][..., i] = {"p00": p00, "x": x, "z": z}[name]
@@ -390,14 +390,13 @@ def run_batch(
     u: np.ndarray,
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
-    sample: bool = False,
 ) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
 
     The batch integrates the draws it is given: ``labels`` (n,) int8, each
     trajectory's preparation (0 or 1); ``noise`` (n_steps, n), step i's
-    dX ~ N(0, dt) in row i; ``u``, the outcome uniforms, (n_steps + 1, n)
-    with ``sample=True``, else (1, n), row j sampling point n_steps - j.
+    dX ~ N(0, dt) in row i; ``u``, the outcome uniforms in point order,
+    row i sampling point i and the last row the final outcome.
 
     ``record`` names the per-trajectory series to keep, from ``SERIES``;
     unrequested series are not allocated.  For each lag L in ``lags`` the
@@ -405,8 +404,9 @@ def run_batch(
     ``pair_moments``, keeping only the last L dQ arrays; a lag of n_steps or
     more has no pairs.  Without lags the loop does no extra work.
 
-    ``sample=True`` samples a projective outcome at every point and counts
-    the hits into ``hits``; every other field keeps its bytes.
+    A ``u`` of n_steps + 1 rows counts the outcome sampled at every point
+    into ``hits``, and every other field keeps its bytes; at n_steps = 0
+    that is also the one-row ``u`` of the final outcome alone.
 
     ``fb.gain``, ``fb.offset`` and ``cfg.eta`` may be (G, 1) columns of a
     grid: the lanes are then (G, n) with each trajectory's noise shared along
@@ -433,7 +433,7 @@ def run_batch(
     dt = cfg.dt
     theta_d = cfg.omega_r * dt
     z_init = np.where(labels == 0, 1.0, -1.0)
-    sums = _Sums(lanes, steps, lags, record, u if sample else None, labels == 1)
+    sums = _Sums(lanes, steps, lags, record, u if len(u) == steps + 1 else None, labels == 1)
 
     # The phase-locked line delays the drive computed from dV[i] by
     # delay_steps.  The optimal law undoes the heat angle theta_Q of one
@@ -469,6 +469,6 @@ def run_batch(
             del dv, dw, dwf, dq, x_mid, z_mid
 
     fields = sums.fields()
-    outcomes = (u[0] < 0.5 * (1.0 - fields["final_z"])).astype(np.int8)
+    outcomes = (u[-1] < 0.5 * (1.0 - fields["final_z"])).astype(np.int8)
     return EnsembleResult(sim=cfg, fb=fb, n_traj=n, lags=lags, initial_labels=labels,
                           outcomes=outcomes, **fields)

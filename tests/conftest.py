@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -22,3 +23,17 @@ def paper_cfg():
         return SimConfig(**base)
 
     return make
+
+
+@pytest.fixture(scope="session", autouse=True)
+def acceptance_json(request, tmp_path_factory):
+    """At the end of the session, write the records of every acceptance
+    criterion that reported (``RECORDS`` in test_acceptance.py) to
+    ``acceptance.json`` in pytest's base temp directory, which
+    ``--basetemp DIR`` fixes.  ``tests/acceptance_diff.py`` compares two."""
+    yield
+    modules = dict.fromkeys(getattr(item, "module", None) for item in request.session.items)
+    records = [r for module in modules for r in getattr(module, "RECORDS", ())]
+    if records:
+        path = tmp_path_factory.getbasetemp() / "acceptance.json"
+        path.write_text(json.dumps(records, indent=1) + "\n")

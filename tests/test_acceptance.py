@@ -31,9 +31,25 @@ from reference import binned_first_law_check, closed_two_point_sample, side_stre
 
 PAPER_SEED = 101
 
+#: One record per ``report`` call, in ``verify``'s check shape; the session
+#: fixture in conftest.py writes them to ``acceptance.json``.
+RECORDS: list[dict] = []
 
-def report(criterion: str, ok: bool, detail: str) -> bool:
+
+def report(criterion: str, ok: bool, detail: str, **measured) -> bool:
+    """Print the criterion's line and record its measured values: each a
+    ``(value, lo, hi)`` as in ``verify``, None for an open end, or a bare
+    value that has no bound."""
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
+    values = {key: v if isinstance(v, tuple) else (v, None, None) for key, v in measured.items()}
+    RECORDS.append({
+        "name": criterion,
+        "passed": bool(ok),
+        "measured": {key: bool(v) if isinstance(v, (bool, np.bool_)) else float(v)
+                     for key, (v, _, _) in values.items()},
+        "bound": {key: [lo, hi] for key, (_, lo, hi) in values.items()
+                  if (lo, hi) != (None, None)},
+    })
     return ok
 
 
@@ -70,6 +86,9 @@ def test_criterion_01_first_law(paper_run):
         ok,
         f"max residual {max_resid:.2e} (<1e-8), identity-line chi2_red "
         f"{chi2:.2f} (<2), runtime {wall:.1f}s (<60)",
+        max_residual=(max_resid, None, 1e-8),
+        chi2_red=(chi2, None, 2.0),
+        runtime_s=(wall, None, 60.0),
     )
 
 
@@ -86,6 +105,8 @@ def test_criterion_02_bounded_decomposition(paper_run):
         "2 (bounded decomposition)",
         bool(ok),
         f"P~W00+P~Q00 in [{lo:.4f}, {hi:.4f}] for all 10^4 trajectories",
+        min_sum=(lo, -1.0, 0.0),
+        max_sum=(hi, -1.0, 0.0),
     )
 
 
@@ -118,6 +139,8 @@ def test_criterion_03_oracle_equivalence():
         ok,
         f"max z vs oracle {z_oracle:.2f} (<4, dt=5ns), "
         f"eta=0 vs eta=0.35 max z {z_eta:.2f} (<3)",
+        max_z_oracle=(z_oracle, None, 4.0),
+        max_z_eta=(z_eta, None, 3.0),
     )
 
 
@@ -140,6 +163,9 @@ def test_criterion_04_unitary_limit():
         ok,
         f"|P00 - cos^2| = {err:.2e} (<1e-6 after 400 steps), "
         f"|Q| = {q_total:.1e} (<1e-12), deterministic: {deterministic}",
+        p00_error=(err, None, 1e-6),
+        heat=(q_total, None, 1e-12),
+        deterministic=deterministic,
     )
 
 
@@ -171,6 +197,9 @@ def test_criterion_05_damping(paper_run):
         f"max |P00 - P00_ss| for t>4us = {dev:.4f} (<0.02, P00_ss = "
         f"{p00_ss:.5f}); max |P00 - 1/2| = {dev_half:.4f}; plateau mean "
         f"{p00.mean():.4f}",
+        max_dev=(dev, None, 0.02),
+        max_dev_half=dev_half,
+        plateau_mean=p00.mean(),
     )
 
 
@@ -196,6 +225,8 @@ def test_criterion_05_persistence():
         ok,
         f"contrast zero delay = {contrasts[0]:.3f}, 100 ns delay = "
         f"{contrasts[5]:.3f} (band [0.4, 0.85])",
+        contrast_delay0=(contrasts[0], 0.4, 0.85),
+        contrast_delay5=(contrasts[5], 0.4, 0.85),
     )
 
 
@@ -223,6 +254,7 @@ def test_criterion_06_optimal_contrast(optimal_contrasts):
         "6 (optimal contrast)",
         ok,
         f"zero-delay contrast = {c0:.3f} (reference 0.70 +- 0.10)",
+        contrast=(c0, 0.6, 0.8),
     )
 
 
@@ -234,6 +266,7 @@ def test_criterion_06_delay_degrades(optimal_contrasts):
         "6 (delay degrades)",
         ok,
         f"contrast 500 ns delay = {c25:.3f} < zero delay = {c0:.3f}",
+        contrast_delay25=(c25, None, c0),
     )
 
 
@@ -272,6 +305,10 @@ def test_criterion_07_anticorrelations():
         f"{r_pll0:.3f} (-0.81 +- 0.15), 100 ns delay loop-aligned r = "
         f"{r_pll5:.3f} (-0.68 +- 0.15; literal 1-step lag gives "
         f"{r_pll5_lag1:.3f})",
+        r_optimal=(r_opt, -1.0, -0.8),
+        r_pll_delay0=(r_pll0, -0.96, -0.66),
+        r_pll_delay5=(r_pll5, -0.83, -0.53),
+        r_pll_delay5_lag1=r_pll5_lag1,
     )
 
 
@@ -286,8 +323,10 @@ def test_criterion_08_gain_sweep():
     offsets = [-1.5, -1.25, -1.0, -0.75, -0.5]
     cfg = SimConfig(seed=33, tau=6.0, dt=0.02)
     fb = FeedbackConfig(mode="phase_locked", delay_steps=5)
-    result = sweep_gain_offset(gains, offsets, cfg, fb, n_traj=1200)
-    ok = result.best_gain in (25.0, 30.0, 35.0, 40.0) and result.best_offset in (
+    contrast = sweep_gain_offset(gains, offsets, cfg, fb, n_traj=1200)
+    i, j = np.unravel_index(np.argmax(contrast), contrast.shape)
+    best_gain, best_offset = gains[i], offsets[j]
+    ok = best_gain in (25.0, 30.0, 35.0, 40.0) and best_offset in (
         -1.25,
         -1.0,
         -0.75,
@@ -295,9 +334,12 @@ def test_criterion_08_gain_sweep():
     assert report(
         "8 (gain sweep)",
         ok,
-        f"argmax (A={result.best_gain:g}, B={result.best_offset:g}), "
+        f"argmax (A={best_gain:g}, B={best_offset:g}), "
         f"target within one cell of (30-35, -1); "
-        f"peak contrast {result.contrast.max():.3f}",
+        f"peak contrast {contrast.max():.3f}",
+        best_gain=(best_gain, 25.0, 40.0),
+        best_offset=(best_offset, -1.25, -0.75),
+        peak_contrast=contrast.max(),
     )
 
 
@@ -318,7 +360,7 @@ def test_criterion_09_generalized_jarzynski():
     z_eta1 = z_eta1_traj = float("nan")
     for eta in eta_list:
         cfg = SimConfig(seed=77, tau=1.0, dt=0.005, eta=eta, beta=3.5)
-        [prot] = run_efficacy_protocol(cfg, fb, n_traj=500)
+        prot = run_efficacy_protocol(cfg, fb, n_traj=500)
         tr = prot.trajectory_route
         gamma0_exact &= tr.gamma_q[0] == 1.0 and prot.wd_route_gamma[0] == 1.0
         msd[eta] = tr.mean_sq_deviation(1.0)
@@ -347,6 +389,11 @@ def test_criterion_09_generalized_jarzynski():
         f"= {[f'{msd[e]:.1e}' for e in eta_list]} monotone: {monotone}; "
         f"eta=1 sampled-transition max z = {z_eta1:.2f} (<3) "
         f"[state-derived estimator: {z_eta1_traj:.1f}, pole artifact]",
+        gamma0_exact=gamma0_exact,
+        **{f"msd_eta{e:g}": msd[e] for e in eta_list},
+        monotone=monotone,
+        max_z_eta1=(z_eta1, None, 3.0),
+        max_z_eta1_state=z_eta1_traj,
     )
 
 
@@ -366,6 +413,8 @@ def test_criterion_10_closed_jarzynski():
         ok,
         f"max |<e^-bW> - 1| = {max(devs):.4f} (<=0.01, 10^6 samples x 10 tau), "
         f"runtime {wall:.1f}s (<10)",
+        max_dev=(max(devs), None, 0.01),
+        runtime_s=(wall, None, 10.0),
     )
 
 
@@ -398,4 +447,6 @@ def test_criterion_11_determinism(tmp_path):
         ok,
         f"worker counts 1/4 byte-identical: {same}, trajectory rerun "
         f"byte-identical: {same_traj}",
+        workers_identical=same,
+        trajectory_identical=same_traj,
     )

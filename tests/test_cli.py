@@ -266,8 +266,22 @@ def test_sweep_outputs(tmp_path):
     header, rows = read_csv(out / "sweep.csv")
     assert header == ["gain", "offset", "contrast"]
     assert len(rows) == 4
+    # Gain-major: the offsets vary fastest.
+    assert rows[:, :2].tolist() == [[20.0, -1.0], [20.0, -0.5], [35.0, -1.0], [35.0, -0.5]]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["best_gain"] in (20.0, 35.0)
+
+
+def test_sweep_names_the_first_maximum_in_row_major_order(tmp_path, monkeypatch):
+    # Two equal maxima, at (20, -0.5) and (35, -1): the (20, -0.5) cell comes
+    # first in gain-major (row-major) order, the (35, -1) cell in offset-major.
+    grid = np.array([[0.1, 0.3], [0.3, 0.2]])
+    monkeypatch.setattr(cli, "sweep_gain_offset", lambda *args, **kwargs: grid)
+    argv = ["sweep", "--gain-grid", "20,35", "--offset-grid=-1,-0.5", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["best_gain"], summary["best_offset"], summary["best_contrast"]) == (
+        20.0, -0.5, 0.3)
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -495,6 +509,21 @@ def test_a_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["sub", ""], ids=["below-a-file", "a-file"])
+def test_an_output_directory_that_cannot_be_made_ends_in_one_error_line(sub, tmp_path,
+                                                                         capsys):
+    # Below a regular file mkdir raises NotADirectoryError; on it,
+    # FileExistsError.  Both come after the run has integrated.
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / sub if sub else blocker
+    assert main(["trajectory", "--tau-us", "0.1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert blocker.read_text() == "kept"
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_a_non_finite_json_value_is_rejected(tmp_path):

@@ -97,26 +97,25 @@ def test_sweep_zero_gain_point_matches_no_feedback(paper_cfg):
     cfg = paper_cfg(tau=6.0, seed=9)
     base = run_ensemble(cfg, n_traj=200)
     c_base = rabi_contrast(base.times, base.p00_mean, cfg.omega_r, window=(2.0, 6.0))
-    result = sweep_gain_offset([0.0], [-1.0], cfg, n_traj=200)
-    assert result.contrast[0, 0] == pytest.approx(c_base, abs=1e-12)
-    assert result.best_gain == 0.0
+    gains = [0.0]
+    contrast = sweep_gain_offset(gains, [-1.0], cfg, n_traj=200)
+    assert contrast[0, 0] == pytest.approx(c_base, abs=1e-12)
+    assert gains[np.unravel_index(np.argmax(contrast), contrast.shape)[0]] == 0.0
 
 
 def test_sweep_flat_in_gain_at_zero_efficiency(paper_cfg):
     # With eta = 0 the record carries no signal, so feedback is pure noise
     # drive and the contrast stays at the no-feedback value statistically.
     cfg = paper_cfg(eta=0.0, tau=6.0, seed=10)
-    result = sweep_gain_offset([0.0, 30.0], [-1.0], cfg, n_traj=400)
-    assert abs(result.contrast[1, 0] - result.contrast[0, 0]) < 0.05
+    contrast = sweep_gain_offset([0.0, 30.0], [-1.0], cfg, n_traj=400)
+    assert abs(contrast[1, 0] - contrast[0, 0]) < 0.05
 
 
-def test_sweep_grid_shape_and_rows(paper_cfg):
+def test_sweep_grid_shape_and_empty_range(paper_cfg):
+    # The CSV's row order is checked by test_cli's test_sweep_outputs.
     cfg = paper_cfg(tau=6.0, seed=11)
-    result = sweep_gain_offset([20.0, 35.0], [-1.0, -0.5], cfg, n_traj=150)
-    assert result.contrast.shape == (2, 2)
-    rows = list(result.rows())
-    assert len(rows) == 4
-    assert rows[0][:2] == (20.0, -1.0)
+    contrast = sweep_gain_offset([20.0, 35.0], [-1.0, -0.5], cfg, n_traj=150)
+    assert contrast.shape == (2, 2)
     with pytest.raises(ValueError):
         sweep_gain_offset([], [-1.0], cfg)
 
@@ -139,7 +138,7 @@ def test_grid_lanes_reproduce_the_per_point_sweep(monkeypatch):
     for workers in (1, 2):
         got = sweep_gain_offset(gains, offsets, sim, fb, n_traj, window=(0.0, 3.0),
                                 workers=workers)
-        assert np.array_equal(got.contrast, want), workers
+        assert np.array_equal(got, want), workers
 
 
 def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
@@ -151,7 +150,7 @@ def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
     gains, offsets = [25.0, 35.0, 45.0], [-1.25, -0.75]
     want = per_point_sweep_contrast(gains, offsets, sim, fb, 50, window=(0.0, 3.0))
     got = sweep_gain_offset(gains, offsets, sim, fb, 50, window=(0.0, 3.0))
-    assert np.array_equal(got.contrast, want)
+    assert np.array_equal(got, want)
 
     grid = fb.with_(gain=np.array([[25.0], [45.0]]), offset=np.array([[-1.25], [-0.75]]))
     monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 16)
@@ -167,12 +166,17 @@ def test_grid_lanes_reproduce_each_point_of_a_thermal_kraus_run(monkeypatch):
         assert np.array_equal(lanes.initial_labels, one.initial_labels)
 
 
-def protocol_arrays(prot) -> dict[str, np.ndarray]:
-    """Every array of an ``EfficacyProtocol``, its trajectory route's included."""
+def protocol_arrays(prot, row: int | None = None) -> dict[str, np.ndarray]:
+    """Every array of an ``EfficacyProtocol``, its trajectory route's included;
+    given a ``row``, row ``row`` of each array that has an eta axis."""
     tr = prot.trajectory_route
-    return {**{f.name: getattr(prot, f.name) for f in fields(prot)
-               if f.name != "trajectory_route"},
-            **{"trajectory_route." + f.name: getattr(tr, f.name) for f in fields(tr)}}
+    arrays = {**{f.name: getattr(prot, f.name) for f in fields(prot)
+                 if f.name != "trajectory_route"},
+              **{"trajectory_route." + f.name: getattr(tr, f.name) for f in fields(tr)}}
+    if row is None:
+        return arrays
+    return {name: a if name == "trajectory_route.times" else a[row]
+            for name, a in arrays.items()}
 
 
 def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
@@ -183,15 +187,15 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
     sim = SimConfig(seed=8, tau=0.3, dt=0.005)
     fb = FeedbackConfig(mode="optimal")
     monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 4)
-    want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj)[0] for eta in etas]
+    want = [run_efficacy_protocol(sim.with_(eta=eta), fb, n_traj) for eta in etas]
     # Three rows per block of the 4-lane chunk (3 + 2), four of the 3-lane one (4 + 1).
     monkeypatch.setattr(qtherm.sme, "GRID_LANES", 3 * 4)
     column = sim.with_(eta=np.reshape(etas, (-1, 1)))
     for workers in (1, 2):
         got = run_efficacy_protocol(column, fb, n_traj, workers=workers)
-        assert len(got) == len(etas)
-        for eta, g, w in zip(etas, got, want):
-            g, w = protocol_arrays(g), protocol_arrays(w)
+        assert len(got.wd_route_gamma) == len(etas)
+        for i, (eta, w) in enumerate(zip(etas, want)):
+            g, w = protocol_arrays(got, i), protocol_arrays(w)
             for name in w:
                 assert np.array_equal(g[name], w[name]), (workers, eta, name)
 

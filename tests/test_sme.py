@@ -388,8 +388,7 @@ def test_tiled_draws_match_the_per_trajectory_column_loop_bit_for_bit(paper_cfg,
     # with and without a (G, 1) eta grid sharing each trajectory's noise.
     for eta in (0.35, np.array([[0.35], [1.0]])):
         cfg = paper_cfg(tau=0.2, eta=eta, initial_state=prep, beta=0.5)
-        res = run_batch(cfg, NO_FEEDBACK, *_draws(cfg, 0, n, sample), record=("dx", "z"),
-                        sample=sample)
+        res = run_batch(cfg, NO_FEEDBACK, *_draws(cfg, 0, n, sample), record=("dx", "z"))
         labels, noise, u = column_draws(
             cfg, [rng_for_trajectory(cfg.seed, k) for k in range(n)], sample)
         assert same_bytes(res.series["dx"], np.broadcast_to(noise.T, res.series["dx"].shape))
@@ -569,8 +568,7 @@ def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, fb, lag
         cfg = paper_cfg(tau=tau)
         labels, noise, u = _draws(cfg, 0, 64, sample)
         PassCounter.calls = 0
-        run_batch(cfg, fb, labels, noise.view(PassCounter), u.view(PassCounter), lags=lags,
-                  sample=sample)
+        run_batch(cfg, fb, labels, noise.view(PassCounter), u.view(PassCounter), lags=lags)
         calls.append(PassCounter.calls)
     passes, rest = divmod(calls[1] - calls[0], 50)
     assert rest == 0 and passes <= ceiling, (calls, ceiling)

@@ -193,7 +193,7 @@ def test_two_efficacy_routes_agree(paper_cfg):
     # 0.1 us checkpoints.
     cfg = paper_cfg(tau=1.0, dt=0.005, seed=19)
     fb = FeedbackConfig(mode="optimal")
-    [prot] = run_efficacy_protocol(cfg, fb, n_traj=300)
+    prot = run_efficacy_protocol(cfg, fb, n_traj=300)
     comb = np.arange(20, cfg.n_steps + 1, 20)
     sem = np.hypot(prot.trajectory_route.stderr[comb], prot.wd_route_stderr[comb])
     diff = np.abs(prot.trajectory_route.gamma_q[comb] - prot.wd_route_gamma[comb])
