@@ -381,9 +381,9 @@ def cmd_verify(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
 
     # Conditional ensemble mean vs the Lindblad oracle: projective sampling
     # on a 0.1 us comb, binomial errors under the oracle null.  One chunk of
-    # trajectories, so one process.
+    # trajectories, so one process; the hits read the state alone, so no ledger.
     cfg_o = sim.with_(dt=0.005, tau=4.0)
-    res_o = run_ensemble(cfg_o, n_traj=2000, sample=True)
+    res_o = run_ensemble(cfg_o, n_traj=2000, sample=True, ledger=False)
     comb = np.arange(0, cfg_o.n_steps + 1, int(round(0.1 / cfg_o.dt)))
     sol = lindblad_evolve(GROUND, cfg_o, t_grid=res_o.times[comb])
     sem = np.sqrt(sol.p00 * (1.0 - sol.p00) / 2000)
@@ -417,6 +417,17 @@ def cmd_verify(args, sim: SimConfig, fb: FeedbackConfig, run: _Run) -> _Done:
                  code=0 if passed == len(checks) else 1)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise ``NotADirectoryError`` if the deepest existing component of
+    ``out_dir`` is not a directory, so that the writers' ``mkdir`` cannot
+    succeed; nothing is created."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"--out-dir {out_dir}: {path} is not a directory")
+            return
+
+
 _HANDLERS = {
     "trajectory": cmd_trajectory,
     "ensemble": cmd_ensemble,
@@ -431,10 +442,12 @@ def main(argv: list[str] | None = None) -> int:
     integrated, the outputs it wrote and the seconds since its configs were
     assembled.  A rejected input, a run too large to allocate, or an output
     directory that cannot be made, ends in one ``error:`` line, exit code 2
-    and no manifest."""
+    and no manifest; an output directory below or on a file is found before
+    the command integrates."""
     args = _build_parser().parse_args(argv)
     try:
         sim, fb, run = _assemble(args)
+        _check_out_dir(run.out_dir)
         started = time.perf_counter()
         done = _HANDLERS[args.command](args, sim, fb, run)
     except (ValueError, MemoryError, OSError) as exc:

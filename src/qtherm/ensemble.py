@@ -136,12 +136,14 @@ def _run_chunk(
     record: tuple[str, ...],
     lags: tuple[int, ...],
     sample: bool = False,
+    ledger: bool = True,
 ) -> EnsembleResult:
     """One pool task: the chunk of trajectories [start, start + count)."""
     # A run that overflows raises a ValueError naming the field; numpy's
     # warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return run_batch(sim, fb, *_draws(sim, start, count, sample), record=record, lags=lags)
+        return run_batch(sim, fb, *_draws(sim, start, count, sample), record=record, lags=lags,
+                         ledger=ledger)
 
 
 def run_ensemble(
@@ -152,6 +154,7 @@ def run_ensemble(
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
     sample: bool = False,
+    ledger: bool = True,
     workers: int = 1,
 ) -> EnsembleResult:
     """Simulate ``n_traj`` independent trajectories and reduce the results.
@@ -161,7 +164,10 @@ def run_ensemble(
     the lags whose (dWF, dQ) pair moments to pool, at no memory cost (see
     sme.run_batch and stats.pooled_pearson_r).  ``sample`` counts the
     sampled outcomes of every point into ``hits`` (see sme.run_batch).
-    ``workers`` > 1 distributes the chunks over a process pool; results are
+    ``ledger=False`` integrates the state alone: the work, feedback-work and
+    heat sums and totals come back empty, every other field keeps its bytes,
+    and ``lags`` or a per-step series in ``record`` is a ValueError (see
+    sme.run_batch).  ``workers`` > 1 distributes the chunks over a process pool; results are
     identical to a single-worker run.
     """
     if n_traj < 1:
@@ -169,7 +175,7 @@ def run_ensemble(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     record, lags = tuple(record), tuple(lags)
-    tasks = [(sim, fb, start, min(CHUNK_SIZE, n_traj - start), record, lags, sample)
+    tasks = [(sim, fb, start, min(CHUNK_SIZE, n_traj - start), record, lags, sample, ledger)
              for start in range(0, n_traj, CHUNK_SIZE)]
     if workers > 1 and len(tasks) > 1:
         # Imported here: a serial run, the common case, never loads it.

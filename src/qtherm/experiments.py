@@ -35,7 +35,8 @@ def sweep_gain_offset(
     comparisons), bit for bit as its own ensemble would.  The engine
     integrates the grid rows in blocks of at most ``sme.GRID_LANES`` lanes.
     Each point is scored by the steady-state Rabi contrast of P00(t) over
-    ``window`` (default: from 2 us to the end of the protocol).  A
+    ``window`` (default: from 2 us to the end of the protocol), which reads
+    the state alone, so the ensemble books no heat/work ledger.  A
     non-finite grid value, a window too short for the contrast fit, or an
     ``fb`` that is not phase-locked, is rejected before any ensemble runs.
     """
@@ -55,7 +56,7 @@ def sweep_gain_offset(
     # Row-major (gain, offset) pairs, one grid row each.
     grid = np.stack(np.meshgrid(gains, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
     res = run_ensemble(sim, fb.with_(gain=grid[:, :1], offset=grid[:, 1:]), n_traj,
-                       workers=workers)
+                       ledger=False, workers=workers)
     contrast = [rabi_contrast(res.times, p00, sim.omega_r, window=window)
                 for p00 in res.p00_mean]
     return np.reshape(contrast, (gains.size, offsets.size))
@@ -92,14 +93,15 @@ def run_efficacy_protocol(
     with the bytes of a call at the scalar eta of row g.  The efficiencies
     run as lanes on shared noise, one ensemble per preparation; the engine
     counts each ensemble's sampled outcomes as it runs, so no series is
-    recorded.
+    recorded, and both routes read the state alone, so no heat/work ledger is
+    booked.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
     # Per preparation, the sampled return (ground) or survival (excited)
     # frequency is its hit count over n_traj.
     preps = [run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label),
-                          fb, n_traj, sample=True, workers=workers)
+                          fb, n_traj, sample=True, ledger=False, workers=workers)
              for label in (0, 1)]
     gamma_wd, err_wd = jarzynski_from_transitions(*(p.hits / n_traj for p in preps),
                                                   sim.beta, n_traj, n_traj)

@@ -1,4 +1,4 @@
-"""Stochastic-master-equation engine with a per-step heat/work ledger.
+"""Stochastic-master-equation engine with an optional per-step heat/work ledger.
 
 Each integration step of duration dt is split in two sub-steps, so that every
 energy change of the qubit is attributed to exactly one of work (unitary,
@@ -39,6 +39,11 @@ per-trajectory ledger totals, (dWF, dQ) pair moments, sampled-outcome
 counts and recorded series, from which the rest derives.  ``_Sums`` is the
 one code that writes them: ``snapshot`` reduces the state at point i,
 ``add`` the ledger of step i, and ``fields`` the stored sums at the end.
+A batch run with ``ledger=False`` integrates the state alone, with the same
+bytes: ``split_step`` books no work or heat and ``add`` is not called, so
+the ledger's per-step sums and per-trajectory totals come back with an empty
+last axis.  The gain/offset sweep and the efficacy protocol read only the
+state, and run so.
 Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
 columns add a leading grid axis: the lanes are (G, n_traj), every grid point
 integrates the same n_traj noise paths, and every per-step sum and per-lane
@@ -120,7 +125,7 @@ def _dissipative_kraus(x, z, dv, consts: _Constants):
 
 
 def _rotate(x, z, theta):
-    """The rotation by ``theta``: (x1, z1, dpe), dpe its excited-population change.
+    """The rotation of (x, z) by ``theta``.
 
     Its infinitesimal limit is ``dz = theta*x``, ``dx = -theta*z``.  A drive
     of Bloch angular rate ``omega`` therefore advances the oscillation phase
@@ -129,44 +134,49 @@ def _rotate(x, z, theta):
     """
     ct = np.cos(theta)
     st = np.sin(theta)
-    z1 = z * ct + x * st
-    return x * ct - z * st, z1, 0.5 * (z - z1)
+    return x * ct - z * st, z * ct + x * st
 
 
 class SplitStep(NamedTuple):
-    """Per-lane result of :func:`split_step`, energies in units of hbar*omega_q."""
+    """Per-lane result of :func:`split_step`, energies in units of hbar*omega_q;
+    the ledger (``dw``, ``dwf``, ``dq``) is None when the step books none."""
 
     x: np.ndarray
     z: np.ndarray
-    dw: np.ndarray      # work done by the drive
-    dwf: np.ndarray     # work done by the feedback
-    dq: np.ndarray      # heat
+    dw: np.ndarray | None    # work done by the drive
+    dwf: np.ndarray | None   # work done by the feedback
+    dq: np.ndarray | None    # heat
     x_mid: np.ndarray   # state between the unitary and the dissipative sub-step
     z_mid: np.ndarray
 
 
 def split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants,
-               feedback_after: bool) -> SplitStep:
+               feedback_after: bool, ledger: bool = True) -> SplitStep:
     """One two-sub-step update of every lane of (x, z).
 
     ``dv`` is each lane's homodyne increment, ``theta_d`` the drive's angle
     over the step and ``theta_f`` the feedback's (a scalar or one per lane);
     ``consts`` are the step constants ``run_batch`` computes once per block.
-    Rotations are booked as work and the Kraus sub-step as heat, so
-    dW + dWF + dQ is the change of the excited population.
+    With ``ledger``, rotations are booked as work and the Kraus sub-step as
+    heat, so dW + dWF + dQ is the change of the excited population; without
+    it the state comes out with the same bytes and nothing is booked.
 
     ``feedback_after=True`` moves the feedback rotation behind the
     dissipative sub-step: a drive computed from this step's own ``dv`` must
     act on the post-measurement state (the ordering rule in the module
     docstring).  Each rotation then books its own work.
     """
+    theta = theta_d if feedback_after else theta_d + theta_f
+    x1, z1 = _rotate(x, z, theta)
+    x2, z2 = _dissipative_kraus(x1, z1, dv, consts)
+    x3, z3 = _rotate(x2, z2, theta_f) if feedback_after else (x2, z2)
+    if not ledger:
+        return SplitStep(x3, z3, None, None, None, x1, z1)
+    dpe = 0.5 * (z - z1)  # the first rotation's excited-population change
     if feedback_after:
-        x1, z1, dw = _rotate(x, z, theta_d)
-        if not theta_d:  # the commutator rate's signed zero, as below
-            dw = -0.5 * x * theta_d
+        dw = dpe if theta_d else -0.5 * x * theta_d  # the commutator rate's signed zero
+        dwf = 0.5 * (z2 - z3)
     else:  # one rotation, its work split in proportion to the angles
-        theta = theta_d + theta_f
-        x1, z1, dpe = _rotate(x, z, theta)
         # At theta == 0 exactly, fall back to the instantaneous commutator
         # rates, the continuous limit; the test is np.all without its dispatch.
         if np.logical_and.reduce(theta, axis=None):
@@ -176,11 +186,7 @@ def split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants,
             safe = np.where(zero, 1.0, theta)
             dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
         dwf = dpe - dw
-    x2, z2 = _dissipative_kraus(x1, z1, dv, consts)
-    dq = 0.5 * (z1 - z2)
-    if feedback_after:
-        x2, z2, dwf = _rotate(x2, z2, theta_f)
-    return SplitStep(x2, z2, dw, dwf, dq, x1, z1)
+    return SplitStep(x3, z3, dw, dwf, 0.5 * (z1 - z2), x1, z1)
 
 
 #: Names ``record`` accepts: state series have n_steps + 1 columns, per-step
@@ -213,6 +219,9 @@ class EnsembleResult:
     ``hits[..., i]`` counts the trajectories whose outcome sampled at point i
     equals their preparation label; it is empty unless the batch was given
     one outcome uniform per point, and its last point counts ``outcomes``.
+    Without the ledger (``run_batch(..., ledger=False)``), ``dw_sum``,
+    ``dwf_sum``, ``dq_sum``, ``w``, ``wf`` and ``q`` have an empty last axis,
+    and ``residuals`` and ``p_sum_00`` raise ``ValueError``.
     Per-trajectory arrays are indexed by trajectory index (0..n_traj-1);
     `w`, `wf`, `q` are the integrated work/feedback-work/heat in the m=1
     (excited projector) convention, i.e. also the transition-probability
@@ -227,13 +236,13 @@ class EnsembleResult:
     lags: tuple[int, ...]                         # ascending, distinct
     p00_sum: np.ndarray = field(metadata=_SUM)    # (steps+1,) ground population
     p00_m2: np.ndarray = field(metadata=_M2)      # (steps+1,)
-    dw_sum: np.ndarray = field(metadata=_SUM)     # (steps,) per-step work
+    dw_sum: np.ndarray = field(metadata=_SUM)     # (steps,) per-step work, or (0,)
     dwf_sum: np.ndarray = field(metadata=_SUM)
     dq_sum: np.ndarray = field(metadata=_SUM)
     pair_moments: np.ndarray = field(metadata=_SUM)  # (len(lags), 6)
     hits: np.ndarray = field(metadata=_SUM)       # (steps+1,) or (0,), int
     initial_labels: np.ndarray                    # (n_traj,) int8
-    w: np.ndarray
+    w: np.ndarray                                 # (n_traj,), or (0,) without a ledger
     wf: np.ndarray
     q: np.ndarray
     final_z: np.ndarray
@@ -276,15 +285,22 @@ class EnsembleResult:
         """Per-trajectory ground population of the final state."""
         return 0.5 * (1.0 + self.final_z)
 
+    def _ledger_total(self) -> np.ndarray:
+        """Per-trajectory W + WF + Q; a run without a ledger has none."""
+        if self.w.shape != self.final_z.shape:
+            raise ValueError("this result was integrated without the heat/work ledger "
+                             "(ledger=False)")
+        return self.w + self.wf + self.q
+
     @cached_property
     def residuals(self) -> np.ndarray:
         """Per-trajectory first-law residuals |dU - (W + WF + Q)|."""
         du = 0.5 * (1.0 - self.final_z) - self.initial_labels  # label: initial P11
-        return np.abs(du - (self.w + self.wf + self.q))
+        return np.abs(du - self._ledger_total())
 
     def p_sum_00(self) -> np.ndarray:
         """Per-trajectory path-dependent P~W + P~Q + P~F for m = n = 0."""
-        return -(self.w + self.wf + self.q)
+        return -self._ledger_total()
 
 
 def _row_blocks(lanes: tuple[int, ...]) -> list[slice]:
@@ -303,7 +319,8 @@ class _Sums:
     first, so that ``rows`` cuts a block of grid rows from all of them."""
 
     def __init__(self, lanes: tuple[int, ...], steps: int, lags: tuple[int, ...],
-                 record: frozenset, u: np.ndarray | None, excited: np.ndarray):
+                 record: frozenset, u: np.ndarray | None, excited: np.ndarray,
+                 ledger: bool):
         grid, self.n, self.steps = lanes[:-1], lanes[-1], steps
         self.state_series = [k for k in STATE_SERIES if k in record]
         self.step_series = [k for k in STEP_SERIES if k in record]
@@ -311,8 +328,10 @@ class _Sums:
         out = self.out = {}
         out["p00_sum"], out["p00_m2"] = np.zeros((2, *grid, steps + 1))
         out["hits"] = np.zeros((*grid, 0 if u is None else steps + 1), dtype=np.int64)
-        out["dw_sum"], out["dwf_sum"], out["dq_sum"] = np.zeros((3, *grid, steps))
-        out["w"], out["wf"], out["q"], out["final_z"] = np.zeros((4, *lanes))
+        # Without a ledger, its sums and totals keep an empty last axis.
+        out["dw_sum"], out["dwf_sum"], out["dq_sum"] = np.zeros((3, *grid, steps * ledger))
+        out["w"], out["wf"], out["q"] = np.zeros((3, *grid, self.n * ledger))
+        out["final_z"] = np.zeros(lanes)
         # Per lag and step, the sums (count, dWF[i], dQ[i - lag], dWF^2, dQ^2,
         # dWF*dQ) of the pairs of step i.  Each step reduces dWF^2 and dQ^2 once,
         # into scratch that only a paired lag needs, and per lag only the cross
@@ -390,6 +409,7 @@ def run_batch(
     u: np.ndarray,
     record: Iterable[str] = (),
     lags: Iterable[int] = (),
+    ledger: bool = True,
 ) -> EnsembleResult:
     """Advance a batch of trajectories in lockstep (vectorized over the batch).
 
@@ -408,6 +428,12 @@ def run_batch(
     into ``hits``, and every other field keeps its bytes; at n_steps = 0
     that is also the one-row ``u`` of the final outcome alone.
 
+    ``ledger=False`` integrates the state alone: no step books work or heat,
+    so ``dw_sum``, ``dwf_sum``, ``dq_sum``, ``w``, ``wf`` and ``q`` come back
+    with an empty last axis, and every other field with the bytes of a run
+    with the ledger.  Lags and per-step series read the ledger's step loop,
+    so asking for either without it is a ``ValueError``.
+
     ``fb.gain``, ``fb.offset`` and ``cfg.eta`` may be (G, 1) columns of a
     grid: the lanes are then (G, n) with each trajectory's noise shared along
     the grid axis, and every reduction runs along the last axis, so grid
@@ -425,6 +451,11 @@ def run_batch(
     lags = tuple(sorted(set(lags)))
     if any(lag < 0 or lag != int(lag) for lag in lags):
         raise ValueError(f"lags must be non-negative integers, got {lags}")
+    if not ledger and lags:
+        raise ValueError(f"lags {lags} pair the ledger's dWF and dQ: they need ledger=True")
+    if not ledger and record.intersection(STEP_SERIES):
+        raise ValueError(f"step series {sorted(record.intersection(STEP_SERIES))} are "
+                         "recorded with the ledger: they need ledger=True")
     n = len(labels)
     # (G, 1) gain/offset/eta columns give the lanes a leading grid axis: (G, n).
     lanes = np.broadcast_shapes(np.shape(fb.gain), np.shape(fb.offset), np.shape(cfg.eta),
@@ -433,7 +464,8 @@ def run_batch(
     dt = cfg.dt
     theta_d = cfg.omega_r * dt
     z_init = np.where(labels == 0, 1.0, -1.0)
-    sums = _Sums(lanes, steps, lags, record, u if len(u) == steps + 1 else None, labels == 1)
+    sums = _Sums(lanes, steps, lags, record, u if len(u) == steps + 1 else None, labels == 1,
+                 ledger)
 
     # The phase-locked line delays the drive computed from dV[i] by
     # delay_steps.  The optimal law undoes the heat angle theta_Q of one
@@ -459,11 +491,12 @@ def run_batch(
             if fb.mode == "phase_locked":
                 om_f = line.push(pll_drive(dv, i * dt, cfg.omega_r, gain, offset, labels))
             x, z, dw, dwf, dq, x_mid, z_mid = split_step(
-                x, z, dv, theta_d, np.asanyarray(om_f) * dt, consts, same_increment
+                x, z, dv, theta_d, np.asanyarray(om_f) * dt, consts, same_increment, ledger
             )
             if fb.mode == "optimal":  # the drive of a later step
                 om_f = line.push(optimal_drive(x_mid, z_mid, x, z, dt))
-            block.add(i, dw, dwf, dq, dv, dxi)
+            if ledger:
+                block.add(i, dw, dwf, dq, dv, dxi)
             block.snapshot(i + 1, x, z)
             # Freed before the next step allocates its own.
             del dv, dw, dwf, dq, x_mid, z_mid

@@ -176,7 +176,7 @@ def term_by_term_split_step(x, z, dv, omega_drive, omega_fb, cfg: SimConfig,
 
 def rotate(s: BlochState, theta: float) -> BlochState:
     """The package's rotation by ``theta``."""
-    x, z, _ = _rotate(s.x, s.z, theta)
+    x, z = _rotate(s.x, s.z, theta)
     return BlochState(float(x), float(z))
 
 

@@ -513,9 +513,13 @@ def test_a_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("sub", ["sub", ""], ids=["below-a-file", "a-file"])
 def test_an_output_directory_that_cannot_be_made_ends_in_one_error_line(sub, tmp_path,
-                                                                         capsys):
-    # Below a regular file mkdir raises NotADirectoryError; on it,
-    # FileExistsError.  Both come after the run has integrated.
+                                                                         capsys, monkeypatch):
+    # Below a regular file or on it, the directory cannot be made; ``main``
+    # finds that before the run integrates, so the engine is never called.
+    def integrate(*args, **kwargs):
+        raise AssertionError("the run integrated before its output directory was checked")
+
+    monkeypatch.setattr(cli, "run_ensemble", integrate)
     blocker = tmp_path / "file"
     blocker.write_text("kept")
     out = blocker / sub if sub else blocker

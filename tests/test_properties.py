@@ -14,7 +14,7 @@ import qtherm.ensemble
 import qtherm.sme
 from qtherm.config import MAX_GAMMA_DT, FeedbackConfig, SimConfig
 from qtherm.ensemble import EnsembleResult, run_ensemble
-from qtherm.sme import SERIES, _constants, _dissipative_kraus, split_step
+from qtherm.sme import SERIES, STATE_SERIES, _constants, _dissipative_kraus, split_step
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -194,3 +194,52 @@ def test_grid_row_blocks_change_no_byte(rows, n_traj, chunk_size, columns, fb, t
             else:
                 assert same_bytes(got, want), f.name
     assert one_row.p00_sum.shape == (rows, sim.n_steps + 1)
+
+
+#: The fields a run without the ledger leaves with an empty last axis.
+LEDGER_FIELDS = ("dw_sum", "dwf_sum", "dq_sum", "w", "wf", "q")
+
+
+@settings(PROPERTY, max_examples=20)
+@given(
+    n_traj=st.integers(1, 9),
+    chunk_size=st.integers(1, 9),
+    fb=st.sampled_from([
+        FeedbackConfig(),
+        FeedbackConfig(mode="phase_locked", delay_steps=2),
+        FeedbackConfig(mode="phase_locked"),
+        FeedbackConfig(mode="optimal"),
+    ]),
+    columns=st.sampled_from([(), ("gain",), ("offset",), ("eta",), ("gain", "offset", "eta")]),
+    initial_state=st.sampled_from([0, 1, "thermal"]),
+    sample=st.booleans(),
+    workers=st.just(1),
+)
+@example(n_traj=9, chunk_size=4, fb=FeedbackConfig(mode="phase_locked"),
+         columns=("gain", "offset", "eta"), initial_state="thermal", sample=True, workers=2)
+def test_a_run_without_the_ledger_keeps_the_bytes_of_every_state_field(
+    n_traj, chunk_size, fb, columns, initial_state, sample, workers
+):
+    """``ledger=False`` gives every field but the ledger's the bytes of a run
+    with it, the state series included, and the ledger's fields an empty
+    last axis."""
+    column = {"gain": np.array([[20.0], [30.0], [45.0]]),
+              "offset": np.array([[-1.25], [-1.0], [-0.5]]),
+              "eta": np.array([[0.2], [0.6], [1.0]])}
+    sim = SimConfig(tau=0.1, seed=29, initial_state=initial_state, beta=1.0,
+                    eta=column["eta"] if "eta" in columns else 0.35)
+    fb = fb.with_(**{k: column[k] for k in columns if k != "eta"})
+    with mock.patch.object(qtherm.ensemble, "CHUNK_SIZE", chunk_size):
+        want, got = (run_ensemble(sim, fb, n_traj, record=STATE_SERIES, sample=sample,
+                                  ledger=ledger, workers=workers)
+                     for ledger in (True, False))
+    for f in fields(EnsembleResult)[4:]:  # after sim, fb, n_traj, lags
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if f.name in LEDGER_FIELDS:
+            assert g.shape == (*w.shape[:-1], 0), f.name
+        elif f.name == "series":
+            assert g.keys() == w.keys() == set(STATE_SERIES)
+            for k in w:
+                assert same_bytes(g[k], w[k]), k
+        else:
+            assert same_bytes(g, w), f.name

@@ -551,27 +551,52 @@ class PassCounter(np.ndarray):
         return result.view(PassCounter) if np.ndim(result) else result
 
 
-@pytest.mark.parametrize("fb, lags, sample, ceiling", [
-    (NO_FEEDBACK, (), False, 50),
-    (FeedbackConfig(mode="phase_locked", delay_steps=5), (0, 5), False, 65),
-    (FeedbackConfig(mode="phase_locked", delay_steps=0), (0,), False, 66),
-    (FeedbackConfig(mode="optimal"), (), True, 70),
-], ids=["no-feedback", "pll-100ns", "pll-zero-delay", "optimal-sampled"])
+@pytest.mark.parametrize("fb, lags, sample, ledger, ceiling", [
+    (NO_FEEDBACK, (), False, True, 50),
+    (FeedbackConfig(mode="phase_locked", delay_steps=5), (0, 5), False, True, 65),
+    (FeedbackConfig(mode="phase_locked", delay_steps=0), (0,), False, True, 66),
+    (FeedbackConfig(mode="optimal"), (), True, True, 70),
+    (FeedbackConfig(mode="phase_locked", delay_steps=5), (), False, False, 43),
+    (FeedbackConfig(mode="optimal"), (), True, False, 56),
+], ids=["no-feedback", "pll-100ns", "pll-zero-delay", "optimal-sampled",
+        "pll-100ns-no-ledger", "optimal-sampled-no-ledger"])
 def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, fb, lags, sample,
-                                                              ceiling):
+                                                              ledger, ceiling):
     """Full-lane ufunc calls per step, counted on noise and uniforms that
     ``run_batch`` gets as ``PassCounter`` views.  A 2 us run less a 1 us run
     is 50 steps, the same warm-up and no end.  The ceilings are the counts at
-    numpy 2.4.6; a change that removes a pass lowers one."""
+    numpy 2.4.6; a change that removes a pass lowers one.  Without the ledger
+    a step makes 14 passes fewer (57 with it for the phase-locked loop
+    without lags, 70 for the sampled optimal law)."""
     calls = []
     for tau in (1.0, 2.0):
         cfg = paper_cfg(tau=tau)
         labels, noise, u = _draws(cfg, 0, 64, sample)
         PassCounter.calls = 0
-        run_batch(cfg, fb, labels, noise.view(PassCounter), u.view(PassCounter), lags=lags)
+        run_batch(cfg, fb, labels, noise.view(PassCounter), u.view(PassCounter), lags=lags,
+                  ledger=ledger)
         calls.append(PassCounter.calls)
     passes, rest = divmod(calls[1] - calls[0], 50)
     assert rest == 0 and passes <= ceiling, (calls, ceiling)
+
+
+@pytest.mark.parametrize("kwargs, names", [
+    ({"lags": (0, 5)}, "lags"),
+    ({"record": ("z", "dq", "dv")}, "step series"),
+], ids=["lags", "step-series"])
+def test_a_run_without_the_ledger_rejects_what_reads_the_ledger(paper_cfg, kwargs, names):
+    fb = FeedbackConfig(mode="phase_locked", delay_steps=5)
+    with pytest.raises(ValueError, match=f"^{names} .* need ledger=True"):
+        run_ensemble(paper_cfg(tau=0.2), fb, 4, ledger=False, **kwargs)
+
+
+def test_a_result_without_the_ledger_has_no_first_law_residuals(paper_cfg):
+    res = run_ensemble(paper_cfg(tau=0.2), n_traj=4, ledger=False)
+    assert res.w.shape == res.dq_sum.shape == (0,)
+    with pytest.raises(ValueError, match="without the heat/work ledger"):
+        res.residuals
+    with pytest.raises(ValueError, match="without the heat/work ledger"):
+        res.p_sum_00()
 
 
 def test_run_batch_looks_up_its_accumulator_on_each_call(paper_cfg, monkeypatch):
