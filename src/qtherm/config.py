@@ -76,8 +76,8 @@ class SimConfig:
     tau : float
         Protocol duration (us).
     seed : int
-        Base RNG seed; trajectory k uses row k % 2048 of the stream block of
-        key (seed, 0, k // 2048) (see ``ensemble.rng_for_trajectory``).
+        Base RNG seed, the same for every preparation; trajectory k's stream
+        is keyed by it (see ``ensemble.rng_for_trajectory``).
     initial_state : 0, 1 or "thermal"
         Eigenstate preparation, or a Gibbs sample at ``beta`` per trajectory.
     beta : float

@@ -1,19 +1,19 @@
 """Ensemble runner: noise streams, fixed-size chunks, optional process pool,
 pure reductions.
 
-Trajectory k always draws from the RNG stream of key (seed, 0, k // 2048),
-row k % 2048 (``rng_for_trajectory``), in the fixed order [thermal-preparation
-uniform,] noise path, outcome uniforms; ``_draws`` hands a chunk's draws to
-``sme.run_batch`` as arrays.  The float sums are always taken over the same
-fixed chunks of ``CHUNK_SIZE`` trajectories, so the result is bit-identical
-no matter how many workers execute them.  A chunk is one pool task
-(``_run_chunk``), one ``_draws`` and ``sme.run_batch`` call and one
-reduction block, and returns an :class:`EnsembleResult` (defined in
-``sme``, re-exported here); ``_merge`` combines the chunks' sums in chunk
-order and concatenates their per-trajectory arrays and series along the
-trajectory axis, which is the last axis (the one before the step axis for
-series), so that a leading grid axis (see ``sme.run_batch``) merges the
-same way.
+Trajectory k draws from row k % 2048 of the stream block of key (seed, family,
+k // 2048), the family named by its preparation (``rng_for_trajectory``), in
+the fixed order [thermal-preparation uniform,] noise path, outcome uniforms;
+``_draws`` hands a chunk's draws to ``sme.run_batch`` as arrays.  The float
+sums are always taken over the same fixed chunks of ``CHUNK_SIZE``
+trajectories, so the result is bit-identical no matter how many workers
+execute them.  A chunk is one pool task (``_run_chunk``), one ``_draws`` and
+``sme.run_batch`` call and one reduction block, and returns an
+:class:`EnsembleResult` (defined in ``sme``, re-exported here); ``_merge``
+combines the chunks' sums in chunk order and concatenates their per-trajectory
+arrays and series along the trajectory axis, which is the last axis (the one
+before the step axis for series), so that a leading grid axis (see
+``sme.run_batch``) merges the same way.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from .sme import EnsembleResult, run_batch
 #: Trajectory indices seeded together: one SeedSequence per block of them.
 _SEED_BLOCK = 2048
 
+#: The stream key family of each preparation.  A thermal trajectory draws its
+#: label from its stream, so it keys as a ground one; family 1 keys none.
+_KEY_FAMILY = {0: 0, THERMAL: 0, 1: 2}
+
 #: Trajectories whose draws ``_draws`` writes into one scratch tile of
 #: contiguous rows; 64-256 drew about equally fast, 16 and 1,024 slower.
 _DRAW_TILE = 128
@@ -47,11 +51,11 @@ CHUNK_SIZE = 4096
 
 
 @lru_cache(maxsize=8)
-def _seed_words(seed: int, block: int) -> np.ndarray:
+def _seed_words(seed: int, family: int, block: int) -> np.ndarray:
     """(_SEED_BLOCK, 4) uint64: row j holds the PCG64 seed words of trajectory
     ``block*_SEED_BLOCK + j``, all drawn from ``SeedSequence(seed,
-    spawn_key=(0, block))`` in one call.  Read-only, as it is cached."""
-    words = np.random.SeedSequence(seed, spawn_key=(0, block)).generate_state(
+    spawn_key=(family, block))`` in one call.  Read-only, as it is cached."""
+    words = np.random.SeedSequence(seed, spawn_key=(family, block)).generate_state(
         4 * _SEED_BLOCK, np.uint64
     ).reshape(_SEED_BLOCK, 4)
     words.flags.writeable = False
@@ -74,16 +78,15 @@ class _SeedWords:
         return self.words
 
 
-def rng_for_trajectory(seed: int, index: int) -> np.random.Generator:
-    """The RNG stream of trajectory ``index``; depends on (seed, index) only.
-
-    Trajectory k's PCG64 takes row ``k % 2048`` of the seed words that
-    ``SeedSequence(seed, spawn_key=(0, k // 2048))`` generates for its whole
-    block.  The words are cached per (seed, block), so each call only wraps
-    its four words in a ``PCG64``.
-    """
-    words = _seed_words(seed, index // _SEED_BLOCK)[index % _SEED_BLOCK]
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+def rng_for_trajectory(seed: int, index: int, initial_state=0) -> np.random.Generator:
+    """The RNG stream of trajectory ``index`` of a run prepared in
+    ``initial_state``: a PCG64 seeded with row ``index % 2048`` of the words,
+    cached per block, that ``SeedSequence(seed, spawn_key=(family, index //
+    2048))`` generates, the family being ``_KEY_FAMILY[initial_state]``."""
+    if initial_state not in _KEY_FAMILY:
+        raise ValueError(f"no noise stream for initial state {initial_state!r}")
+    words = _seed_words(seed, _KEY_FAMILY[initial_state], index // _SEED_BLOCK)
+    return np.random.Generator(np.random.PCG64(_SeedWords(words[index % _SEED_BLOCK])))
 
 
 def _draws(cfg: SimConfig, start: int, n: int, sample: bool):
@@ -96,9 +99,9 @@ def _draws(cfg: SimConfig, start: int, n: int, sample: bool):
     final outcome; ``u`` holds them in point order, row i for point i.
     A tile of trajectories at a time draws into contiguous scratch rows, and
     one transposed copy per tile fills the step-major arrays; the scratch is
-    freed on return, before the step loop allocates.  Each tile builds its
-    streams through ``rng_for_trajectory`` and drops them once they have
-    drawn, so a stream lives only while its tile draws.  ``0.0 + sqrt(dt)*z``
+    freed on return, before the step loop allocates.  Each trajectory builds
+    its stream through ``rng_for_trajectory`` just before it draws, and the
+    next one replaces it, so one stream lives at a time.  ``0.0 + sqrt(dt)*z``
     is numpy's own ``normal(0.0, sqrt(dt))``, so the bytes are those of one
     ``normal`` call per trajectory.
     """
@@ -113,13 +116,12 @@ def _draws(cfg: SimConfig, start: int, n: int, sample: bool):
     u_tile = np.empty((len(z_tile), len(u)))
     for j in range(0, n, _DRAW_TILE):
         m = min(_DRAW_TILE, n - j)
-        tile = [rng_for_trajectory(cfg.seed, start + k) for k in range(j, j + m)]
-        for r, rng in enumerate(tile):
+        for r in range(m):
+            rng = rng_for_trajectory(cfg.seed, start + j + r, cfg.initial_state)
             if thermal:
                 labels[j + r] = rng.random() < p_exc_thermal
             rng.standard_normal(out=z_tile[r])
             rng.random(out=u_tile[r])
-        del tile
         z_rows = z_tile[:m]
         z_rows *= sqrt_dt
         z_rows += 0.0

@@ -91,17 +91,17 @@ def run_efficacy_protocol(
 
     A (G, 1) ``sim.eta`` column gives the arrays a leading eta axis, row g
     with the bytes of a call at the scalar eta of row g.  The efficiencies
-    run as lanes on shared noise, one ensemble per preparation; the engine
-    counts each ensemble's sampled outcomes as it runs, so no series is
-    recorded, and both routes read the state alone, so no heat/work ledger is
-    booked.
+    run as lanes on shared noise, one ensemble per preparation, each at
+    ``sim.seed`` on its own stream keys; the engine counts each ensemble's
+    sampled outcomes as it runs, so no series is recorded, and both routes
+    read the state alone, so no heat/work ledger is booked.
     """
     if n_traj < 2:
         raise ValueError(f"the efficacy protocol needs n_traj >= 2 per preparation, got {n_traj}")
     # Per preparation, the sampled return (ground) or survival (excited)
     # frequency is its hit count over n_traj.
-    preps = [run_ensemble(sim.with_(initial_state=label, seed=sim.seed + label),
-                          fb, n_traj, sample=True, ledger=False, workers=workers)
+    preps = [run_ensemble(sim.with_(initial_state=label), fb, n_traj, sample=True,
+                          ledger=False, workers=workers)
              for label in (0, 1)]
     gamma_wd, err_wd = jarzynski_from_transitions(*(p.hits / n_traj for p in preps),
                                                   sim.beta, n_traj, n_traj)

@@ -112,7 +112,11 @@ def _dissipative_kraus(x, z, dv, consts: _Constants):
     With p = (1 + z)/2, q = (1 - z)/2 and c = x/2 the unnormalised state is
     p2 = p + 2*ady*c + ady^2*q + (1 - eta)*gamma*dt*q, c2 = k*(c + ady*q),
     q2 = k^2*q, with ady = sqrt(eta)*dv and k = 1 - gamma*dt/2.  Doubling is
-    exact, so 2*ady*c is taken as ady*x and 2*c2 as 2k*(c + ady*q).
+    exact, so 2*ady*c is taken as ady*x and 2*c2 as 2k*(c + ady*q).  Against
+    the same step in longdouble at the benchmarks' gamma*dt (0.034, 0.0085),
+    eta 0.3-1 and |dX|/sqrt(dt) up to the 5.6 they draw (up to 10), on pure
+    and nearly pure states, x and z differ by <= 5.9e-16 (1.3e-15) and
+    x^2 + z^2 - 1 <= 1.1e-15 (1.8e-15): p2 loses no digit there.
     """
     if consts.sqrt_gamma == 0.0:
         return x, z
@@ -485,14 +489,13 @@ def run_batch(
         x = np.zeros(z.shape)
         block.snapshot(0, x, z)
         line = DelayLine(max(delay - 1, 0) if fb.mode == "optimal" else delay)
-        om_f = line.push(np.zeros(n)) if fb.mode == "optimal" else 0.0
+        om_f = 0.0
         for i, dxi in enumerate(noise):
             dv = homodyne_increment(x, dxi, consts)
             if fb.mode == "phase_locked":
                 om_f = line.push(pll_drive(dv, i * dt, cfg.omega_r, gain, offset, labels))
-            x, z, dw, dwf, dq, x_mid, z_mid = split_step(
-                x, z, dv, theta_d, np.asanyarray(om_f) * dt, consts, same_increment, ledger
-            )
+            x, z, dw, dwf, dq, x_mid, z_mid = split_step(x, z, dv, theta_d, om_f * dt, consts,
+                                                         same_increment, ledger)
             if fb.mode == "optimal":  # the drive of a later step
                 om_f = line.push(optimal_drive(x_mid, z_mid, x, z, dt))
             if ledger:

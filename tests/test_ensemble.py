@@ -12,7 +12,12 @@ from qtherm.config import FeedbackConfig, SimConfig
 from qtherm.ensemble import CHUNK_SIZE, EnsembleResult, _draws, _merge, _run_chunk, run_ensemble
 from qtherm.experiments import run_efficacy_protocol, sweep_gain_offset
 from qtherm.sme import run_batch
-from qtherm.stats import pooled_pearson_r, rabi_contrast
+from qtherm.stats import (
+    efficacy_from_trajectories,
+    jarzynski_from_transitions,
+    pooled_pearson_r,
+    rabi_contrast,
+)
 from reference import per_point_sweep_contrast, two_pass_preparation
 from reference import pooled_pearson_r as two_pass_pooled_pearson_r
 
@@ -198,6 +203,25 @@ def test_eta_lanes_reproduce_each_scalar_efficacy_protocol(monkeypatch):
             g, w = protocol_arrays(got, i), protocol_arrays(w)
             for name in w:
                 assert np.array_equal(g[name], w[name]), (workers, eta, name)
+
+
+def test_both_preparations_integrate_the_configs_seed():
+    """The protocol's two preparations are, byte for byte, the ensembles of
+    its config at ``sim.seed``, so the seed a manifest records is the one
+    both integrated: the trajectory route reads their P00 means and errors,
+    the work-distribution route their hit counts."""
+    sim, fb, n = SimConfig(seed=21, tau=0.3, dt=0.005, eta=1.0), FeedbackConfig(mode="optimal"), 40
+    prot = run_efficacy_protocol(sim, fb, n)
+    ground, excited = (run_ensemble(sim.with_(initial_state=label), fb, n, sample=True,
+                                    ledger=False) for label in (0, 1))
+    assert np.array_equal(prot.trajectory_route.c00, ground.p00_mean + excited.p00_mean)
+    want = efficacy_from_trajectories(ground, excited, sim.beta)
+    for f in fields(want):
+        assert np.array_equal(getattr(prot.trajectory_route, f.name), getattr(want, f.name))
+    gamma_wd, err_wd = jarzynski_from_transitions(ground.hits / n, excited.hits / n,
+                                                  sim.beta, n, n)
+    assert np.array_equal(prot.wd_route_gamma, gamma_wd)
+    assert np.array_equal(prot.wd_route_stderr, err_wd)
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.35, [[0.35], [0.6], [1.0]]],

@@ -301,11 +301,13 @@ class _Words(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def numpy_stream(seed, index):
+def numpy_stream(seed, index, initial_state=0):
     """The stream rng_for_trajectory must reproduce, built the plain way:
-    row index % 2048 of the words SeedSequence(seed, spawn_key=(0, index // 2048))
-    generates seeds a PCG64."""
-    words = np.random.SeedSequence(seed, spawn_key=(0, index // 2048)).generate_state(
+    row index % 2048 of the words SeedSequence(seed, spawn_key=(family,
+    index // 2048)) generates seeds a PCG64, family 2 for the excited state
+    and 0 for the ground and thermal ones."""
+    family = 2 if initial_state == 1 else 0
+    words = np.random.SeedSequence(seed, spawn_key=(family, index // 2048)).generate_state(
         8192, np.uint64
     )
     row = index % 2048
@@ -321,9 +323,41 @@ STREAM_INDICES = [0, 1, 2047, 2048, 0x5A3B, 0x0FF5E7, 2**32 - 1, 2**32]
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_trajectory_stream_is_numpys_seed_sequence_stream(seed):
     for index in STREAM_INDICES:
-        got, want = rng_for_trajectory(seed, index), numpy_stream(seed, index)
+        for prep in (0, 1):
+            got, want = rng_for_trajectory(seed, index, prep), numpy_stream(seed, index, prep)
+            assert got.bit_generator.state == want.bit_generator.state, (index, prep)
+            assert np.array_equal(got.normal(size=8), want.normal(size=8)), (index, prep)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_a_thermal_trajectory_takes_the_ground_states_stream(seed):
+    # It draws its label from its stream, so its key cannot depend on it.
+    for index in STREAM_INDICES:
+        got, want = rng_for_trajectory(seed, index, THERMAL), rng_for_trajectory(seed, index)
         assert got.bit_generator.state == want.bit_generator.state, index
-        assert np.array_equal(got.normal(size=8), want.normal(size=8)), index
+
+
+@pytest.mark.parametrize("prep", [2, -1, "hot", None])
+def test_an_unknown_preparation_has_no_stream(prep):
+    with pytest.raises(ValueError, match=f"initial state {prep!r}"):
+        rng_for_trajectory(1, 0, prep)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32])
+def test_an_excited_run_shares_no_draw_with_a_ground_run(paper_cfg, seed):
+    """No noise column and no outcome-uniform column of an excited run at
+    seed s is one of a ground run at seed s or s + 1: each preparation keys
+    its own streams, and neither shifts the seed."""
+    n = 40
+
+    def columns(cfg):
+        _, noise, u = _draws(cfg, 0, n, True)
+        return {a[:, k].tobytes() for a in (noise, u) for k in range(n)}
+
+    excited = columns(paper_cfg(tau=0.1, seed=seed, initial_state=1))
+    assert len(excited) == 2 * n
+    for ground_seed in (seed, seed + 1):
+        assert not excited & columns(paper_cfg(tau=0.1, seed=ground_seed)), ground_seed
 
 
 def test_trajectory_stream_survives_pickle():
@@ -334,8 +368,9 @@ def test_trajectory_stream_survives_pickle():
 
 
 def test_trajectory_streams_do_not_depend_on_call_order():
-    # More seeds than the block cache holds, visited twice in different orders.
-    keys = [(seed, index) for seed in range(20) for index in (5, 2048 + 5)]
+    # More keys than the block cache holds, visited twice in different orders.
+    keys = [(seed, index, prep) for seed in range(20) for index in (5, 2048 + 5)
+            for prep in (0, 1)]
     first = {key: rng_for_trajectory(*key).random() for key in keys}
     again = {key: rng_for_trajectory(*key).random() for key in reversed(keys)}
     assert again == first
@@ -390,7 +425,7 @@ def test_tiled_draws_match_the_per_trajectory_column_loop_bit_for_bit(paper_cfg,
         cfg = paper_cfg(tau=0.2, eta=eta, initial_state=prep, beta=0.5)
         res = run_batch(cfg, NO_FEEDBACK, *_draws(cfg, 0, n, sample), record=("dx", "z"))
         labels, noise, u = column_draws(
-            cfg, [rng_for_trajectory(cfg.seed, k) for k in range(n)], sample)
+            cfg, [rng_for_trajectory(cfg.seed, k, cfg.initial_state) for k in range(n)], sample)
         assert same_bytes(res.series["dx"], np.broadcast_to(noise.T, res.series["dx"].shape))
         assert same_bytes(res.initial_labels, labels)
         p11 = 0.5 * (1.0 - res.series["z"])
