@@ -47,7 +47,7 @@ _FEEDBACK_ALIASES = {"pll": "phase_locked", "phase_locked": "phase_locked",
 
 class _Param(NamedTuple):
     """One user parameter.  ``convert`` maps its value onto the target field;
-    the flag is ``--key-with-dashes`` unless named."""
+    the flag is ``--key-with-dashes`` unless named; ``note`` ends its help."""
 
     section: str
     type: Callable
@@ -55,6 +55,7 @@ class _Param(NamedTuple):
     convert: Callable | None = None
     flag: str = ""
     choices: Sequence[str] | None = None
+    note: str = ""
 
 
 def _initial_state(text: str):
@@ -78,7 +79,8 @@ PARAMS = {
                    flag="--feedback", choices=sorted(_FEEDBACK_ALIASES)),
     "gain": _Param("feedback", float, "fb.gain"),
     "offset": _Param("feedback", float, "fb.offset"),
-    "delay_ns": _Param("feedback", float, "fb.delay_steps"),
+    "delay_ns": _Param("feedback", float, "fb.delay_steps", note=": the drive computed from "
+                       "step i acts delay_ns later, at 0 behind step i's back-action"),
     "n_traj": _Param("run", int, "run.n_traj"),
     "workers": _Param("run", int, "run.workers"),
     "out_dir": _Param("run", Path, "run.out_dir"),
@@ -183,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, param in command.params().items():
             p.add_argument(param.flag or "--" + key.replace("_", "-"), dest=key,
                            type=param.type, choices=param.choices,
-                           help=f"[{param.section}] {key} in the config file")
+                           help=f"[{param.section}] {key} in the config file{param.note}")
         for key, default in command.lists.items():
             p.add_argument("--" + key.replace("_", "-"), default=default, dest=key,
                            type=float_list)

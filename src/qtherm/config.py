@@ -159,8 +159,8 @@ class FeedbackConfig:
         Reference offset B (dimensionless, -1 in the derived law).  Gain and
         offset may also be (G, 1) columns: a grid of G loops run as lanes.
     delay_steps : int
-        Loop delay in integration steps (dt units); the drive computed at
-        step i is applied at step i + delay_steps (optimal: at least i + 1).
+        Loop delay in steps (dt units): the drive computed from step i acts at
+        step i + delay_steps, at zero delay behind step i's back-action.
     """
 
     mode: str = "none"

@@ -14,14 +14,14 @@ Two controllers are implemented:
   ``B = -1``.
 
 * **Optimal unitary feedback** (requires real-time state knowledge): undo
-  each completed step's heat angle, ``Omega_F*dt = -theta_Q``, the turn of
-  the phase ``atan2(-x, z)`` in its dissipative sub-step.  Being a rotation
-  it never changes purity, so it cannot fully restore unitarity at eta < 1.
+  each step's heat angle, ``Omega_F*dt = -theta_Q``, the turn of the phase
+  ``atan2(-x, z)`` in its dissipative sub-step.  Being a rotation it never
+  changes purity, so it cannot fully restore unitarity at eta < 1.
 
-Both controllers can run through a :class:`DelayLine` that delays the applied
-drive by a whole number of integration steps.  At zero delay the
-phase-locked drive multiplies the current step's own increment, so the engine
-applies it after that step's measurement back-action (see :mod:`qtherm.sme`).
+Both follow one rule (see :mod:`qtherm.sme`): the drive computed from step i
+acts at step i + delay_steps, at zero delay behind step i's measurement
+back-action (where the engine undoes the heat angle by a rescale, without
+``optimal_drive``), else through a :class:`DelayLine`.
 """
 
 from __future__ import annotations

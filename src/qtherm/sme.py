@@ -23,13 +23,12 @@ drive + feedback) or heat (nonunitary, decay + measurement back-action):
    change is recorded as heat, so the first law dU = dW + dWF + dQ holds
    exactly by construction.
 
-Ordering rule: feedback computed from step i's own increment dV[i] (the
-zero-delay phase-locked loop) must act on the post-measurement state, as in
-homodyne-mediated feedback (Wiseman & Milburn, PRL 70, 548 (1993)).  Its
-rotation therefore follows step i's dissipative sub-step, and each rotation
-books its own work; rotating first would precede the back-action it is meant
-to cancel.  Feedback known before the step (delayed, or the optimal law's,
-computed from the previous step's heat angle) joins the drive in sub-step 1.
+Ordering rule: the drive a feedback law computes from step i acts at step
+i + d, d the loop delay in steps.  At d = 0 it acts on step i's
+post-measurement state, behind its dissipative sub-step, and books its own
+work (Wiseman & Milburn, PRL 70, 548 (1993)): the phase-locked drive
+multiplies dV[i] itself, and the optimal law undoes step i's heat angle.
+At d >= 1 it joins sub-step 1 of step i + d via a ``DelayLine`` of d - 1.
 
 :func:`split_step` is the one implementation of this step: an array kernel
 of the step's angles that :func:`run_batch` calls once per step on every
@@ -39,18 +38,10 @@ per-trajectory ledger totals, (dWF, dQ) pair moments, sampled-outcome
 counts and recorded series, from which the rest derives.  ``_Sums`` is the
 one code that writes them: ``snapshot`` reduces the state at point i,
 ``add`` the ledger of step i, and ``fields`` the stored sums at the end.
-A batch run with ``ledger=False`` integrates the state alone, with the same
-bytes: ``split_step`` books no work or heat and ``add`` is not called, so
-the ledger's per-step sums and per-trajectory totals come back with an empty
-last axis.  The gain/offset sweep and the efficacy protocol read only the
-state, and run so.
-Phase-locked gain and offset, and the efficiency eta, given as (G, 1)
-columns add a leading grid axis: the lanes are (G, n_traj), every grid point
-integrates the same n_traj noise paths, and every per-step sum and per-lane
-array gains that axis.  :func:`run_batch` integrates the grid rows in
-blocks of at most ``GRID_LANES`` lanes over its one noise block, each block
-writing its own rows of the full-grid outputs; every reduction runs along a
-row, so the blocks do not change a byte.
+:func:`run_batch` states two more rules: ``ledger=False`` integrates the
+state alone with the same bytes (the gain/offset sweep and the efficacy
+protocol run so), and (G, 1) gain, offset or eta columns add a grid axis to
+the lanes, integrated in row blocks of at most ``GRID_LANES`` lanes.
 
 The noise is data: :func:`run_batch` integrates the draws it is given, each
 lane's preparation label, its column of the step-major (n_steps, n) block of
@@ -79,6 +70,9 @@ from .feedback import DelayLine, optimal_drive, pll_drive
 #: block over its one noise block; more lanes per step save interpreter
 #: overhead but cost memory.
 GRID_LANES = 8192
+
+#: ``split_step``'s ``after`` of zero-delay optimal feedback.
+UNDO_HEAT = "undo the heat angle"
 
 
 class _Constants(NamedTuple):
@@ -155,29 +149,37 @@ class SplitStep(NamedTuple):
 
 
 def split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants,
-               feedback_after: bool, ledger: bool = True) -> SplitStep:
+               after=None, ledger: bool = True) -> SplitStep:
     """One two-sub-step update of every lane of (x, z).
 
     ``dv`` is each lane's homodyne increment, ``theta_d`` the drive's angle
-    over the step and ``theta_f`` the feedback's (a scalar or one per lane);
-    ``consts`` are the step constants ``run_batch`` computes once per block.
-    With ``ledger``, rotations are booked as work and the Kraus sub-step as
-    heat, so dW + dWF + dQ is the change of the excited population; without
-    it the state comes out with the same bytes and nothing is booked.
+    over the step and ``theta_f`` that of feedback from an earlier step (a
+    scalar or one per lane), which joins the drive's rotation; ``consts``
+    are the step constants ``run_batch`` computes once per block.  With
+    ``ledger``, rotations are booked as work and the Kraus sub-step as heat,
+    so dW + dWF + dQ is the change of the excited population; without it the
+    state comes out with the same bytes and nothing is booked.
 
-    ``feedback_after=True`` moves the feedback rotation behind the
-    dissipative sub-step: a drive computed from this step's own ``dv`` must
-    act on the post-measurement state (the ordering rule in the module
-    docstring).  Each rotation then books its own work.
+    ``after`` is a zero-delay law's feedback, an angle or ``UNDO_HEAT``
+    (``theta_f`` is then 0), acting behind the Kraus sub-step with its own
+    work (the ordering rule).  Undoing the heat angle, the turn from s1 =
+    (x1, z1) to the post-Kraus s2, leaves s1*|s2|/|s1|: no cos or sin.  |s1|
+    is the lane's radius before the step: 1 at a run's start, then a Kraus
+    output's, which at gamma*dt <= ``MAX_GAMMA_DT`` (k > 0) is 0 for at most
+    one increment per state; such a lane turns NaN, refused by ``run_batch``.
     """
-    theta = theta_d if feedback_after else theta_d + theta_f
+    theta = theta_d + theta_f
     x1, z1 = _rotate(x, z, theta)
-    x2, z2 = _dissipative_kraus(x1, z1, dv, consts)
-    x3, z3 = _rotate(x2, z2, theta_f) if feedback_after else (x2, z2)
+    x3, z3 = x2, z2 = _dissipative_kraus(x1, z1, dv, consts)
+    if after is UNDO_HEAT:
+        scale = np.sqrt((x2 * x2 + z2 * z2) / (x1 * x1 + z1 * z1))
+        x3, z3 = x1 * scale, z1 * scale
+    elif after is not None:
+        x3, z3 = _rotate(x2, z2, after)
     if not ledger:
         return SplitStep(x3, z3, None, None, None, x1, z1)
     dpe = 0.5 * (z - z1)  # the first rotation's excited-population change
-    if feedback_after:
+    if after is not None:
         dw = dpe if theta_d else -0.5 * x * theta_d  # the commutator rate's signed zero
         dwf = 0.5 * (z2 - z3)
     else:  # one rotation, its work split in proportion to the angles
@@ -471,14 +473,7 @@ def run_batch(
     sums = _Sums(lanes, steps, lags, record, u if len(u) == steps + 1 else None, labels == 1,
                  ledger)
 
-    # The phase-locked line delays the drive computed from dV[i] by
-    # delay_steps.  The optimal law undoes the heat angle theta_Q of one
-    # completed step (the Methods' Omega_F*dt = -theta_Q), so its loop
-    # latency is delay_steps with a floor of one step: theta_Q of step i is
-    # only known once step i has been integrated.
     delay = min(fb.delay_steps, steps)  # a longer line gives only zeros inside the run
-    # A zero-delay phase-locked drive multiplies dV[i] itself.
-    same_increment = fb.mode == "phase_locked" and fb.delay_steps == 0
     for rows in _row_blocks(lanes):
         # This block's rows of the grid columns and of the outputs.
         gain, offset, eta = (p if np.size(p) == 1 else p[rows]
@@ -488,16 +483,18 @@ def run_batch(
         z = np.broadcast_to(z_init, block.out["final_z"].shape).copy()
         x = np.zeros(z.shape)
         block.snapshot(0, x, z)
-        line = DelayLine(max(delay - 1, 0) if fb.mode == "optimal" else delay)
-        om_f = 0.0
+        line, om_f, drive = DelayLine(max(delay - 1, 0)), 0.0, 0.0
+        after = UNDO_HEAT if fb.mode == "optimal" and not delay else None
         for i, dxi in enumerate(noise):
             dv = homodyne_increment(x, dxi, consts)
             if fb.mode == "phase_locked":
-                om_f = line.push(pll_drive(dv, i * dt, cfg.omega_r, gain, offset, labels))
+                drive = pll_drive(dv, i * dt, cfg.omega_r, gain, offset, labels)
+                after = None if delay else drive * dt
             x, z, dw, dwf, dq, x_mid, z_mid = split_step(x, z, dv, theta_d, om_f * dt, consts,
-                                                         same_increment, ledger)
-            if fb.mode == "optimal":  # the drive of a later step
-                om_f = line.push(optimal_drive(x_mid, z_mid, x, z, dt))
+                                                         after, ledger)
+            if fb.mode == "optimal" and delay:
+                drive = optimal_drive(x_mid, z_mid, x, z, dt)
+            om_f = line.push(drive) if delay else 0.0  # the drive of step i + delay
             if ledger:
                 block.add(i, dw, dwf, dq, dv, dxi)
             block.snapshot(i + 1, x, z)

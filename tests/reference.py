@@ -28,7 +28,10 @@ every rotation booked through the proportional work split with its
 zero-angle mask always built; ``qtherm.sme.split_step`` takes the angles and
 the step constants, folds the doublings into its constants, splits the work
 only where drive and feedback share one rotation and tests for a zero angle
-before it builds a mask, with the same bits.
+before it builds a mask, with the same bits.  ``undo_heat_by_angle`` is
+zero-delay optimal feedback as an angle: the heat angle from
+``qtherm.feedback.optimal_drive``, undone by rotating the post-Kraus state;
+``split_step`` rescales the post-rotation state instead.
 """
 
 import math
@@ -40,6 +43,7 @@ import numpy as np
 from qtherm.bloch import BlochState, closed_rabi_probabilities, gibbs_weights
 from qtherm.config import THERMAL, SimConfig
 from qtherm.ensemble import run_ensemble
+from qtherm.feedback import optimal_drive
 from qtherm.sme import _rotate
 from qtherm.stats import ZeroVarianceError, efficacy_from_trajectories, rabi_contrast
 
@@ -160,18 +164,25 @@ def masked_rotation_work(x, z, theta_d, theta_f):
 
 
 def term_by_term_split_step(x, z, dv, omega_drive, omega_fb, cfg: SimConfig,
-                            feedback_after: bool = False):
+                            omega_after=None):
     """``qtherm.sme.split_step`` from ``term_by_term_kraus`` and
-    ``masked_rotation_work``: (x, z, dw, dwf, dq, x_mid, z_mid)."""
-    theta_f = np.asarray(omega_fb) * cfg.dt
-    x1, z1, dw, dwf = masked_rotation_work(
-        x, z, omega_drive * cfg.dt, 0.0 if feedback_after else theta_f
-    )
+    ``masked_rotation_work``: (x, z, dw, dwf, dq, x_mid, z_mid).  The
+    feedback rate ``omega_fb`` joins the drive's rotation, and
+    ``omega_after``, if given, rotates the post-Kraus state."""
+    x1, z1, dw, dwf = masked_rotation_work(x, z, omega_drive * cfg.dt,
+                                           np.asarray(omega_fb) * cfg.dt)
     x2, z2 = term_by_term_kraus(x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
     dq = 0.5 * (z1 - z2)
-    if feedback_after:
-        x2, z2, _, dwf = masked_rotation_work(x2, z2, 0.0, theta_f)
+    if omega_after is not None:
+        x2, z2, _, dwf = masked_rotation_work(x2, z2, 0.0, np.asarray(omega_after) * cfg.dt)
     return x2, z2, dw, dwf, dq, x1, z1
+
+
+def undo_heat_by_angle(x1, z1, x2, z2, dt: float):
+    """Zero-delay optimal feedback in its angle form: the heat angle of the
+    turn from the post-rotation (x1, z1) to the post-Kraus (x2, z2), from
+    ``optimal_drive``, undone by the package's rotation of (x2, z2)."""
+    return _rotate(x2, z2, optimal_drive(x1, z1, x2, z2, dt) * dt)
 
 
 def rotate(s: BlochState, theta: float) -> BlochState:

@@ -273,16 +273,17 @@ def test_criterion_06_delay_degrades(optimal_contrasts):
 def test_criterion_07_anticorrelations():
     """Pooled per-step Pearson r(dWF, dQ) under the three feedback settings.
 
-    Correlations are evaluated at the loop's alignment lag: the optimal
-    controller has one step of inherent latency, the delayed phase-locked
-    loop is aligned at its 5-step delay (the literal 1-step value is printed
-    for reference; it pairs the drive with noise four steps away).
+    Correlations are evaluated at the loop's alignment lag: the zero-delay
+    optimal controller undoes each step's heat within that step (lag 0), the
+    delayed phase-locked loop is aligned at its 5-step delay (the literal
+    1-step value is printed for reference; it pairs the drive with noise four
+    steps away).
     """
     cfg = SimConfig(seed=23, tau=8.0, dt=0.02)
     n = 400
 
-    res = run_ensemble(cfg, FeedbackConfig(mode="optimal"), n, lags=(1,))
-    r_opt = pooled_pearson_r(res, lag=1)
+    res = run_ensemble(cfg, FeedbackConfig(mode="optimal"), n, lags=(0,))
+    r_opt = pooled_pearson_r(res, lag=0)
 
     fb0 = FeedbackConfig(mode="phase_locked", gain=34.0, offset=-1.0, delay_steps=0)
     res = run_ensemble(cfg, fb0, n, lags=(0,))

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import qtherm.ensemble
 from qtherm.bloch import GROUND, BlochState
 from qtherm.config import FeedbackConfig
 from qtherm.ensemble import run_ensemble
@@ -112,10 +111,10 @@ def test_zero_gain_equals_no_feedback(paper_cfg):
 
 
 def test_optimal_feedback_keeps_pure_state_locked(paper_cfg):
-    # eta = 1: purity stays 1 and the phase tracks the closed
-    # evolution to within one step's heat kick.
+    # eta = 1 and one step of delay: purity stays 1 and the phase tracks the
+    # closed evolution to within one step's heat kick.
     cfg = paper_cfg(eta=1.0, tau=2.0, seed=11)
-    fb = FeedbackConfig(mode="optimal")
+    fb = FeedbackConfig(mode="optimal", delay_steps=1)
     res = run_ensemble(cfg, fb, 64, record=("x", "z"))
     x, z = res.series["x"], res.series["z"]
     pur = 0.5 * (1.0 + x**2 + z**2)
@@ -130,15 +129,20 @@ def test_optimal_feedback_keeps_pure_state_locked(paper_cfg):
     assert abs(err.mean()) < 0.01
 
 
-def test_optimal_feedback_has_a_one_step_latency_floor(paper_cfg, monkeypatch):
-    # The heat angle of step i is known only once step i is integrated, so a
-    # configured delay of zero steps runs exactly as a delay of one.
-    cfg = paper_cfg(tau=0.4, seed=5, initial_state="thermal", beta=1.0)
-    monkeypatch.setattr(qtherm.ensemble, "CHUNK_SIZE", 32)
-    runs = [run_ensemble(cfg, FeedbackConfig(mode="optimal", delay_steps=d), 64,
-                         record=SERIES, lags=(0, 1, 3))
-            for d in (0, 1)]
-    assert_same_run(*runs)
+def test_zero_delay_optimal_feedback_follows_the_closed_rabi_path_at_unit_efficiency(paper_cfg):
+    # At eta = 1 the Kraus sub-step keeps a pure state pure, so undoing its
+    # heat angle behind the back-action of the same step leaves the drive's
+    # rotation alone: every lane, of either preparation, follows the closed
+    # Rabi path.  A delay of one step lets each heat kick act for a step.
+    cfg = paper_cfg(eta=1.0, tau=2.0, seed=5, initial_state="thermal", beta=1.0)
+    now, later = (run_ensemble(cfg, FeedbackConfig(mode="optimal", delay_steps=d), 64,
+                               record=("x", "z"))
+                  for d in (0, 1))
+    phase = cfg.omega_r * now.times + math.pi * now.initial_labels[:, None]
+    assert 0 < now.initial_labels.sum() < 64
+    assert np.abs(now.series["z"] - np.cos(phase)).max() <= 1e-12
+    assert np.abs(now.series["x"] + np.sin(phase)).max() <= 1e-12
+    assert not np.array_equal(later.series["z"], now.series["z"])
 
 
 @pytest.mark.parametrize("mode", ["phase_locked", "optimal"])

@@ -7,17 +7,20 @@ feedback laws and a thermal preparation, sampled outcome counts included,
 chunked and run on one and two workers.  A change that alters seeded output
 on purpose updates these digests and says so; any other change must leave
 them alone.  The digests were recorded with numpy 2.4 on x86-64 Linux
-(glibc); a different libm may round ``cos`` and ``sin`` differently.  The
-``jarzynski`` and ``ENGINE_DIGEST`` digests, which cover optimal feedback,
-also hold only at numpy's X86_V4 dispatch level or above: ``np.arctan2`` in
+(glibc); a different libm may round ``cos`` and ``sin`` differently.
+``ENGINE_DIGEST``, which covers optimal feedback at a delay of two steps,
+also holds only at numpy's X86_V4 dispatch level or above: ``np.arctan2`` in
 ``feedback.optimal_drive`` differs by 1 ulp at the X86_V3 (AVX2) level, and
-``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` makes those two
-digests fail.  No digest depends on the BLAS: every lane sum, the pair
-moments' included, is numpy's own pairwise ``sum``, never OpenBLAS's
-``ddot``, whose bytes change with its kernel (``OPENBLAS_CORETYPE``) and,
-above about 10,000 elements, with its thread count.  The pair-sum test below
-checks that in child processes under three OpenBLAS kernels at each dispatch
-level this CPU offers; ``tests/platform_matrix.py`` runs this whole file so.
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` makes that
+digest fail.  ``jarzynski`` runs zero-delay optimal feedback, which undoes
+each step's heat angle by a rescale without ``arctan2``, so its digests do
+not depend on the dispatch level.  No digest depends on the BLAS: every
+lane sum, the pair moments' included, is numpy's own pairwise ``sum``,
+never OpenBLAS's ``ddot``, whose bytes change with its kernel
+(``OPENBLAS_CORETYPE``) and, above about 10,000 elements, with its thread
+count.  The pair-sum test below checks that in child processes under three
+OpenBLAS kernels at each dispatch level this CPU offers;
+``tests/platform_matrix.py`` runs this whole file so.
 """
 
 import hashlib
@@ -82,14 +85,16 @@ GOLDEN = {
     # seed + 1 for its own key family at the run's seed, which redraws its
     # noise and outcomes; recorded on an Intel Xeon (AVX512_SPR dispatch
     # level), numpy 2.4.6 with scipy-openblas 0.3.31, glibc 2.36.
+    # Re-recorded when zero-delay optimal feedback began to undo each step's
+    # heat angle within that step, on the same platform.
     "jarzynski": (
         ["jarzynski", "--feedback", "optimal", "--tau-us", "0.5", "--dt-ns", "5",
          "--n-traj", "64", "--eta-list", "0.35,0.6,1"],
         {
-            "efficacy_eta0.35.csv": "43db3ef260d47b8d207b669cb734b0869e6f5d1f21399232641f05d23910c32c",
-            "efficacy_eta0.6.csv": "09a2ecc6a0610778d966a97ed5edb282ddf48ade64574675087d2127caf9ed05",
-            "efficacy_eta1.csv": "7b746f8e8e341ee0b3b3996e5814360e4012f77418562620e7e1f0b05c34c05b",
-            "summary.json": "43bf612f205c278b3ba7b6cd0d16ea23601945807788a44caacd70b64158e3b8",
+            "efficacy_eta0.35.csv": "410845882989d445ed198d3fe6b3dcfd98eff9577befa85896ac0ce063b474e0",
+            "efficacy_eta0.6.csv": "9581fb28daaa510744f30ac25dc29c3a655abf285c8fe39f2f635f24e55cac10",
+            "efficacy_eta1.csv": "e66256f5e0f8ca3e9bc3504ace7f5b748ce46a82a4c013d4e0570aa635641b8e",
+            "summary.json": "fa372c08524c73219c077e1fb06e42828bc9d1741b07cd9eaefa6a9223d25015",
         },
     ),
     "sweep": (
@@ -115,7 +120,11 @@ def test_data_file_digests(name, tmp_path):
     assert got == want
 
 
-ENGINE_DIGEST = "039c6826c174993b14638c18586cdc7060c433297e5f892ef1b09fe2e0bd264c"
+# Re-recorded when zero-delay optimal feedback began to undo each step's heat
+# angle within that step: only that case's arrays moved.  Recorded on an Intel
+# Xeon (AVX512_SPR dispatch level), numpy 2.4.6 with scipy-openblas 0.3.31,
+# glibc 2.36.
+ENGINE_DIGEST = "cd6b88ad919f44bb79f016245e9708beea20ed335ec1b173c6fde40e770fe6d9"
 
 ENGINE_FIELDS = ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean",
                  "initial_labels", "w", "wf", "q", "final_x", "final_z",

@@ -14,7 +14,8 @@ import qtherm.ensemble
 import qtherm.sme
 from qtherm.config import MAX_GAMMA_DT, FeedbackConfig, SimConfig
 from qtherm.ensemble import EnsembleResult, run_ensemble
-from qtherm.sme import SERIES, STATE_SERIES, _constants, _dissipative_kraus, split_step
+from qtherm.sme import (SERIES, STATE_SERIES, UNDO_HEAT, _constants, _dissipative_kraus,
+                        split_step)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -51,17 +52,23 @@ lanes = st.lists(
 )
 
 
-@pytest.mark.parametrize("feedback_after", [False, True])
+@pytest.mark.parametrize("feedback", ["none", "angle", "undo-heat"])
 @settings(PROPERTY, max_examples=40)
 @given(lanes=lanes)
-def test_split_step_books_every_energy_change(feedback_after, lanes):
+def test_split_step_books_every_energy_change(feedback, lanes):
     x = np.array([s[0] for s, _, _ in lanes])
     z = np.array([s[1] for s, _, _ in lanes])
     dv = np.array([d for _, d, _ in lanes])
     omega_fb = np.array([o for _, _, o in lanes])
+    if feedback == "undo-heat":  # no lane of a run reaches radius 0 (``split_step``)
+        z = np.where(x * x + z * z == 0.0, 1.0, z)
     cfg = SimConfig()
-    step = split_step(x, z, dv, cfg.omega_r * cfg.dt, omega_fb * cfg.dt,
-                      _constants(cfg.gamma, cfg.eta, cfg.dt), feedback_after)
+    # The feedback joins the drive's rotation, or acts after the Kraus sub-step.
+    theta_f = omega_fb * cfg.dt
+    before, after = {"none": (theta_f, None), "angle": (0.0, theta_f),
+                     "undo-heat": (0.0, UNDO_HEAT)}[feedback]
+    step = split_step(x, z, dv, cfg.omega_r * cfg.dt, before,
+                      _constants(cfg.gamma, cfg.eta, cfg.dt), after)
     assert np.abs(step.dw + step.dwf + step.dq - 0.5 * (z - step.z)).max() <= 1e-12
 
 

@@ -14,8 +14,10 @@ from qtherm.feedback import pll_drive
 from qtherm.oracle import lindblad_evolve
 from qtherm.sme import (
     SERIES,
+    UNDO_HEAT,
     EnsembleResult,
     _constants,
+    _dissipative_kraus,
     homodyne_increment,
     run_batch,
     split_step,
@@ -26,6 +28,7 @@ from reference import (
     ito_step,
     side_stream,
     term_by_term_split_step,
+    undo_heat_by_angle,
 )
 
 
@@ -148,7 +151,7 @@ def test_split_step_agrees_with_the_unsplit_step_in_the_mean_at_order_dt_2(paper
         cfg = paper_cfg(dt=dt)
         for xi, w in zip(nodes, weights):
             dv = homodyne_increment(x, math.sqrt(dt) * xi, constants(cfg))
-            step = split_step(x, z, dv, cfg.omega_r * cfg.dt, 0.0, constants(cfg), False)
+            step = split_step(x, z, dv, cfg.omega_r * cfg.dt, 0.0, constants(cfg), None)
             ref = np.full((2, n), np.nan)
             for k, (s, dv_k) in enumerate(zip(states, dv.tolist())):
                 try:
@@ -167,7 +170,7 @@ def test_split_step_agrees_with_the_unsplit_step_in_the_mean_at_order_dt_2(paper
 def test_split_step_unitary_limit(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0)
     step = split_step(one(GROUND.x), one(GROUND.z), one(0.0), cfg.omega_r * cfg.dt, 0.0,
-                      constants(cfg), False)
+                      constants(cfg), None)
     assert step.dq[0] == 0.0
     assert (step.dw + step.dwf + step.dq)[0] == step.dw[0]
     assert step.dwf[0] == 0.0
@@ -179,7 +182,7 @@ def test_split_step_pure_relaxation(paper_cfg):
     rng = np.random.default_rng(6)
     x0, z0 = one(0.4), one(-0.3)
     dv = homodyne_increment(x0, rng.normal(0.0, math.sqrt(cfg.dt), 1), constants(cfg))
-    step = split_step(x0, z0, dv, 0.0, 0.0, constants(cfg), False)
+    step = split_step(x0, z0, dv, 0.0, 0.0, constants(cfg), None)
     assert step.dw[0] == 0.0 and step.dwf[0] == 0.0
     assert (step.dw + step.dwf + step.dq)[0] == step.dq[0]
 
@@ -194,7 +197,7 @@ def test_split_step_ledger_identity_random(paper_cfg):
     x, z = r * np.sin(a), r * np.cos(a)
     dv = homodyne_increment(x, rng.normal(0.0, math.sqrt(cfg.dt), n), constants(cfg))
     om_f = rng.normal(0.0, 5.0, n)
-    step = split_step(x, z, dv, cfg.omega_r * cfg.dt, om_f * cfg.dt, constants(cfg), False)
+    step = split_step(x, z, dv, cfg.omega_r * cfg.dt, om_f * cfg.dt, constants(cfg), None)
     du = step.dw + step.dwf + step.dq
     du_states = 0.5 * (1.0 - step.z) - 0.5 * (1.0 - z)
     assert du == pytest.approx(du_states, abs=1e-14)
@@ -203,7 +206,7 @@ def test_split_step_ledger_identity_random(paper_cfg):
 def test_split_step_equal_drives_split_work_equally(paper_cfg):
     cfg = paper_cfg(gamma=0.0, eta=0.0)
     step = split_step(one(0.3), one(0.6), one(0.0), 2.0 * cfg.dt, 2.0 * cfg.dt, constants(cfg),
-                      False)
+                      None)
     assert step.dw[0] == step.dwf[0]
 
 
@@ -212,7 +215,7 @@ def test_split_step_cancelling_drives(paper_cfg):
     # rates, which are equal and opposite.
     cfg = paper_cfg(gamma=0.0, eta=0.0)
     step = split_step(one(0.3), one(0.6), one(0.0), 4.0 * cfg.dt, -4.0 * cfg.dt, constants(cfg),
-                      False)
+                      None)
     assert (step.x[0], step.z[0]) == (0.3, 0.6)
     assert step.dw[0] == -step.dwf[0] != 0.0
     assert (step.dw + step.dwf + step.dq)[0] == 0.0
@@ -232,7 +235,7 @@ def test_the_work_split_keeps_its_digits_near_a_half_turn(paper_cfg):
     x, z = r * np.sin(a), r * np.cos(a)
     theta_d = cfg.omega_r * cfg.dt
     theta_f = rng.choice([-1.0, 1.0], n) * (math.pi + rng.uniform(-0.1, 0.1, n)) - theta_d
-    step = split_step(x, z, np.zeros(n), theta_d, theta_f, constants(cfg), False)
+    step = split_step(x, z, np.zeros(n), theta_d, theta_f, constants(cfg), None)
     x, z, theta_d = x.astype(np.longdouble), z.astype(np.longdouble), np.longdouble(theta_d)
     theta = theta_d + theta_f.astype(np.longdouble)
     dpe = 0.5 * (z * (1 - np.cos(theta)) - x * np.sin(theta))
@@ -483,7 +486,7 @@ def test_zero_delay_pll_acts_after_its_own_back_action(paper_cfg):
     s = batch.series
     for i in range(cfg.n_steps):
         x, z, dv = s["x"][:, i], s["z"][:, i], s["dv"][:, i]
-        heat = split_step(x, z, dv, cfg.omega_r * cfg.dt, 0.0, constants(cfg), False)
+        heat = split_step(x, z, dv, cfg.omega_r * cfg.dt, 0.0, constants(cfg), None)
         theta_f = pll_drive(dv, i * cfg.dt, cfg.omega_r, fb.gain, fb.offset, 0) * cfg.dt
         z3 = heat.z * np.cos(theta_f) + heat.x * np.sin(theta_f)
         x3 = heat.x * np.cos(theta_f) - heat.z * np.sin(theta_f)
@@ -558,12 +561,38 @@ def test_split_step_keeps_the_bits_of_the_term_by_term_kernel(paper_cfg, eta, ga
     omega_fb[:8:2] = -0.0
     for omega_drive in (cfg.omega_r, 0.0):
         for fb in (omega_fb, np.zeros(n), 0.0):
-            for feedback_after in (False, True):
-                got = split_step(x, z, dv, omega_drive * cfg.dt, np.asarray(fb) * cfg.dt,
-                                 constants(cfg), feedback_after)
-                want = term_by_term_split_step(x, z, dv, omega_drive, fb, cfg, feedback_after)
+            # The feedback joins the drive's rotation, or acts after the Kraus sub-step.
+            for before, after in ((fb, None), (0.0, fb)):
+                theta_after = None if after is None else np.asarray(after) * cfg.dt
+                got = split_step(x, z, dv, omega_drive * cfg.dt, np.asarray(before) * cfg.dt,
+                                 constants(cfg), theta_after)
+                want = term_by_term_split_step(x, z, dv, omega_drive, before, cfg, after)
                 for name, g, w in zip(got._fields, got, want):
-                    assert same_bytes(g, w), (omega_drive, np.ndim(fb), feedback_after, name)
+                    assert same_bytes(g, w), (omega_drive, np.ndim(fb), after is None, name)
+
+
+@pytest.mark.parametrize("eta", [0.35, 1.0])
+def test_undoing_the_heat_angle_by_a_rescale_matches_the_angle_form(paper_cfg, eta):
+    """Zero-delay optimal feedback rescales the post-rotation state to the
+    post-Kraus radius; rotating the post-Kraus state back by the heat angle
+    from ``optimal_drive`` gives the same state within 1e-14, on random
+    mixed and pure states and on states within 1e-6 of either pole."""
+    cfg = paper_cfg(eta=eta)
+    rng = side_stream(29, int(eta * 100))
+    n = 100_000
+    r, phi = np.sqrt(rng.random(n)), rng.uniform(-math.pi, math.pi, n)
+    r[: n // 4] = 1.0
+    # A quarter of the lanes are pure, and the last half start within 1e-6 of a pole.
+    phi[n // 2:] = rng.choice([0.0, math.pi], n - n // 2) + rng.uniform(-1e-6, 1e-6, n - n // 2)
+    x, z = r * np.sin(phi), r * np.cos(phi)
+    dv = homodyne_increment(x, rng.normal(0.0, math.sqrt(cfg.dt), n), constants(cfg))
+    for omega_drive in (cfg.omega_r, 0.0):  # undriven, the near-pole lanes reach Kraus there
+        step = split_step(x, z, dv, omega_drive * cfg.dt, 0.0, constants(cfg), UNDO_HEAT)
+        x2, z2 = _dissipative_kraus(step.x_mid, step.z_mid, dv, constants(cfg))
+        x3, z3 = undo_heat_by_angle(step.x_mid, step.z_mid, x2, z2, cfg.dt)
+        assert np.abs(step.x - x3).max() <= 1e-14
+        assert np.abs(step.z - z3).max() <= 1e-14
+        assert np.abs(step.dwf - 0.5 * (z2 - z3)).max() <= 1e-14
 
 
 class PassCounter(np.ndarray):
@@ -590,9 +619,9 @@ class PassCounter(np.ndarray):
     (NO_FEEDBACK, (), False, True, 50),
     (FeedbackConfig(mode="phase_locked", delay_steps=5), (0, 5), False, True, 65),
     (FeedbackConfig(mode="phase_locked", delay_steps=0), (0,), False, True, 66),
-    (FeedbackConfig(mode="optimal"), (), True, True, 70),
+    (FeedbackConfig(mode="optimal"), (), True, True, 65),
     (FeedbackConfig(mode="phase_locked", delay_steps=5), (), False, False, 43),
-    (FeedbackConfig(mode="optimal"), (), True, False, 56),
+    (FeedbackConfig(mode="optimal"), (), True, False, 53),
 ], ids=["no-feedback", "pll-100ns", "pll-zero-delay", "optimal-sampled",
         "pll-100ns-no-ledger", "optimal-sampled-no-ledger"])
 def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, fb, lags, sample,
@@ -601,8 +630,8 @@ def test_the_step_loop_makes_at_most_its_counted_array_passes(paper_cfg, fb, lag
     ``run_batch`` gets as ``PassCounter`` views.  A 2 us run less a 1 us run
     is 50 steps, the same warm-up and no end.  The ceilings are the counts at
     numpy 2.4.6; a change that removes a pass lowers one.  Without the ledger
-    a step makes 14 passes fewer (57 with it for the phase-locked loop
-    without lags, 70 for the sampled optimal law)."""
+    a step makes 14 passes fewer for the phase-locked loop (57 with it
+    without lags) and 12 for the sampled zero-delay optimal law (65)."""
     calls = []
     for tau in (1.0, 2.0):
         cfg = paper_cfg(tau=tau)
