@@ -18,8 +18,9 @@ Two controllers are implemented:
   ``atan2(-x, z)`` in its dissipative sub-step.  Being a rotation it never
   changes purity, so it cannot fully restore unitarity at eta < 1.
 
-Both follow one rule (see :mod:`qtherm.sme`): the drive computed from step i
-acts at step i + delay_steps, at zero delay behind step i's measurement
+Both follow one rule (see :mod:`qtherm.sme`): the feedback angle computed
+from step i (the loop's rate times dt, or ``optimal_drive``'s angle) turns
+the state at step i + delay_steps, at zero delay behind step i's measurement
 back-action (where the engine undoes the heat angle by a rescale, without
 ``optimal_drive``), else through a :class:`DelayLine`.
 """
@@ -49,14 +50,14 @@ def pll_drive(dv, t: float, omega_r: float, gain: float, offset: float, labels):
     return np.take(gain * (np.cos(omega_r * t + _PHASES) + offset), labels, axis=-1) * dv
 
 
-def optimal_drive(x_mid, z_mid, x, z, dt: float):
-    """Optimal feedback drive (rad/us): minus the heat angle per ``dt``, the
-    shortest turn of ``atan2(-x, z)`` from (x_mid, z_mid) to (x, z)."""
-    return -np.arctan2(x_mid * z - z_mid * x, z_mid * z + x_mid * x) / dt
+def optimal_drive(x_mid, z_mid, x, z):
+    """Optimal feedback angle: minus the heat angle, the shortest turn of
+    ``atan2(-x, z)`` from (x_mid, z_mid) to (x, z)."""
+    return -np.arctan2(x_mid * z - z_mid * x, z_mid * z + x_mid * x)
 
 
 class DelayLine:
-    """Fixed-latency FIFO of feedback drive values.
+    """Fixed-latency FIFO of feedback angles (or of any per-step value).
 
     Output at step i equals input at step i - delay_steps; the first
     ``delay_steps`` outputs are zero.  Values may be floats or arrays (a
@@ -69,9 +70,9 @@ class DelayLine:
         self.delay_steps = int(delay_steps)
         self._buf = deque([0.0] * self.delay_steps)
 
-    def push(self, omega_f_now):
-        """Insert the freshly computed drive, return the delayed one."""
+    def push(self, value):
+        """Insert the freshly computed value, return the delayed one."""
         if self.delay_steps == 0:
-            return omega_f_now
-        self._buf.append(omega_f_now)
+            return value
+        self._buf.append(value)
         return self._buf.popleft()

@@ -4,12 +4,18 @@ Each integration step of duration dt is split in two sub-steps, so that every
 energy change of the qubit is attributed to exactly one of work (unitary,
 drive + feedback) or heat (nonunitary, decay + measurement back-action):
 
-1. *Unitary sub-step*: the exact rotation by ``theta = (omega_drive +
-   omega_feedback) * dt`` in the x-z plane.  Its energy change (in units of
-   hbar*omega_q this is just the change of the excited population) is recorded
-   as work, attributed to the drive and the feedback proportionally to their
-   angles; the proportional split is the exact integral of the two commutator
-   work rates along the rotation path.
+1. *Unitary sub-step*: the exact rotation by ``theta = theta_d + theta_f``,
+   the drive's angle plus that of feedback from an earlier step, in the x-z
+   plane.  Its energy change (in units of hbar*omega_q this is just the
+   change of the excited population) is recorded as work.  A shared rotation
+   is booked as half the drive, the feedback, the other half (Strang, SIAM
+   J. Numer. Anal. 5, 506 (1968)), each turn booking its own change, while
+   the state is the one rotation's (planar rotations commute).  The closed
+   form has no division and is within 3e-16 of longdouble per step; it
+   moved a trajectory's W from the proportional split's by 6e-3 RMS, far
+   below the step's own 8.9e-2 RMS error.  In a batch where some lane's
+   feedback angle is nonzero, a lane whose angle is 0 books its dWF at
+   rounding level, not 0.
 
 2. *Dissipative sub-step*: the measurement operator
    M = I - (gamma*dt/2)|e><e| + sqrt(eta*gamma)*dy*sigma_- (with
@@ -23,10 +29,11 @@ drive + feedback) or heat (nonunitary, decay + measurement back-action):
    change is recorded as heat, so the first law dU = dW + dWF + dQ holds
    exactly by construction.
 
-Ordering rule: the drive a feedback law computes from step i acts at step
-i + d, d the loop delay in steps.  At d = 0 it acts on step i's
-post-measurement state, behind its dissipative sub-step, and books its own
-work (Wiseman & Milburn, PRL 70, 548 (1993)): the phase-locked drive
+Ordering rule: the feedback angle a law computes from step i (the
+phase-locked drive times dt, or minus the optimal law's heat angle) turns
+the state at step i + d, d the loop delay in steps.  At d = 0 it acts on
+step i's post-measurement state, behind its dissipative sub-step, and books
+its own work (Wiseman & Milburn, PRL 70, 548 (1993)): the phase-locked drive
 multiplies dV[i] itself, and the optimal law undoes step i's heat angle.
 At d >= 1 it joins sub-step 1 of step i + d via a ``DelayLine`` of d - 1.
 
@@ -158,7 +165,9 @@ def split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants,
     are the step constants ``run_batch`` computes once per block.  With
     ``ledger``, rotations are booked as work and the Kraus sub-step as heat,
     so dW + dWF + dQ is the change of the excited population; without it the
-    state comes out with the same bytes and nothing is booked.
+    state comes out with the same bytes and nothing is booked.  A rotation
+    that any lane's ``theta_f`` shares is booked as a sequence (the module
+    docstring); otherwise the drive books it all.
 
     ``after`` is a zero-delay law's feedback, an angle or ``UNDO_HEAT``
     (``theta_f`` is then 0), acting behind the Kraus sub-step with its own
@@ -179,19 +188,14 @@ def split_step(x, z, dv, theta_d: float, theta_f, consts: _Constants,
     if not ledger:
         return SplitStep(x3, z3, None, None, None, x1, z1)
     dpe = 0.5 * (z - z1)  # the first rotation's excited-population change
-    if after is not None:
-        dw = dpe if theta_d else -0.5 * x * theta_d  # the commutator rate's signed zero
-        dwf = 0.5 * (z2 - z3)
-    else:  # one rotation, its work split in proportion to the angles
-        # At theta == 0 exactly, fall back to the instantaneous commutator
-        # rates, the continuous limit; the test is np.all without its dispatch.
-        if np.logical_and.reduce(theta, axis=None):
-            dw = dpe * (theta_d / theta)
-        else:
-            zero = np.asarray(theta) == 0.0
-            safe = np.where(zero, 1.0, theta)
-            dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
-        dwf = dpe - dw
+    if np.logical_or.reduce(theta_f, axis=None):  # np.any without its dispatch
+        # The feedback's turn books 1/2 (za - zb): za is the z of (x, z)
+        # turned by h, zb that of (x1, z1) turned back by h.
+        h = 0.5 * theta_d
+        dwf = math.cos(h) * dpe + 0.5 * math.sin(h) * (x + x1)
+        dw = dpe - dwf
+    else:
+        dw, dwf = dpe, 0.5 * (z2 - z3)
     return SplitStep(x3, z3, dw, dwf, 0.5 * (z1 - z2), x1, z1)
 
 
@@ -483,18 +487,18 @@ def run_batch(
         z = np.broadcast_to(z_init, block.out["final_z"].shape).copy()
         x = np.zeros(z.shape)
         block.snapshot(0, x, z)
-        line, om_f, drive = DelayLine(max(delay - 1, 0)), 0.0, 0.0
+        line, theta_f, angle = DelayLine(max(delay - 1, 0)), 0.0, 0.0
         after = UNDO_HEAT if fb.mode == "optimal" and not delay else None
         for i, dxi in enumerate(noise):
             dv = homodyne_increment(x, dxi, consts)
             if fb.mode == "phase_locked":
-                drive = pll_drive(dv, i * dt, cfg.omega_r, gain, offset, labels)
-                after = None if delay else drive * dt
-            x, z, dw, dwf, dq, x_mid, z_mid = split_step(x, z, dv, theta_d, om_f * dt, consts,
+                angle = pll_drive(dv, i * dt, cfg.omega_r, gain, offset, labels) * dt
+                after = None if delay else angle
+            x, z, dw, dwf, dq, x_mid, z_mid = split_step(x, z, dv, theta_d, theta_f, consts,
                                                          after, ledger)
             if fb.mode == "optimal" and delay:
-                drive = optimal_drive(x_mid, z_mid, x, z, dt)
-            om_f = line.push(drive) if delay else 0.0  # the drive of step i + delay
+                angle = optimal_drive(x_mid, z_mid, x, z)
+            theta_f = line.push(angle) if delay else 0.0  # the angle of step i + delay
             if ledger:
                 block.add(i, dw, dwf, dq, dv, dxi)
             block.snapshot(i + 1, x, z)

@@ -24,14 +24,14 @@ trajectories (criteria 1 and 3), on keys no trajectory uses.
 a time; ``qtherm.sme.run_batch`` draws a tile of contiguous rows at a time.
 ``term_by_term_split_step`` is the step kernel at drive and feedback rates,
 with every term of the Kraus sub-step spelled out (2*ady*c, 2*c2/trace) and
-every rotation booked through the proportional work split with its
-zero-angle mask always built; ``qtherm.sme.split_step`` takes the angles and
-the step constants, folds the doublings into its constants, splits the work
-only where drive and feedback share one rotation and tests for a zero angle
-before it builds a mask, with the same bits.  ``undo_heat_by_angle`` is
-zero-delay optimal feedback as an angle: the heat angle from
-``qtherm.feedback.optimal_drive``, undone by rotating the post-Kraus state;
-``split_step`` rescales the post-rotation state instead.
+a shared rotation's work booked by ``sequenced_rotation_work`` as three
+explicit rotations, lane by lane; ``qtherm.sme.split_step`` takes the angles
+and the step constants, folds the doublings into its constants and books a
+shared rotation's work in closed form, with the same bits wherever no angle
+is shared.  ``undo_heat_by_angle`` is zero-delay optimal feedback as an
+angle: the heat angle from ``qtherm.feedback.optimal_drive``, undone by
+rotating the post-Kraus state; ``split_step`` rescales the post-rotation
+state instead.
 """
 
 import math
@@ -145,44 +145,51 @@ def term_by_term_kraus(x, z, dv, gamma: float, eta, dt: float):
     return 2.0 * c2 / trace, (p2 - q2) / trace
 
 
-def masked_rotation_work(x, z, theta_d, theta_f):
-    """The rotation sub-step and its work split, with the zero-angle mask
-    built on every call."""
-    theta = theta_d + theta_f
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    z1 = z * ct + x * st
-    x1 = x * ct - z * st
-    dpe = 0.5 * (z - z1)
-    zero = np.asarray(theta) == 0.0
-    if zero.any():
-        safe = np.where(zero, 1.0, theta)
-        dw = np.where(zero, -0.5 * x * theta_d, dpe * (theta_d / safe))
-    else:
-        dw = dpe * (theta_d / theta)
-    return x1, z1, dw, dpe - dw
+def _turn(x, z, theta):
+    """The rotation of (x, z) by ``theta``, spelled out."""
+    ct, st = np.cos(theta), np.sin(theta)
+    return x * ct - z * st, z * ct + x * st
+
+
+def sequenced_rotation_work(x, z, theta_d, theta_f):
+    """The rotation sub-step by theta_d + theta_f and its work, lane by lane.
+
+    The state is the one rotation's.  A lane whose feedback angle is 0 turns
+    by the drive alone, which books the whole 1/2 dz.  Any other lane is
+    booked as three explicit rotations, half the drive, the feedback, the
+    other half, each booking its own 1/2 dz.
+    """
+    x1, z1 = _turn(x, z, theta_d + theta_f)
+    h = 0.5 * theta_d
+    xa, za = _turn(x, z, h)
+    xb, zb = _turn(xa, za, theta_f)
+    _, zc = _turn(xb, zb, h)
+    shared = np.asarray(theta_f) != 0.0
+    dw = np.where(shared, 0.5 * (z - za) + 0.5 * (zb - zc), 0.5 * (z - z1))
+    dwf = np.where(shared, 0.5 * (za - zb), 0.0)
+    return x1, z1, dw, dwf
 
 
 def term_by_term_split_step(x, z, dv, omega_drive, omega_fb, cfg: SimConfig,
                             omega_after=None):
     """``qtherm.sme.split_step`` from ``term_by_term_kraus`` and
-    ``masked_rotation_work``: (x, z, dw, dwf, dq, x_mid, z_mid).  The
+    ``sequenced_rotation_work``: (x, z, dw, dwf, dq, x_mid, z_mid).  The
     feedback rate ``omega_fb`` joins the drive's rotation, and
-    ``omega_after``, if given, rotates the post-Kraus state."""
-    x1, z1, dw, dwf = masked_rotation_work(x, z, omega_drive * cfg.dt,
-                                           np.asarray(omega_fb) * cfg.dt)
-    x2, z2 = term_by_term_kraus(x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
-    dq = 0.5 * (z1 - z2)
+    ``omega_after``, if given, rotates the post-Kraus state and books its
+    own 1/2 dz as feedback work."""
+    x1, z1, dw, dwf = sequenced_rotation_work(x, z, omega_drive * cfg.dt,
+                                              np.asarray(omega_fb) * cfg.dt)
+    x3, z3 = x2, z2 = term_by_term_kraus(x1, z1, dv, cfg.gamma, cfg.eta, cfg.dt)
     if omega_after is not None:
-        x2, z2, _, dwf = masked_rotation_work(x2, z2, 0.0, np.asarray(omega_after) * cfg.dt)
-    return x2, z2, dw, dwf, dq, x1, z1
+        x3, z3 = _turn(x2, z2, np.asarray(omega_after) * cfg.dt)
+    return x3, z3, dw, dwf + 0.5 * (z2 - z3), 0.5 * (z1 - z2), x1, z1
 
 
-def undo_heat_by_angle(x1, z1, x2, z2, dt: float):
+def undo_heat_by_angle(x1, z1, x2, z2):
     """Zero-delay optimal feedback in its angle form: the heat angle of the
     turn from the post-rotation (x1, z1) to the post-Kraus (x2, z2), from
     ``optimal_drive``, undone by the package's rotation of (x2, z2)."""
-    return _rotate(x2, z2, optimal_drive(x1, z1, x2, z2, dt) * dt)
+    return _rotate(x2, z2, optimal_drive(x1, z1, x2, z2))
 
 
 def rotate(s: BlochState, theta: float) -> BlochState:

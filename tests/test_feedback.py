@@ -11,9 +11,8 @@ from qtherm.feedback import DelayLine, optimal_drive, pll_drive
 from qtherm.sme import SERIES
 from reference import rotate
 
-# optimal_drive(x_mid, z_mid, x, z, DT) * DT is the rotation angle that undoes
-# the turn of the phase atan2(-x, z) from (x_mid, z_mid) to (x, z).
-DT = 0.02
+# optimal_drive(x_mid, z_mid, x, z) is the rotation angle that undoes the turn
+# of the phase atan2(-x, z) from (x_mid, z_mid) to (x, z).
 
 
 def purity(s: BlochState) -> float:
@@ -54,14 +53,14 @@ def test_phase_locked_matches_derived_law(paper_cfg):
 def test_optimal_control_on_target():
     # A sub-step that only shrinks the Bloch vector leaves the phase alone.
     mid = rotate(GROUND, 0.8)
-    theta = optimal_drive(mid.x, mid.z, 0.6 * mid.x, 0.6 * mid.z, DT) * DT
+    theta = optimal_drive(mid.x, mid.z, 0.6 * mid.x, 0.6 * mid.z)
     assert theta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_optimal_control_corrects_lag():
     mid = rotate(GROUND, 0.8)
     s = rotate(BlochState(0.0, 0.7), 0.9)
-    theta = optimal_drive(mid.x, mid.z, s.x, s.z, DT) * DT
+    theta = optimal_drive(mid.x, mid.z, s.x, s.z)
     assert theta == pytest.approx(-0.1, abs=1e-12)
     corrected = rotate(s, theta)
     assert math.atan2(-corrected.x, corrected.z) == pytest.approx(0.8, abs=1e-12)
@@ -70,7 +69,7 @@ def test_optimal_control_corrects_lag():
 def test_optimal_control_is_pure_rotation():
     mid = rotate(GROUND, 2.0)
     s = BlochState(0.21, -0.4)
-    theta = optimal_drive(mid.x, mid.z, s.x, s.z, DT) * DT
+    theta = optimal_drive(mid.x, mid.z, s.x, s.z)
     assert purity(rotate(s, theta)) == pytest.approx(purity(s), abs=1e-15)
 
 
@@ -78,7 +77,7 @@ def test_optimal_control_wraps_angle():
     # A turn of +0.1 across the branch cut at pi is undone by -0.1, not 2*pi - 0.1.
     mid = rotate(GROUND, math.pi - 0.05)
     s = rotate(GROUND, -math.pi + 0.05)
-    theta = optimal_drive(mid.x, mid.z, s.x, s.z, DT) * DT
+    theta = optimal_drive(mid.x, mid.z, s.x, s.z)
     assert theta == pytest.approx(-0.1, abs=1e-12)
 
 

@@ -54,28 +54,33 @@ GOLDEN = {
     # p00_sem moved by <= 1.9e-8 relative here, <= 8.3e-9 in
     # "ensemble_batched"; p00_mean and trajectories.csv held.  summary.json
     # re-recorded when the pair moments became numpy's pairwise sums: the
-    # r_wf_q_lag* values moved by <= 1.3e-15 relative, the CSVs held.
+    # r_wf_q_lag* values moved by <= 1.3e-15 relative, the CSVs held.  All
+    # three re-recorded when a shared rotation began to book its work as
+    # half the drive, the feedback, the other half: the state held, the W
+    # and WF columns, their means and r moved.  Recorded on an Intel Xeon
+    # (AVX512_SPR dispatch level), numpy 2.4.6 with scipy-openblas 0.3.31,
+    # glibc 2.36.
     "ensemble": (
         ["ensemble", "--n-traj", "64", "--tau-us", "1", "--feedback", "pll",
          "--delay-ns", "100"],
         {
-            "summary.json": "0cf92f1a968cd830f300a4c02490357eba95bf98b12689c995c42e9b0a90fdf9",
-            "timeseries.csv": "064f11cc81f561f0e5d71db3bd58953d9238fb86d3d15dbc94d4ca649cda18dc",
-            "trajectories.csv": "cd8eb6d374db7c882b4cb14a06b2b37102c7cdad6cae575d1269074ca590ca43",
+            "summary.json": "e252d5b34d506b696fc42499565ac6bfa140e481d4e41889f6f38aefbb44a4d0",
+            "timeseries.csv": "1779ae0fb1ea1e1430304b71977ec3df068cb604d61dd67121b0e9f721018d61",
+            "trajectories.csv": "5c5e13d23a4f9eb448fc99f9103c75b1cfd04818c51a7f070209332969a012c8",
         },
     ),
     # Recorded when a chunk held 2,048 trajectories and a pool task up to two
     # chunks: here two pool tasks, 4,096 + 404 trajectories, with pair
     # moments.  Its per-step sums split 2,048 + 2,048 + 404 then, as a
     # 4,096-lane sum splits; its pair moments happen to round the same.
-    # Re-recorded with "ensemble" (above), both times.
+    # Re-recorded with "ensemble" (above), every time.
     "ensemble_batched": (
         ["ensemble", "--n-traj", "4500", "--tau-us", "0.5", "--feedback", "pll",
          "--delay-ns", "100", "--workers", "2"],
         {
-            "summary.json": "47e6a96f461f9602b8f5a36feb94ba0eccbab4ecc149500b69dd4ce8b6bf7269",
-            "timeseries.csv": "4e8616a6f562ce1da946632b221b057b7b57e214946b8dc062087618df0983e6",
-            "trajectories.csv": "70203cd7baf6f6bc8a2e2a8ab087c6abd1eef9d1dc43cad45b7ed787ec041f01",
+            "summary.json": "d735d31eacc9298a86dd5495bf06df9b6bfa93b4db108b6f3b7d1cff7fb57610",
+            "timeseries.csv": "63406e7c3fd5124825650384fb5340f4a81feab1483529ace0913574b0a762f3",
+            "trajectories.csv": "e7997994ddc7cf92bf1b7d629d7c57425e1a3934b7aecdbfa33b6de589fb63f6",
         },
     ),
     # Re-recorded when the engine began to count the sampled outcomes from
@@ -121,10 +126,13 @@ def test_data_file_digests(name, tmp_path):
 
 
 # Re-recorded when zero-delay optimal feedback began to undo each step's heat
-# angle within that step: only that case's arrays moved.  Recorded on an Intel
-# Xeon (AVX512_SPR dispatch level), numpy 2.4.6 with scipy-openblas 0.3.31,
-# glibc 2.36.
-ENGINE_DIGEST = "cd6b88ad919f44bb79f016245e9708beea20ed335ec1b173c6fde40e770fe6d9"
+# angle within that step: only that case's arrays moved.  Re-recorded when a
+# shared rotation began to book its work as half the drive, the feedback, the
+# other half, and the optimal law to return its angle without a division by
+# dt: the delayed cases' W and WF moved, and the delay-2 optimal state at
+# rounding level (<= 2.1e-13 over 400 steps).  Recorded on an Intel Xeon (AVX512_SPR dispatch level), numpy
+# 2.4.6 with scipy-openblas 0.3.31, glibc 2.36.
+ENGINE_DIGEST = "b9edf551513cd6b24af4776ef782c813019be562c8f3ffeda70477bfe59eaac0"
 
 ENGINE_FIELDS = ("p00_mean", "p00_sem", "dw_mean", "dwf_mean", "dq_mean",
                  "initial_labels", "w", "wf", "q", "final_x", "final_z",
